@@ -104,9 +104,13 @@ ClusterOptions ClusterFor(const Workload& w, uint64_t seed) {
   if (w.faults) {
     options.straggler_sigma = 0.5;
     options.faults.crash_probability = 0.05;
-    // Enough retries that no trial is abandoned (0.05^6 per trial): every
-    // trial the benchmark asks for completes.
-    options.faults.max_retries = 5;
+    // Enough retries that no trial is abandoned: a trial is lost only after
+    // 21 crashes in a row (0.05^21 ~ 5e-28), so every trial the benchmark
+    // asks for completes. Five retries (0.05^6 ~ 1.6e-8 per trial) would
+    // lose a trial in about one fleet-chaos run in sixty (~1.1M trials per
+    // run). Backoff doublings are capped by the library, so the deepest
+    // retry still lands far inside the time budget.
+    options.faults.max_retries = 20;
     options.faults.retry_backoff_seconds = 10.0;
     options.worker_faults.mttf_seconds = 20000.0;
     options.worker_faults.mttr_seconds = 600.0;

@@ -3,7 +3,7 @@
 source, runs one workload for about --seconds seconds, checks its outputs and
 prints every metric BENCHMARK.json names.
 
-    python3 perfbench/run.py --workload ht-flagship --seed 1 --seconds 35 \
+    python3 perfbench/run.py --workload ht-flagship --seed 1 --seconds 30 \
         --trace 0
 
 Each repetition is a fresh process (so peak RSS is per run) on a seed derived
@@ -144,7 +144,8 @@ def main():
     correct = all(r["ok"] for r in reps)
     for i, r in enumerate(reps):
         for error in r["errors"]:
-            print("repetition %d: check failed: %s" % (i, error))
+            print("perfbench: seed %d repetition %d: check failed: %s"
+                  % (args.seed, i, error), file=sys.stderr)
     values = {}
     for name in sorted(reps[0]["metrics"]):
         values[name] = statistics.median(r["metrics"][name] for r in reps)
