@@ -43,8 +43,11 @@ namespace {
 ConfigurationSpace MakeSpace(size_t dims) {
   ConfigurationSpace space;
   for (size_t i = 0; i < dims; ++i) {
-    space.Add(Parameter::Float("x" + std::to_string(i), 0.0, 1.0))
-        .IgnoreError();
+    // Appending (not "x" + to_string) sidesteps GCC 12's false -Wrestrict
+    // on std::string's operator+ at -O3.
+    std::string name = "x";
+    name += std::to_string(i);
+    space.Add(Parameter::Float(name, 0.0, 1.0)).IgnoreError();
   }
   return space;
 }

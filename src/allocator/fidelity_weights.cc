@@ -42,6 +42,27 @@ std::vector<Measurement> CapMeasurements(const std::vector<Measurement>& data,
 
 }  // namespace
 
+struct FidelityWeights::FitCache {
+  /// A level's surrogate, fitted on its capped group.
+  struct LevelFit {
+    /// store level_version() the model was fitted at; ~0 = never fitted.
+    uint64_t version = ~uint64_t{0};
+    /// Null when the group was too small or the fit failed.
+    std::unique_ptr<Surrogate> model;
+  };
+
+  /// MeasurementStore::id() of the store every entry was fitted on.
+  uint64_t store_id = 0;
+  std::vector<LevelFit> levels;  // index 0 <-> level 1; K - 1 entries
+  /// M_K's cross-validation predictions on the evaluation subset `cv_subset`
+  /// (indices into D_K; empty = all of D_K) at level_version(K) ==
+  /// `cv_version`.
+  uint64_t cv_version = ~uint64_t{0};
+  std::vector<size_t> cv_subset;
+  std::vector<double> cv_predictions;
+  FitCounts counts;
+};
+
 FidelityWeights::FidelityWeights(const ConfigurationSpace* space,
                                  FidelityWeightsOptions options)
     : space_(space), options_(options) {
@@ -59,6 +80,34 @@ FidelityWeights::FidelityWeights(const ConfigurationSpace* space,
     forest->SetCategoricalFeatures(std::move(categorical));
     return forest;
   };
+}
+
+FidelityWeights::~FidelityWeights() = default;
+
+void FidelityWeights::ShareFitCacheWith(FidelityWeights* owner) {
+  HT_CHECK(owner != nullptr && owner != this &&
+           owner->fit_cache_owner_ == nullptr)
+      << "share the fit cache of an instance that keeps its own";
+  HT_CHECK(owner->space_ == space_ && owner->options_ == options_)
+      << "theta instances sharing fits need one space and equal options";
+  fit_cache_owner_ = owner;
+  fit_cache_.reset();
+}
+
+FidelityWeights::FitCache& FidelityWeights::fit_cache() {
+  FidelityWeights* holder = fit_cache_owner_ != nullptr ? fit_cache_owner_
+                                                        : this;
+  if (holder->fit_cache_ == nullptr) {
+    holder->fit_cache_ = std::make_unique<FitCache>();
+  }
+  return *holder->fit_cache_;
+}
+
+FidelityWeights::FitCounts FidelityWeights::fit_counts() const {
+  const FidelityWeights* holder =
+      fit_cache_owner_ != nullptr ? fit_cache_owner_ : this;
+  return holder->fit_cache_ != nullptr ? holder->fit_cache_->counts
+                                       : FitCounts{};
 }
 
 void FidelityWeights::Snapshot(WireEncoder* enc) const {
@@ -126,53 +175,93 @@ const std::vector<double>& FidelityWeights::ComputeTheta(
       }
     }
   } else {
+    FitCache& cache = fit_cache();
+    if (cache.store_id != store.id() ||
+        cache.levels.size() != static_cast<size_t>(num_levels - 1)) {
+      cache.store_id = store.id();
+      cache.levels.clear();
+      cache.levels.resize(static_cast<size_t>(num_levels - 1));
+      cache.cv_version = ~uint64_t{0};
+    }
     Rng rng(CombineSeeds(options_.seed, store.data_version()));
 
     // Evaluation subset of D_K (caps the O(S n^2) pair counting).
+    std::vector<size_t> subset;  // empty = all of D_K
     std::vector<Measurement> eval_at;
     if (high_group.size() <= options_.max_eval_points) {
       eval_at = high_group;
     } else {
-      std::vector<size_t> pick = rng.SampleWithoutReplacement(
-          high_group.size(), options_.max_eval_points);
-      eval_at.reserve(pick.size());
-      for (size_t idx : pick) eval_at.push_back(high_group[idx]);
+      subset = rng.SampleWithoutReplacement(high_group.size(),
+                                            options_.max_eval_points);
+      eval_at.reserve(subset.size());
+      for (size_t idx : subset) eval_at.push_back(high_group[idx]);
     }
     std::vector<double> truths;
     truths.reserve(eval_at.size());
     for (const Measurement& m : eval_at) truths.push_back(m.objective);
 
-    // Predictions of each base surrogate at the evaluation subset.
+    // Predictions of each base surrogate at the evaluation subset, fitting
+    // only what the cache does not hold for the current data.
     std::vector<std::vector<double>> predictions(
         static_cast<size_t>(num_levels));
-    for (int level = 1; level < num_levels; ++level) {
-      std::vector<Measurement> fit_on =
-          CapMeasurements(store.group(level), options_.max_fit_points);
-      predictions[static_cast<size_t>(level - 1)] =
-          FitAndPredict(*space_, fit_on, eval_at, factory_);
+    if (!eval_at.empty()) {
+      for (int level = 1; level < num_levels; ++level) {
+        FitCache::LevelFit& fit = cache.levels[static_cast<size_t>(level - 1)];
+        const uint64_t version = store.level_version(level);
+        if (fit.version != version) {
+          fit.model = FitSurrogate(
+              *space_,
+              CapMeasurements(store.group(level), options_.max_fit_points),
+              factory_);
+          fit.version = version;
+          ++cache.counts.level_fits;
+        }
+        if (fit.model != nullptr) {
+          predictions[static_cast<size_t>(level - 1)] =
+              PredictMeans(*space_, *fit.model, eval_at);
+        }
+      }
+      const uint64_t high_version = store.level_version(num_levels);
+      if (cache.cv_version != high_version || cache.cv_subset != subset) {
+        cache.cv_predictions = CrossValidationPredictions(
+            *space_, eval_at, options_.cv_folds, factory_, options_.seed);
+        cache.cv_version = high_version;
+        cache.cv_subset = subset;
+        ++cache.counts.cv_passes;
+      }
+      predictions[static_cast<size_t>(num_levels - 1)] = cache.cv_predictions;
     }
-    predictions[static_cast<size_t>(num_levels - 1)] =
-        CrossValidationPredictions(*space_, eval_at, options_.cv_folds,
-                                   factory_, options_.seed);
 
     // Bootstrap "MCMC" estimate of Eq. (2): resample the evaluation
     // subset; the surrogate with minimum loss on a resample collects a
     // vote; theta_i is its vote share.
+    // Each level's pair indicators are computed once; a resample's loss
+    // is then counted from its multiplicities.
     size_t n = eval_at.size();
+    std::vector<std::vector<uint8_t>> misranked(
+        static_cast<size_t>(num_levels));
+    for (int level = 1; level <= num_levels; ++level) {
+      const auto& preds = predictions[static_cast<size_t>(level - 1)];
+      if (!preds.empty()) {
+        misranked[static_cast<size_t>(level - 1)] =
+            MisrankedPairs(preds, truths);
+      }
+    }
     int votes_total = 0;
     std::vector<int> votes(static_cast<size_t>(num_levels), 0);
+    std::vector<int32_t> counts(n);
     for (int s = 0; s < options_.bootstrap_samples; ++s) {
-      std::vector<size_t> subset(n);
+      std::fill(counts.begin(), counts.end(), 0);
       for (size_t i = 0; i < n; ++i) {
-        subset[i] = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+        ++counts[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(n) - 1))];
       }
       int64_t best_loss = std::numeric_limits<int64_t>::max();
       std::vector<int> winners;
       for (int level = 1; level <= num_levels; ++level) {
-        const auto& preds = predictions[static_cast<size_t>(level - 1)];
-        if (preds.empty()) continue;
-        int64_t loss = CountMisrankedPairsOnSubset(preds, truths, subset);
+        if (predictions[static_cast<size_t>(level - 1)].empty()) continue;
+        int64_t loss = CountMisrankedPairsWithCounts(
+            misranked[static_cast<size_t>(level - 1)], counts);
         if (loss < best_loss) {
           best_loss = loss;
           winners.assign(1, level);

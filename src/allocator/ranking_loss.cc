@@ -39,11 +39,42 @@ int64_t CountMisrankedPairsOnSubset(const std::vector<double>& predictions,
   return loss;
 }
 
-std::vector<double> FitAndPredict(const ConfigurationSpace& space,
-                                  const std::vector<Measurement>& fit_on,
-                                  const std::vector<Measurement>& eval_at,
-                                  const SurrogateFactory& factory) {
-  if (fit_on.size() < 2 || eval_at.empty()) return {};
+std::vector<uint8_t> MisrankedPairs(const std::vector<double>& predictions,
+                                    const std::vector<double>& truths) {
+  HT_CHECK(predictions.size() == truths.size())
+      << "ranking loss: size mismatch";
+  const size_t n = predictions.size();
+  std::vector<uint8_t> misranked(n * n);
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t k = 0; k < n; ++k) {
+      bool pred_less = predictions[j] < predictions[k];
+      bool true_less = truths[j] < truths[k];
+      misranked[j * n + k] = pred_less != true_less ? 1 : 0;
+    }
+  }
+  return misranked;
+}
+
+int64_t CountMisrankedPairsWithCounts(const std::vector<uint8_t>& misranked,
+                                      const std::vector<int32_t>& counts) {
+  const size_t n = counts.size();
+  HT_CHECK(misranked.size() == n * n) << "ranking loss: size mismatch";
+  int64_t loss = 0;
+  for (size_t j = 0; j < n; ++j) {
+    if (counts[j] == 0) continue;
+    const uint8_t* row = misranked.data() + j * n;
+    // At most the multiset's size, so 32 bits hold it.
+    int32_t row_pairs = 0;
+    for (size_t k = 0; k < n; ++k) row_pairs += counts[k] * row[k];
+    loss += static_cast<int64_t>(counts[j]) * row_pairs;
+  }
+  return loss;
+}
+
+std::unique_ptr<Surrogate> FitSurrogate(const ConfigurationSpace& space,
+                                        const std::vector<Measurement>& fit_on,
+                                        const SurrogateFactory& factory) {
+  if (fit_on.size() < 2) return nullptr;
   std::vector<std::vector<double>> x;
   std::vector<double> y;
   x.reserve(fit_on.size());
@@ -53,12 +84,17 @@ std::vector<double> FitAndPredict(const ConfigurationSpace& space,
     y.push_back(m.objective);
   }
   std::unique_ptr<Surrogate> model = factory();
-  if (!model->Fit(x, y).ok()) return {};
+  if (!model->Fit(x, y).ok()) return nullptr;
+  return model;
+}
 
+std::vector<double> PredictMeans(const ConfigurationSpace& space,
+                                 const Surrogate& model,
+                                 const std::vector<Measurement>& eval_at) {
   std::vector<double> predictions;
   predictions.reserve(eval_at.size());
   for (const Measurement& m : eval_at) {
-    predictions.push_back(model->Predict(space.Encode(m.config)).mean);
+    predictions.push_back(model.Predict(space.Encode(m.config)).mean);
   }
   return predictions;
 }

@@ -29,13 +29,29 @@ int64_t CountMisrankedPairsOnSubset(const std::vector<double>& predictions,
                                     const std::vector<double>& truths,
                                     const std::vector<size_t>& subset);
 
-/// Fits a fresh surrogate on `fit_on` and returns its mean predictions at
-/// the configurations of `eval_at`. Returns an empty vector when `fit_on`
-/// is too small (< 2) or the fit fails.
-std::vector<double> FitAndPredict(const ConfigurationSpace& space,
-                                  const std::vector<Measurement>& fit_on,
-                                  const std::vector<Measurement>& eval_at,
-                                  const SurrogateFactory& factory);
+/// Eq. (1)'s pair indicators, row-major n x n: entry (j, k) is 1 when
+/// `predictions` and `truths` order j and k differently. Requires equal
+/// sizes.
+std::vector<uint8_t> MisrankedPairs(const std::vector<double>& predictions,
+                                    const std::vector<double>& truths);
+
+/// CountMisrankedPairsOnSubset for the multiset holding index i counts[i]
+/// times, from MisrankedPairs' indicators: each ordered pair of multiset
+/// members contributes its indicator once, so the count is exactly the
+/// subset version's.
+int64_t CountMisrankedPairsWithCounts(const std::vector<uint8_t>& misranked,
+                                      const std::vector<int32_t>& counts);
+
+/// Fits a fresh surrogate on `fit_on`. Returns null when `fit_on` is too
+/// small (< 2) or the fit fails.
+std::unique_ptr<Surrogate> FitSurrogate(const ConfigurationSpace& space,
+                                        const std::vector<Measurement>& fit_on,
+                                        const SurrogateFactory& factory);
+
+/// Mean predictions of a fitted `model` at the configurations of `eval_at`.
+std::vector<double> PredictMeans(const ConfigurationSpace& space,
+                                 const Surrogate& model,
+                                 const std::vector<Measurement>& eval_at);
 
 /// K-fold cross-validated predictions of a surrogate on its own data
 /// (§4.1: "for the base surrogate M_K trained on D_K directly, we adopt

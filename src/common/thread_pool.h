@@ -13,9 +13,9 @@ namespace hypertune {
 
 /// A fixed-size thread pool with a FIFO task queue.
 ///
-/// Used by ThreadCluster (the real-concurrency execution backend) and for
-/// parallel surrogate fitting. Tasks are void() callables; result plumbing
-/// is the caller's responsibility (e.g. via shared state + WaitIdle()).
+/// No library component uses it yet; thread_pool_test is its only caller.
+/// Tasks are void() callables; result plumbing is the caller's
+/// responsibility (e.g. via shared state + WaitIdle()).
 class ThreadPool {
  public:
   /// Spawns `num_threads` worker threads (at least 1).

@@ -84,7 +84,7 @@ Configuration ConfigurationSpace::Neighbor(const Configuration& config,
 uint64_t ConfigurationSpace::Cardinality() const {
   uint64_t total = 1;
   for (const Parameter& p : parameters_) {
-    uint64_t n;
+    uint64_t n = 0;
     switch (p.type()) {
       case ParameterType::kFloat:
         return 0;

@@ -196,7 +196,12 @@ std::unique_ptr<Tuner> CreateTuner(const TuningProblem& problem,
       mfes.bo.surrogate = options.surrogate;
       mfes.bo.seed = CombineSeeds(options.seed, 0x3FE5ULL);
       mfes.weights.seed = CombineSeeds(options.seed, 0xF1DE11F1ULL);
-      sampler = std::make_unique<MfesSampler>(&space, store.get(), mfes);
+      auto mfes_sampler =
+          std::make_unique<MfesSampler>(&space, store.get(), mfes);
+      // The selector's theta and the ensemble's theta are estimated from
+      // one store with equal options: fit each surrogate behind them once.
+      mfes_sampler->ShareThetaFitsWith(weights.get());
+      sampler = std::move(mfes_sampler);
       break;
     }
     case SamplerFamily::kRea: {

@@ -26,14 +26,12 @@ constexpr size_t kSolveStrip = 16;
 /// match the scalar loop. (`aligned(8)` keeps loads/stores unaligned-safe.)
 typedef double V4 __attribute__((vector_size(32), aligned(8)));
 
-/// always_inline is load-bearing, not a hint: a non-inlined call would
-/// cross an ABI boundary — the baseline-compiled callee returns a wide
-/// vector through memory while a target("...")-compiled caller expects it
-/// in a vector register (the -Wpsabi hazard), which crashes at -O0.
-__attribute__((always_inline)) inline V4 LoadV4(const double* p) {
-  V4 v;
-  __builtin_memcpy(&v, p, sizeof(V4));
-  return v;
+/// Loads through an out-pointer: a wide vector passed or returned by value
+/// would make the call's ABI differ between the baseline-compiled helper
+/// and a target("...")-compiled caller (the -Wpsabi hazard). always_inline
+/// keeps the load in the caller's ISA.
+__attribute__((always_inline)) inline void LoadV4(const double* p, V4* v) {
+  __builtin_memcpy(v, p, sizeof(V4));
 }
 
 HT_TARGET_CLONES
@@ -42,18 +40,24 @@ void SolveLowerStrip(const Matrix& l, const Matrix& b, size_t j0, Matrix* y) {
   for (size_t i = 0; i < n; ++i) {
     const double* lrow = l.row(i);
     const double* brow = b.row(i) + j0;
-    V4 a0 = LoadV4(brow + 0);
-    V4 a1 = LoadV4(brow + 4);
-    V4 a2 = LoadV4(brow + 8);
-    V4 a3 = LoadV4(brow + 12);
+    V4 a0, a1, a2, a3;
+    LoadV4(brow + 0, &a0);
+    LoadV4(brow + 4, &a1);
+    LoadV4(brow + 8, &a2);
+    LoadV4(brow + 12, &a3);
     for (size_t k = 0; k < i; ++k) {
       const double lik = lrow[k];
       const V4 lik4 = {lik, lik, lik, lik};
       const double* ykrow = y->row(k) + j0;
-      a0 -= lik4 * LoadV4(ykrow + 0);
-      a1 -= lik4 * LoadV4(ykrow + 4);
-      a2 -= lik4 * LoadV4(ykrow + 8);
-      a3 -= lik4 * LoadV4(ykrow + 12);
+      V4 y0, y1, y2, y3;
+      LoadV4(ykrow + 0, &y0);
+      LoadV4(ykrow + 4, &y1);
+      LoadV4(ykrow + 8, &y2);
+      LoadV4(ykrow + 12, &y3);
+      a0 -= lik4 * y0;
+      a1 -= lik4 * y1;
+      a2 -= lik4 * y2;
+      a3 -= lik4 * y3;
     }
     const double pivot = lrow[i];
     const V4 pivot4 = {pivot, pivot, pivot, pivot};
@@ -75,13 +79,9 @@ void SolveLowerStrip(const Matrix& l, const Matrix& b, size_t j0, Matrix* y) {
 /// Eight doubles per lane-wise vector; same bit-identity argument as V4.
 typedef double V8 __attribute__((vector_size(64), aligned(8)));
 
-/// always_inline for the same ABI reason as LoadV4: a real call returning a
-/// 64-byte vector from baseline-compiled code into a target("avx512f")
-/// caller crashes at -O0 (mismatched return convention).
-__attribute__((always_inline)) inline V8 LoadV8(const double* p) {
-  V8 v;
-  __builtin_memcpy(&v, p, sizeof(V8));
-  return v;
+/// Out-pointer load for the same ABI reason as LoadV4.
+__attribute__((always_inline)) inline void LoadV8(const double* p, V8* v) {
+  __builtin_memcpy(v, p, sizeof(V8));
 }
 
 /// Vector registers of running columns in the AVX-512 strip. Four zmm
@@ -105,13 +105,15 @@ void SolveLowerStripAvx512(const Matrix& l, const Matrix& b, size_t j0,
     const double* lrow = l.row(i);
     const double* brow = b.row(i) + j0;
     V8 acc[kAvx512Acc];
-    for (size_t q = 0; q < kAvx512Acc; ++q) acc[q] = LoadV8(brow + 8 * q);
+    for (size_t q = 0; q < kAvx512Acc; ++q) LoadV8(brow + 8 * q, &acc[q]);
     for (size_t k = 0; k < i; ++k) {
       const double lik = lrow[k];
       const V8 lik8 = {lik, lik, lik, lik, lik, lik, lik, lik};
       const double* ykrow = y->row(k) + j0;
       for (size_t q = 0; q < kAvx512Acc; ++q) {
-        acc[q] -= lik8 * LoadV8(ykrow + 8 * q);
+        V8 yk;
+        LoadV8(ykrow + 8 * q, &yk);
+        acc[q] -= lik8 * yk;
       }
     }
     const double pivot = lrow[i];

@@ -37,6 +37,14 @@ class MfesSampler : public Sampler {
   /// Times base-surrogate fits and acquisition optimization as trace spans.
   void SetObservability(Observability* sink) override { obs_ = sink; }
 
+  /// Makes the sampler's theta estimate fit through `weights`' fit cache
+  /// (FidelityWeights::ShareFitCacheWith): the bracket selector's estimate
+  /// over the same store and options then never refits what this one fitted,
+  /// and vice versa. `weights` must outlive the sampler's Sample calls.
+  void ShareThetaFitsWith(FidelityWeights* weights) {
+    weights_.ShareFitCacheWith(weights);
+  }
+
   /// Ensemble weights used by the last model-based proposal (diagnostics).
   const std::vector<double>& last_theta() const { return last_theta_; }
 

@@ -8,70 +8,84 @@
 #include "src/common/statistics.h"
 
 namespace hypertune {
+namespace {
 
-MeasurementStore::MeasurementStore(int num_levels) {
+/// Source of MeasurementStore::id(); the first store gets 1.
+std::atomic<uint64_t> next_store_id{1};
+
+}  // namespace
+
+MeasurementStore::MeasurementStore(int num_levels)
+    : id_(next_store_id.fetch_add(1, std::memory_order_relaxed)) {
   HT_CHECK(num_levels >= 1) << "MeasurementStore requires K >= 1";
   MutexLock lock(mu_);
-  groups_.resize(static_cast<size_t>(num_levels));
-  index_.resize(static_cast<size_t>(num_levels));
+  levels_.resize(static_cast<size_t>(num_levels));
 }
 
-std::vector<Measurement>& MeasurementStore::GroupLocked(int level) {
-  HT_CHECK(level >= 1 && level <= static_cast<int>(groups_.size()))
-      << "level " << level << " outside [1, " << groups_.size() << "]";
-  return groups_[static_cast<size_t>(level - 1)];
+MeasurementStore::Level& MeasurementStore::LevelLocked(int level) {
+  HT_CHECK(level >= 1 && level <= static_cast<int>(levels_.size()))
+      << "level " << level << " outside [1, " << levels_.size() << "]";
+  return levels_[static_cast<size_t>(level - 1)];
 }
 
-const std::vector<Measurement>& MeasurementStore::GroupLocked(
+const MeasurementStore::Level& MeasurementStore::LevelLocked(
     int level) const {
-  HT_CHECK(level >= 1 && level <= static_cast<int>(groups_.size()))
-      << "level " << level << " outside [1, " << groups_.size() << "]";
-  return groups_[static_cast<size_t>(level - 1)];
+  HT_CHECK(level >= 1 && level <= static_cast<int>(levels_.size()))
+      << "level " << level << " outside [1, " << levels_.size() << "]";
+  return levels_[static_cast<size_t>(level - 1)];
 }
 
 void MeasurementStore::Add(int level, const Configuration& config,
                            double objective) {
   MutexLock lock(mu_);
-  auto& group = GroupLocked(level);
-  auto& index = index_[static_cast<size_t>(level - 1)];
-  auto& positions = index[config.Hash()];
+  Level& stored = LevelLocked(level);
+  auto& positions = stored.index[config.Hash()];
+  bool overwritten = false;
   for (uint32_t pos : positions) {
-    Measurement& m = group[pos];
+    Measurement& m = stored.group[pos];
     if (m.config == config) {
       m.objective = objective;
-      version_.fetch_add(1, std::memory_order_release);
-      data_version_.fetch_add(1, std::memory_order_release);
-      return;
+      overwritten = true;
+      break;
     }
   }
-  positions.push_back(static_cast<uint32_t>(group.size()));
-  group.push_back(Measurement{config, objective});
+  if (!overwritten) {
+    positions.push_back(static_cast<uint32_t>(stored.group.size()));
+    stored.group.push_back(Measurement{config, objective});
+  }
   version_.fetch_add(1, std::memory_order_release);
-  data_version_.fetch_add(1, std::memory_order_release);
+  stored.version = data_version_.fetch_add(1, std::memory_order_release) + 1;
 }
 
 const std::vector<Measurement>& MeasurementStore::group(int level) const {
   MutexLock lock(mu_);
-  return GroupLocked(level);
+  return LevelLocked(level).group;
+}
+
+uint64_t MeasurementStore::level_version(int level) const {
+  MutexLock lock(mu_);
+  return LevelLocked(level).version;
 }
 
 std::vector<size_t> MeasurementStore::GroupSizes() const {
   MutexLock lock(mu_);
-  std::vector<size_t> sizes(groups_.size());
-  for (size_t i = 0; i < groups_.size(); ++i) sizes[i] = groups_[i].size();
+  std::vector<size_t> sizes(levels_.size());
+  for (size_t i = 0; i < levels_.size(); ++i) {
+    sizes[i] = levels_[i].group.size();
+  }
   return sizes;
 }
 
 size_t MeasurementStore::TotalSize() const {
   MutexLock lock(mu_);
   size_t total = 0;
-  for (const auto& g : groups_) total += g.size();
+  for (const Level& l : levels_) total += l.group.size();
   return total;
 }
 
 double MeasurementStore::BestObjective(int level) const {
   MutexLock lock(mu_);
-  const auto& g = GroupLocked(level);
+  const auto& g = LevelLocked(level).group;
   double best = std::numeric_limits<double>::infinity();
   for (const Measurement& m : g) best = std::min(best, m.objective);
   return best;
@@ -79,7 +93,7 @@ double MeasurementStore::BestObjective(int level) const {
 
 double MeasurementStore::MedianObjective(int level) const {
   MutexLock lock(mu_);
-  const auto& g = GroupLocked(level);
+  const auto& g = LevelLocked(level).group;
   if (g.empty()) return 0.0;
   std::vector<double> ys;
   ys.reserve(g.size());
@@ -89,8 +103,8 @@ double MeasurementStore::MedianObjective(int level) const {
 
 int MeasurementStore::HighestLevelWith(size_t min_count) const {
   MutexLock lock(mu_);
-  for (int level = static_cast<int>(groups_.size()); level >= 1; --level) {
-    if (groups_[static_cast<size_t>(level - 1)].size() >= min_count) {
+  for (int level = static_cast<int>(levels_.size()); level >= 1; --level) {
+    if (levels_[static_cast<size_t>(level - 1)].group.size() >= min_count) {
       return level;
     }
   }
@@ -101,10 +115,10 @@ bool MeasurementStore::Contains(const Configuration& config) const {
   const uint64_t hash = config.Hash();
   {
     MutexLock lock(mu_);
-    for (size_t level = 0; level < index_.size(); ++level) {
-      auto it = index_[level].find(hash);
-      if (it == index_[level].end()) continue;
-      const auto& group = groups_[level];
+    for (const Level& stored : levels_) {
+      auto it = stored.index.find(hash);
+      if (it == stored.index.end()) continue;
+      const auto& group = stored.group;
       for (uint32_t pos : it->second) {
         if (group[pos].config == config) return true;
       }
@@ -140,8 +154,8 @@ void MeasurementStore::MaybeCompact(PendingShard& shard) {
 void MeasurementStore::AddPending(const Configuration& config, int level) {
   {
     MutexLock lock(mu_);
-    HT_CHECK(level >= 1 && level <= static_cast<int>(groups_.size()))
-        << "pending level " << level << " outside [1, " << groups_.size()
+    HT_CHECK(level >= 1 && level <= static_cast<int>(levels_.size()))
+        << "pending level " << level << " outside [1, " << levels_.size()
         << "]";
   }
   const uint64_t hash = config.Hash();

@@ -54,7 +54,7 @@ class MeasurementStore {
 
   int num_levels() const EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    return static_cast<int>(groups_.size());
+    return static_cast<int>(levels_.size());
   }
 
   /// Records a measurement at `level` in [1, K]. If the same configuration
@@ -121,12 +121,32 @@ class MeasurementStore {
     return data_version_.load(std::memory_order_acquire);
   }
 
+  /// data_version() as of the last Add at `level` in [1, K], 0 before any.
+  /// It changes exactly when group(level) does, in-place overwrites
+  /// included, so it keys caches of what is fitted on that group alone.
+  uint64_t level_version(int level) const EXCLUDES(mu_);
+
+  /// Distinct for every store constructed in this process: with
+  /// level_version() it keys a cache exactly even if the cache is handed a
+  /// different store.
+  uint64_t id() const { return id_; }
+
  private:
   static constexpr size_t kPendingShards = 16;
 
-  /// Bounds-checks `level` and returns the group, lock already held.
-  std::vector<Measurement>& GroupLocked(int level) REQUIRES(mu_);
-  const std::vector<Measurement>& GroupLocked(int level) const REQUIRES(mu_);
+  /// One measurement group D_i with its index.
+  struct Level {
+    std::vector<Measurement> group;
+    /// Config hash -> positions in the group (hash collisions resolved by
+    /// config equality at those positions).
+    std::unordered_map<uint64_t, std::vector<uint32_t>> index;
+    /// data_version_ right after the last Add at this level.
+    uint64_t version = 0;
+  };
+
+  /// Bounds-checks `level` and returns it, lock already held.
+  Level& LevelLocked(int level) REQUIRES(mu_);
+  const Level& LevelLocked(int level) const REQUIRES(mu_);
 
   /// One (config, level) entry of the pending multiset. count == 0 marks a
   /// tombstone awaiting compaction.
@@ -156,15 +176,12 @@ class MeasurementStore {
   static void MaybeCompact(PendingShard& shard) REQUIRES(shard.mu);
 
   mutable Mutex mu_{LockRank::kStoreGroups, "store.groups"};
-  std::vector<std::vector<Measurement>> groups_ GUARDED_BY(mu_);  // 0 <-> 1
-  /// Per-level index over groups_: config hash -> positions in the group
-  /// (hash collisions resolved by config equality at those positions).
-  std::vector<std::unordered_map<uint64_t, std::vector<uint32_t>>> index_
-      GUARDED_BY(mu_);
+  std::vector<Level> levels_ GUARDED_BY(mu_);  // 0 <-> level 1
   mutable std::array<PendingShard, kPendingShards> shards_;
   std::atomic<size_t> num_pending_{0};
   std::atomic<uint64_t> version_{0};
   std::atomic<uint64_t> data_version_{0};
+  const uint64_t id_;
 };
 
 }  // namespace hypertune

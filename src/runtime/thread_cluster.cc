@@ -89,7 +89,8 @@ struct RunState {
 /// Invokes the per-completion observer. The REQUIRES annotation encodes
 /// ThreadClusterOptions::observer's documented promise that the callback
 /// always runs under the completion lock.
-void NotifyObserver(RunState& state, const TrialObserver& observer,
+void NotifyObserver([[maybe_unused]] RunState& state,
+                    const TrialObserver& observer,
                     const TrialRecord& record) REQUIRES(state.mu) {
   if (observer) observer(record);
 }

@@ -103,7 +103,10 @@ void Matern52PrefactorAvx512(double s2, const double* r2, size_t m,
   size_t j = 0;
   for (; j + 8 <= m; j += 8) {
     const __m512d r2v = _mm512_loadu_pd(r2 + j);
-    const __m512d r = _mm512_sqrt_pd(r2v);
+    // The all-lanes masked form is the same vsqrtpd; it avoids the
+    // unmasked intrinsic's self-initialized pass-through operand, which
+    // GCC 12 flags as maybe-uninitialized.
+    const __m512d r = _mm512_maskz_sqrt_pd(0xFF, r2v);
     const __m512d poly = _mm512_add_pd(
         _mm512_add_pd(one, _mm512_mul_pd(sqrt5, r)),
         _mm512_div_pd(_mm512_mul_pd(five, r2v), three));

@@ -3,27 +3,88 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 
 namespace hypertune {
+
+/// Column-major copy of the (capped) training set and per-node scratch.
+/// Every buffer is sized once per Fit, so growing a tree allocates nothing
+/// but its nodes.
+struct RandomForest::FitScratch {
+  size_t rows = 0;
+  size_t dim = 0;
+  /// Feature f of training row i at columns[f * rows + i].
+  std::vector<double> columns;
+  std::vector<double> y;
+  /// y[i] * y[i], the split score's second moments.
+  std::vector<double> y_squared;
+  /// The current tree's sample (row ids, with repeats under bootstrap),
+  /// partitioned in place node by node.
+  std::vector<size_t> indices;
+  /// The current node's targets, squared targets and candidate-feature
+  /// values, gathered contiguously in sample order.
+  std::vector<double> node_y;
+  std::vector<double> node_y_squared;
+  std::vector<double> node_values;
+  /// Partial Fisher-Yates permutation of the feature ids.
+  std::vector<size_t> features;
+  /// The tree under construction; copied out at its exact size.
+  std::vector<Node> nodes;
+};
+
 namespace {
 
-/// Mean and (population) variance of y over indices [begin, end).
-void MeanVar(const std::vector<double>& y, const std::vector<size_t>& indices,
-             size_t begin, size_t end, double* mean, double* var) {
-  double m = 0.0;
-  size_t n = end - begin;
-  for (size_t i = begin; i < end; ++i) m += y[indices[i]];
-  m /= static_cast<double>(n);
-  double v = 0.0;
-  for (size_t i = begin; i < end; ++i) {
-    double d = y[indices[i]] - m;
-    v += d * d;
+/// Thresholds scored together in one pass over a node's samples, as
+/// kHalves native two-double vectors.
+constexpr int kLanes = 4;
+constexpr int kHalves = kLanes / 2;
+
+/// Lane-wise vectors: element c of every operation below is the scalar
+/// operation on element c, so each lane computes exactly what a scan of its
+/// threshold alone computes. Two doubles is the baseline ISA's register
+/// width; wider generic vectors are lowered to scalar code there.
+typedef double V2 __attribute__((vector_size(16)));
+typedef int64_t M2 __attribute__((vector_size(16)));
+
+/// Left- and right-side sums of kLanes candidate splits.
+struct SplitSums {
+  V2 sum_left[kHalves] = {};
+  V2 sq_left[kHalves] = {};
+  V2 sum_right[kHalves] = {};
+  V2 sq_right[kHalves] = {};
+  M2 count_left[kHalves] = {};
+};
+
+/// Scores kLanes thresholds in one branchless pass. Each side's sums take
+/// every sample in order, masked to +0.0 when it goes to the other side; a
+/// sum that starts at +0.0 never becomes -0.0, so adding +0.0 leaves it
+/// unchanged and every lane is bit-identical to a one-threshold scan that
+/// adds only its own side's samples.
+template <bool kEquality>
+void ScanSplits(const double* values, const double* y, const double* y_squared,
+                size_t n, const double* thresholds, SplitSums* sums) {
+  V2 thr[kHalves];
+  for (int h = 0; h < kHalves; ++h) {
+    thr[h] = V2{thresholds[2 * h], thresholds[2 * h + 1]};
   }
-  *mean = m;
-  *var = v / static_cast<double>(n);
+  SplitSums s;
+  for (size_t i = 0; i < n; ++i) {
+    const V2 v = {values[i], values[i]};
+    const M2 t = (M2)(V2{y[i], y[i]});
+    const M2 t2 = (M2)(V2{y_squared[i], y_squared[i]});
+    for (int h = 0; h < kHalves; ++h) {
+      const M2 left = kEquality ? (v == thr[h]) : (v <= thr[h]);  // ~0 or 0
+      s.sum_left[h] += (V2)(t & left);
+      s.sq_left[h] += (V2)(t2 & left);
+      s.sum_right[h] += (V2)(t & ~left);
+      s.sq_right[h] += (V2)(t2 & ~left);
+      s.count_left[h] -= left;
+    }
+  }
+  *sums = s;
 }
 
 }  // namespace
@@ -84,42 +145,71 @@ Status RandomForest::Fit(const std::vector<std::vector<double>>& x,
     for (size_t i = 0; i < x.size(); ++i) keep.push_back(i);
   }
 
+  // Transpose the kept rows once; row j of the scratch is x[keep[j]].
+  FitScratch scratch;
+  const size_t rows = keep.size();
+  scratch.rows = rows;
+  scratch.dim = dim;
+  scratch.columns.resize(dim * rows);
+  scratch.y.resize(rows);
+  scratch.y_squared.resize(rows);
+  for (size_t j = 0; j < rows; ++j) {
+    const std::vector<double>& row = x[keep[j]];
+    for (size_t f = 0; f < dim; ++f) scratch.columns[f * rows + j] = row[f];
+    scratch.y[j] = y[keep[j]];
+    scratch.y_squared[j] = scratch.y[j] * scratch.y[j];
+  }
+  scratch.indices.reserve(rows);
+  scratch.node_y.resize(rows);
+  scratch.node_y_squared.resize(rows);
+  scratch.node_values.resize(rows);
+  scratch.features.resize(dim);
+
   for (size_t t = 0; t < trees_.size(); ++t) {
-    Rng rng(CombineSeeds(options_.seed, CombineSeeds(t, keep.size())));
-    std::vector<size_t> indices;
-    indices.reserve(keep.size());
-    if (options_.bootstrap && keep.size() > 1) {
-      for (size_t i = 0; i < keep.size(); ++i) {
-        indices.push_back(keep[static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(keep.size()) - 1))]);
+    Rng rng(CombineSeeds(options_.seed, CombineSeeds(t, rows)));
+    scratch.indices.clear();
+    if (options_.bootstrap && rows > 1) {
+      for (size_t i = 0; i < rows; ++i) {
+        scratch.indices.push_back(static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(rows) - 1)));
       }
     } else {
-      indices = keep;
+      scratch.indices.resize(rows);
+      std::iota(scratch.indices.begin(), scratch.indices.end(), size_t{0});
     }
-    trees_[t].nodes.reserve(2 * keep.size());
-    BuildNode(&trees_[t], x, y, &indices, 0, indices.size(), 0, &rng);
+    scratch.nodes.clear();
+    BuildNode(&scratch, 0, rows, 0, &rng);
+    trees_[t].nodes.assign(scratch.nodes.begin(), scratch.nodes.end());
   }
   fitted_ = true;
   return Status::Ok();
 }
 
-int RandomForest::BuildNode(Tree* tree,
-                            const std::vector<std::vector<double>>& x,
-                            const std::vector<double>& y,
-                            std::vector<size_t>* indices, size_t begin,
-                            size_t end, int depth, Rng* rng) const {
+int RandomForest::BuildNode(FitScratch* scratch, size_t begin, size_t end,
+                            int depth, Rng* rng) const {
   const size_t n = end - begin;
-  const size_t dim = x[0].size();
+  const size_t dim = scratch->dim;
+  const size_t* sample = scratch->indices.data() + begin;
+  double* node_y = scratch->node_y.data();
+  for (size_t i = 0; i < n; ++i) node_y[i] = scratch->y[sample[i]];
 
-  double node_mean = 0.0, node_var = 0.0;
-  MeanVar(y, *indices, begin, end, &node_mean, &node_var);
+  // Mean and (population) variance of the node's targets.
+  double node_mean = 0.0;
+  for (size_t i = 0; i < n; ++i) node_mean += node_y[i];
+  node_mean /= static_cast<double>(n);
+  double node_var = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double d = node_y[i] - node_mean;
+    node_var += d * d;
+  }
+  node_var /= static_cast<double>(n);
 
   auto make_leaf = [&]() {
     Node leaf;
     leaf.leaf_mean = node_mean;
     leaf.leaf_variance = node_var;
-    tree->nodes.push_back(leaf);
-    return static_cast<int>(tree->nodes.size() - 1);
+    scratch->nodes.push_back(leaf);
+    return static_cast<int>(scratch->nodes.size() - 1);
   };
 
   if (n < 2 * options_.min_samples_leaf || depth >= options_.max_depth ||
@@ -127,94 +217,134 @@ int RandomForest::BuildNode(Tree* tree,
     return make_leaf();
   }
 
-  // Candidate features (without replacement).
-  size_t num_features = std::max<size_t>(
-      1, static_cast<size_t>(std::ceil(options_.feature_fraction *
-                                       static_cast<double>(dim))));
-  std::vector<size_t> features = rng->SampleWithoutReplacement(dim, num_features);
+  double* node_y_squared = scratch->node_y_squared.data();
+  for (size_t i = 0; i < n; ++i) {
+    node_y_squared[i] = scratch->y_squared[sample[i]];
+  }
+
+  // Candidate features without replacement: a partial Fisher-Yates shuffle
+  // making the same draws as Rng::SampleWithoutReplacement.
+  const size_t num_features = std::min(
+      dim, std::max<size_t>(
+               1, static_cast<size_t>(std::ceil(options_.feature_fraction *
+                                                static_cast<double>(dim)))));
+  size_t* features = scratch->features.data();
+  std::iota(features, features + dim, size_t{0});
+  for (size_t i = 0; i < num_features; ++i) {
+    const size_t j = static_cast<size_t>(rng->UniformInt(
+        static_cast<int64_t>(i), static_cast<int64_t>(dim) - 1));
+    std::swap(features[i], features[j]);
+  }
 
   double best_score = std::numeric_limits<double>::infinity();
   int best_feature = -1;
   double best_threshold = 0.0;
   bool best_equality = false;
 
-  for (size_t f : features) {
-    bool is_cat = !categorical_.empty() && categorical_[f];
-    // Feature range over this node's samples.
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (size_t i = begin; i < end; ++i) {
-      double v = x[(*indices)[i]][f];
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
+  double* values = scratch->node_values.data();
+  for (size_t k = 0; k < num_features; ++k) {
+    const size_t f = features[k];
+    const bool is_cat = !categorical_.empty() && categorical_[f];
+    // Gather the feature and its range over this node's samples, in two
+    // independent min/max chains to halve their latency. A set's extremes
+    // do not depend on the order they are taken in; only a tie between
+    // -0.0 and +0.0 could pick the other sign, and both give the same
+    // thresholds and the same constant-feature test.
+    const double* column = scratch->columns.data() + f * scratch->rows;
+    double lo_even = std::numeric_limits<double>::infinity();
+    double hi_even = -std::numeric_limits<double>::infinity();
+    double lo_odd = lo_even, hi_odd = hi_even;
+    size_t i = 0;
+    for (; i + 1 < n; i += 2) {
+      const double even = column[sample[i]];
+      const double odd = column[sample[i + 1]];
+      values[i] = even;
+      values[i + 1] = odd;
+      lo_even = std::min(lo_even, even);
+      hi_even = std::max(hi_even, even);
+      lo_odd = std::min(lo_odd, odd);
+      hi_odd = std::max(hi_odd, odd);
     }
-    if (lo >= hi) continue;  // constant feature in this node
+    if (i < n) {
+      values[i] = column[sample[i]];
+      lo_even = std::min(lo_even, values[i]);
+      hi_even = std::max(hi_even, values[i]);
+    }
+    const double node_lo = std::min(lo_even, lo_odd);
+    const double node_hi = std::max(hi_even, hi_odd);
+    if (node_lo >= node_hi) continue;  // constant feature in this node
 
-    for (int c = 0; c < options_.thresholds_per_feature; ++c) {
-      double threshold;
-      bool equality = false;
-      if (is_cat) {
-        // Pick the value of a random sample in the node: guarantees a
-        // non-empty "equal" side.
-        size_t pick = begin + static_cast<size_t>(rng->UniformInt(
-                                  0, static_cast<int64_t>(n) - 1));
-        threshold = x[(*indices)[pick]][f];
-        equality = true;
-      } else {
-        threshold = rng->Uniform(lo, hi);
-      }
-
-      // Weighted variance after the split.
-      double sum_l = 0.0, sum_r = 0.0, sq_l = 0.0, sq_r = 0.0;
-      size_t n_l = 0, n_r = 0;
-      for (size_t i = begin; i < end; ++i) {
-        double v = x[(*indices)[i]][f];
-        double t = y[(*indices)[i]];
-        bool go_left = equality ? (v == threshold) : (v <= threshold);
-        if (go_left) {
-          sum_l += t;
-          sq_l += t * t;
-          ++n_l;
+    for (int c0 = 0; c0 < options_.thresholds_per_feature; c0 += kLanes) {
+      const int lanes = std::min(kLanes, options_.thresholds_per_feature - c0);
+      // Thresholds are drawn in the order a one-at-a-time scan draws them;
+      // scoring consumes no randomness, so the streams match.
+      double thresholds[kLanes];
+      for (int c = 0; c < lanes; ++c) {
+        if (is_cat) {
+          // The value of a random sample in the node: guarantees a
+          // non-empty "equal" side.
+          thresholds[c] = values[static_cast<size_t>(
+              rng->UniformInt(0, static_cast<int64_t>(n) - 1))];
         } else {
-          sum_r += t;
-          sq_r += t * t;
-          ++n_r;
+          thresholds[c] = rng->Uniform(node_lo, node_hi);
         }
       }
-      if (n_l < options_.min_samples_leaf || n_r < options_.min_samples_leaf) {
-        continue;
+      for (int c = lanes; c < kLanes; ++c) thresholds[c] = thresholds[0];
+
+      SplitSums sums;
+      if (is_cat) {
+        ScanSplits<true>(values, node_y, node_y_squared, n, thresholds, &sums);
+      } else {
+        ScanSplits<false>(values, node_y, node_y_squared, n, thresholds,
+                          &sums);
       }
-      double var_l = sq_l / n_l - (sum_l / n_l) * (sum_l / n_l);
-      double var_r = sq_r / n_r - (sum_r / n_r) * (sum_r / n_r);
-      double score = (var_l * n_l + var_r * n_r) / static_cast<double>(n);
-      if (score < best_score) {
-        best_score = score;
-        best_feature = static_cast<int>(f);
-        best_threshold = threshold;
-        best_equality = equality;
+      for (int c = 0; c < lanes; ++c) {
+        // Weighted variance after the split.
+        const int h = c / 2, e = c % 2;
+        const size_t n_l = static_cast<size_t>(sums.count_left[h][e]);
+        const size_t n_r = n - n_l;
+        if (n_l < options_.min_samples_leaf ||
+            n_r < options_.min_samples_leaf) {
+          continue;
+        }
+        const double sum_l = sums.sum_left[h][e], sq_l = sums.sq_left[h][e];
+        const double sum_r = sums.sum_right[h][e];
+        const double sq_r = sums.sq_right[h][e];
+        double var_l = sq_l / n_l - (sum_l / n_l) * (sum_l / n_l);
+        double var_r = sq_r / n_r - (sum_r / n_r) * (sum_r / n_r);
+        double score = (var_l * n_l + var_r * n_r) / static_cast<double>(n);
+        if (score < best_score) {
+          best_score = score;
+          best_feature = static_cast<int>(f);
+          best_threshold = thresholds[c];
+          best_equality = is_cat;
+        }
       }
     }
   }
 
   if (best_feature < 0) return make_leaf();
 
-  // Partition indices in place.
-  auto go_left = [&](size_t idx) {
-    double v = x[idx][static_cast<size_t>(best_feature)];
+  // Partition the sample in place.
+  const double* column = scratch->columns.data() +
+                         static_cast<size_t>(best_feature) * scratch->rows;
+  auto go_left = [&](size_t row) {
+    const double v = column[row];
     return best_equality ? (v == best_threshold) : (v <= best_threshold);
   };
-  size_t mid =
-      static_cast<size_t>(std::partition(indices->begin() + begin,
-                                         indices->begin() + end, go_left) -
-                          indices->begin());
+  const auto first = scratch->indices.begin();
+  const size_t mid = static_cast<size_t>(
+      std::partition(first + static_cast<std::ptrdiff_t>(begin),
+                     first + static_cast<std::ptrdiff_t>(end), go_left) -
+      first);
   if (mid == begin || mid == end) return make_leaf();  // defensive
 
   // Reserve this node's slot before recursing so children land after it.
-  tree->nodes.emplace_back();
-  int self = static_cast<int>(tree->nodes.size() - 1);
-  int left = BuildNode(tree, x, y, indices, begin, mid, depth + 1, rng);
-  int right = BuildNode(tree, x, y, indices, mid, end, depth + 1, rng);
-  Node& node = tree->nodes[self];
+  scratch->nodes.emplace_back();
+  const int self = static_cast<int>(scratch->nodes.size() - 1);
+  const int left = BuildNode(scratch, begin, mid, depth + 1, rng);
+  const int right = BuildNode(scratch, mid, end, depth + 1, rng);
+  Node& node = scratch->nodes[static_cast<size_t>(self)];
   node.feature = best_feature;
   node.threshold = best_threshold;
   node.equality_split = best_equality;

@@ -55,15 +55,16 @@ class RandomForest : public Surrogate {
   int num_trees() const { return static_cast<int>(trees_.size()); }
 
  private:
+  /// 40 bytes: the doubles first, so the padding is only the flag's tail.
   struct Node {
-    int feature = -1;          // -1 for leaves
     double threshold = 0.0;    // numeric: x[f] <= t goes left;
                                // categorical: x[f] == t goes left
-    bool equality_split = false;
-    int left = -1;
-    int right = -1;
     double leaf_mean = 0.0;
     double leaf_variance = 0.0;
+    int feature = -1;          // -1 for leaves
+    int left = -1;
+    int right = -1;
+    bool equality_split = false;
     bool IsLeaf() const { return feature < 0; }
   };
 
@@ -71,11 +72,15 @@ class RandomForest : public Surrogate {
     std::vector<Node> nodes;
   };
 
-  /// Recursively grows `tree` over the sample indices [begin, end) of
-  /// `order`; returns the index of the created node.
-  int BuildNode(Tree* tree, const std::vector<std::vector<double>>& x,
-                const std::vector<double>& y, std::vector<size_t>* indices,
-                size_t begin, size_t end, int depth, class Rng* rng) const;
+  /// One Fit's training data in column-major order, plus the buffers the
+  /// split scan reuses from node to node (defined in the .cc file).
+  struct FitScratch;
+
+  /// Recursively grows the tree in `scratch->nodes` over the sample
+  /// positions [begin, end) of `scratch->indices`; returns the index of the
+  /// created node.
+  int BuildNode(FitScratch* scratch, size_t begin, size_t end, int depth,
+                class Rng* rng) const;
 
   /// Index of the leaf of `tree` containing `x` (dim() doubles).
   const Node& FindLeaf(const Tree& tree, const double* x) const;

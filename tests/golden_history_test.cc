@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/tuner_factory.h"
 #include "src/optimizer/random_sampler.h"
 #include "src/problems/counting_ones.h"
+#include "src/runtime/journal.h"
 #include "src/runtime/simulated_cluster.h"
 #include "src/scheduler/async_bracket_scheduler.h"
 #include "src/scheduler/batch_bo_scheduler.h"
@@ -219,6 +221,41 @@ TEST(GoldenHistoryTest, WorkerFaultChaosRunMatchesPinnedDigest) {
   // this digest was captured from the revision that introduced worker
   // fault domains.
   EXPECT_EQ(HashFaultRun(checked), 9415099045545503522ULL);
+}
+
+/// RunResultDigest of a CreateTuner-built `method` on counting-ones (8
+/// categorical + 8 continuous dimensions) with 8 simulated workers, run to
+/// `trials` completed trials.
+uint64_t RunFactoryMethod(Method method, uint64_t seed, int64_t trials) {
+  CountingOnes problem;
+  TunerFactoryOptions factory;
+  factory.method = method;
+  factory.seed = seed;
+  std::unique_ptr<Tuner> tuner = CreateTuner(problem, factory);
+  ClusterOptions cluster;
+  cluster.num_workers = 8;
+  cluster.time_budget_seconds = 1e12;
+  cluster.seed = seed;
+  cluster.max_trials = trials;
+  RunResult result = tuner->Run(problem, cluster);
+  EXPECT_EQ(result.history.trials().size(), static_cast<size_t>(trials));
+  ExpectNoFaultActivity(result);
+  return RunResultDigest(result);
+}
+
+// The model-based methods: their trajectories run through the surrogate
+// fits, the theta estimate and the learned bracket selector, so these pins
+// catch any drift in forest fitting or theta caching. Captured from the
+// revision before the theta fit cache and the column-major forest existed.
+TEST(GoldenHistoryTest, HyperTuneMatchesPinnedDigest) {
+  EXPECT_EQ(RunFactoryMethod(Method::kHyperTune, 5, 240),
+            17321961078830525085ULL);
+  EXPECT_EQ(RunFactoryMethod(Method::kHyperTune, 6, 240),
+            17313937764517175042ULL);
+}
+
+TEST(GoldenHistoryTest, AsyncBohbMatchesPinnedDigest) {
+  EXPECT_EQ(RunFactoryMethod(Method::kABohb, 7, 200), 1649251187749961826ULL);
 }
 
 TEST(GoldenHistoryTest, SyncBracketSchedulerMatchesSeedRevision) {

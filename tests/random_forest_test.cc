@@ -1,6 +1,7 @@
 #include "src/surrogate/random_forest.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -137,6 +138,86 @@ TEST(RandomForestTest, CapLimitsTrainingSize) {
   ASSERT_TRUE(rf.Fit(x, y).ok());
   // Prediction remains reasonable despite the cap.
   EXPECT_NEAR(rf.Predict({0.3}).mean, Smooth2d(0.3, 0.7), 0.5);
+}
+
+/// FNV-1a over the bit patterns of every predicted mean and variance.
+uint64_t PredictionDigest(const std::vector<Prediction>& predictions) {
+  uint64_t hash = 1469598103934665603ULL;
+  auto mix_double = [&hash](double d) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    hash ^= bits;
+    hash *= 1099511628211ULL;
+  };
+  for (const Prediction& p : predictions) {
+    mix_double(p.mean);
+    mix_double(p.variance);
+  }
+  return hash;
+}
+
+/// Fits a forest on a fixed mixed dataset and digests its batch predictions
+/// on a fixed query set. The data has two categorical columns, continuous
+/// columns quantized to produce duplicate values, one constant column, tied
+/// targets, and more rows than the default max_points, so the digest covers
+/// the training-set cap, equality and threshold splits, and constant-feature
+/// skips.
+uint64_t FitAndDigest(RandomForestOptions options) {
+  constexpr size_t kRows = 900;
+  static_assert(kRows > RandomForestOptions{}.max_points);
+  Rng rng(2024);
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  for (size_t i = 0; i < kRows; ++i) {
+    const double cat_a = 0.25 * static_cast<double>(rng.UniformInt(0, 4));
+    const double cat_b = rng.Bernoulli(0.3) ? 0.75 : 0.25;
+    const double grid = std::floor(rng.Uniform() * 16.0) / 16.0;
+    const double cont = rng.Uniform();
+    const double coarse = std::floor(rng.Uniform() * 4.0) / 4.0;
+    x.push_back({cat_a, grid, 0.5, cat_b, cont, coarse});
+    double target = (grid - 0.3) * (grid - 0.3) + (cat_a == 0.5 ? -0.4 : 0.0) +
+                    (cat_b > 0.5 ? 0.2 : 0.0) + 0.1 * cont * coarse;
+    // Every fifth target is rounded so ties appear among the targets too.
+    if (i % 5 == 0) target = std::round(target * 8.0) / 8.0;
+    y.push_back(target);
+  }
+  RandomForest forest(options);
+  forest.SetCategoricalFeatures({true, false, false, true, false, false});
+  EXPECT_TRUE(forest.Fit(x, y).ok());
+
+  Matrix queries(97, 6);
+  Rng query_rng(7);
+  for (size_t r = 0; r < queries.rows(); ++r) {
+    queries(r, 0) = 0.25 * static_cast<double>(query_rng.UniformInt(0, 4));
+    queries(r, 1) = std::floor(query_rng.Uniform() * 16.0) / 16.0;
+    queries(r, 2) = 0.5;
+    queries(r, 3) = query_rng.Bernoulli(0.5) ? 0.75 : 0.25;
+    queries(r, 4) = query_rng.Uniform();
+    queries(r, 5) = std::floor(query_rng.Uniform() * 4.0) / 4.0;
+  }
+  return PredictionDigest(forest.PredictBatch(queries));
+}
+
+// The digests were captured from the row-major split scan that preceded the
+// column-major fused one; any change to split selection, the training-set
+// cap or the leaf statistics moves them.
+TEST(RandomForestTest, PredictionsMatchPinnedDigests) {
+  RandomForestOptions bootstrap;
+  bootstrap.seed = 31;
+  EXPECT_EQ(FitAndDigest(bootstrap), 9428472440277690018ULL);
+
+  RandomForestOptions no_bootstrap;
+  no_bootstrap.seed = 32;
+  no_bootstrap.bootstrap = false;
+  EXPECT_EQ(FitAndDigest(no_bootstrap), 2362699922105893277ULL);
+
+  // A threshold count that is not a multiple of the scan's lane count.
+  RandomForestOptions odd_thresholds;
+  odd_thresholds.seed = 33;
+  odd_thresholds.thresholds_per_feature = 7;
+  odd_thresholds.min_samples_leaf = 1;
+  odd_thresholds.max_points = 300;
+  EXPECT_EQ(FitAndDigest(odd_thresholds), 22880796627741545ULL);
 }
 
 TEST(RandomForestTest, PredictiveVarianceIsPositive) {

@@ -46,7 +46,31 @@ TEST(CountMisrankedPairsOnSubsetTest, SubsetRestrictsPairs) {
   EXPECT_EQ(CountMisrankedPairsOnSubset(pred, truth, {0, 0}), 0);
 }
 
-TEST(FitAndPredictTest, LearnsRanking) {
+TEST(CountMisrankedPairsWithCountsTest, MatchesSubsetCountOnResamples) {
+  Rng rng(17);
+  for (size_t n : {1, 2, 7, 40}) {
+    // Values on a coarse grid, so both sides have ties.
+    std::vector<double> pred(n), truth(n);
+    for (size_t i = 0; i < n; ++i) {
+      pred[i] = static_cast<double>(rng.UniformInt(0, 5));
+      truth[i] = static_cast<double>(rng.UniformInt(0, 5));
+    }
+    const std::vector<uint8_t> misranked = MisrankedPairs(pred, truth);
+    for (int s = 0; s < 20; ++s) {
+      std::vector<size_t> subset(n);
+      std::vector<int32_t> counts(n, 0);
+      for (size_t i = 0; i < n; ++i) {
+        subset[i] = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+        ++counts[subset[i]];
+      }
+      EXPECT_EQ(CountMisrankedPairsWithCounts(misranked, counts),
+                CountMisrankedPairsOnSubset(pred, truth, subset));
+    }
+  }
+}
+
+TEST(FitSurrogateTest, LearnsRanking) {
   ConfigurationSpace space;
   ASSERT_TRUE(space.Add(Parameter::Float("x", 0.0, 1.0)).ok());
   std::vector<Measurement> fit_on;
@@ -59,20 +83,21 @@ TEST(FitAndPredictTest, LearnsRanking) {
   for (double v : {0.1, 0.5, 0.9}) {
     eval_at.push_back({Configuration({v}), v});
   }
-  std::vector<double> pred = FitAndPredict(space, fit_on, eval_at,
-                                           RfFactory(2));
+  std::unique_ptr<Surrogate> model =
+      FitSurrogate(space, fit_on, RfFactory(2));
+  ASSERT_NE(model, nullptr);
+  std::vector<double> pred = PredictMeans(space, *model, eval_at);
   ASSERT_EQ(pred.size(), 3u);
   EXPECT_LT(pred[0], pred[1]);
   EXPECT_LT(pred[1], pred[2]);
 }
 
-TEST(FitAndPredictTest, TooLittleDataReturnsEmpty) {
+TEST(FitSurrogateTest, TooLittleDataReturnsNull) {
   ConfigurationSpace space;
   ASSERT_TRUE(space.Add(Parameter::Float("x", 0.0, 1.0)).ok());
   std::vector<Measurement> one = {{Configuration({0.5}), 1.0}};
-  std::vector<Measurement> eval_at = {{Configuration({0.1}), 0.1}};
-  EXPECT_TRUE(FitAndPredict(space, one, eval_at, RfFactory(3)).empty());
-  EXPECT_TRUE(FitAndPredict(space, eval_at, {}, RfFactory(3)).empty());
+  EXPECT_EQ(FitSurrogate(space, one, RfFactory(3)), nullptr);
+  EXPECT_EQ(FitSurrogate(space, {}, RfFactory(3)), nullptr);
 }
 
 TEST(CrossValidationPredictionsTest, ShapeAndSanity) {

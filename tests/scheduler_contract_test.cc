@@ -22,7 +22,7 @@ class ScriptedScheduler : public SchedulerInterface {
  public:
   std::optional<Job> NextJob() override {
     if (script_.empty()) return std::nullopt;
-    std::optional<Job> job = script_.front();
+    Job job = std::move(script_.front());
     script_.pop_front();
     return job;
   }
@@ -45,7 +45,7 @@ class ScriptedScheduler : public SchedulerInterface {
   int completions = 0;
 
  private:
-  std::deque<std::optional<Job>> script_;
+  std::deque<Job> script_;
 };
 
 Job MakeJob(int64_t id, int attempt = 1) {
