@@ -40,7 +40,10 @@
 ///        |                     | (heartbeat thread vs. result writes; lives
 ///        |                     | in the worker process, never nested with
 ///        |                     | driver locks)
-///    200 | thread_pool.queue   | ThreadPool::mu_ (task queue / idle wait)
+///    200 | thread_pool.queue   | ThreadPool::mu_ — ParallelFor's item
+///        |                     | claims and join; forest fits take it
+///        |                     | under cluster.run_state, and helpers
+///        |                     | hold no other lock
 ///    300 | journal.stream      | RunJournal::mu_ — held while the commit
 ///        |                     | path records journal trace events/metrics
 ///    400 | store.groups        | MeasurementStore::mu_ (measurement groups)

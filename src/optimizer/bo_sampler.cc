@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_set>
 
 #include "src/common/logging.h"
 #include "src/optimizer/median_imputation.h"
@@ -16,18 +15,6 @@ std::optional<Configuration> MaximizeAcquisition(
     const ConfigurationSpace& space, const MeasurementStore& store,
     const Surrogate& model, double best_objective, int seed_level,
     const AcquisitionMaximizerOptions& options, Rng* rng) {
-  // Hash set of everything already measured or pending, to avoid duplicate
-  // proposals in small discrete spaces.
-  std::unordered_set<uint64_t> known;
-  for (int level = 1; level <= store.num_levels(); ++level) {
-    for (const Measurement& m : store.group(level)) {
-      known.insert(m.config.Hash());
-    }
-  }
-  for (const Configuration& pending : store.PendingConfigs()) {
-    known.insert(pending.Hash());
-  }
-
   std::vector<Configuration> candidates;
   candidates.reserve(static_cast<size_t>(options.num_candidates) +
                      static_cast<size_t>(options.num_local_seeds *
@@ -52,15 +39,16 @@ std::optional<Configuration> MaximizeAcquisition(
     }
   }
 
-  // Batched scoring: filter out known candidates, encode the rest into one
-  // design matrix, and run a single PredictBatch pass instead of rebuilding
-  // the model's prediction machinery per candidate. Candidate order is
-  // preserved and the winner is still the first strictly-greater maximum,
-  // so the proposal matches the old per-candidate loop exactly.
+  // Batched scoring: filter out candidates already measured or pending (to
+  // avoid duplicate proposals in small discrete spaces), encode the rest
+  // into one design matrix, and run a single PredictBatch pass instead of
+  // rebuilding the model's prediction machinery per candidate. Candidate
+  // order is preserved and the winner is still the first strictly-greater
+  // maximum, so the proposal matches the old per-candidate loop exactly.
   std::vector<size_t> eligible;
   eligible.reserve(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    if (known.count(candidates[i].Hash()) == 0) eligible.push_back(i);
+    if (!IsKnownConfiguration(store, candidates[i])) eligible.push_back(i);
   }
   if (eligible.empty()) return std::nullopt;
 

@@ -65,10 +65,25 @@ bool MfesSampler::EnsureEnsemble() {
     // augmented with median-imputed pending configurations (Algorithm 2),
     // which changes with every in-flight proposal.
     const bool is_high = (level == num_levels);
-    if (!is_high && base_[static_cast<size_t>(level - 1)] != nullptr) {
+    const bool have_member = base_[static_cast<size_t>(level - 1)] != nullptr;
+    if (!is_high && have_member) {
       size_t last = fitted_sizes_[static_cast<size_t>(level - 1)];
       size_t growth = std::max<size_t>(4, last / 16);
       if (!data_changed || group.size() < last + growth) continue;
+    }
+    // M_K's data is D_K plus its pending configs at D_K's median: when
+    // neither changed, a refit would rebuild the same forest.
+    uint64_t high_version = 0;
+    std::vector<Configuration> high_pending;
+    if (is_high) {
+      high_version = store_->level_version(level);
+      if (options_.bo.impute_pending) {
+        high_pending = store_->PendingConfigs(level);
+      }
+      if (have_member && high_version == high_fit_version_ &&
+          high_pending == high_fit_pending_) {
+        continue;
+      }
     }
     SurrogateData data =
         (is_high && options_.bo.impute_pending)
@@ -91,6 +106,10 @@ bool MfesSampler::EnsureEnsemble() {
     if (fit_ok) {
       base_[static_cast<size_t>(level - 1)] = std::move(model);
       fitted_sizes_[static_cast<size_t>(level - 1)] = group.size();
+      if (is_high) {
+        high_fit_version_ = high_version;
+        high_fit_pending_ = std::move(high_pending);
+      }
     }
   }
 

@@ -71,6 +71,10 @@ class MfesSampler : public Sampler {
   uint64_t fitted_data_version_ = ~uint64_t{0};
   /// Group size each base member was last fitted on (refresh throttling).
   std::vector<size_t> fitted_sizes_;
+  /// What M_K was last fitted on: level_version(K) and the configs pending
+  /// at K, in order (empty without pending imputation).
+  uint64_t high_fit_version_ = 0;
+  std::vector<Configuration> high_fit_pending_;
   double fit_best_ = 0.0;
   int best_level_ = 0;
   Observability* obs_ = nullptr;  // null = observability off

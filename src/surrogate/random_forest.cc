@@ -7,13 +7,12 @@
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 
 namespace hypertune {
 
-/// Column-major copy of the (capped) training set and per-node scratch.
-/// Every buffer is sized once per Fit, so growing a tree allocates nothing
-/// but its nodes.
-struct RandomForest::FitScratch {
+/// Column-major copy of the (capped) training set, read by every tree.
+struct RandomForest::FitData {
   size_t rows = 0;
   size_t dim = 0;
   /// Feature f of training row i at columns[f * rows + i].
@@ -21,6 +20,12 @@ struct RandomForest::FitScratch {
   std::vector<double> y;
   /// y[i] * y[i], the split score's second moments.
   std::vector<double> y_squared;
+};
+
+/// One pool slot's buffers, sized on the slot's first tree, so growing a
+/// tree allocates nothing but its nodes. Aligned to a cache line so slots
+/// growing trees side by side never write to one line.
+struct alignas(64) RandomForest::FitScratch {
   /// The current tree's sample (row ids, with repeats under bootstrap),
   /// partitioned in place node by node.
   std::vector<size_t> indices;
@@ -145,53 +150,66 @@ Status RandomForest::Fit(const std::vector<std::vector<double>>& x,
     for (size_t i = 0; i < x.size(); ++i) keep.push_back(i);
   }
 
-  // Transpose the kept rows once; row j of the scratch is x[keep[j]].
-  FitScratch scratch;
+  // Transpose the kept rows once; row j of the data is x[keep[j]].
+  FitData data;
   const size_t rows = keep.size();
-  scratch.rows = rows;
-  scratch.dim = dim;
-  scratch.columns.resize(dim * rows);
-  scratch.y.resize(rows);
-  scratch.y_squared.resize(rows);
+  data.rows = rows;
+  data.dim = dim;
+  data.columns.resize(dim * rows);
+  data.y.resize(rows);
+  data.y_squared.resize(rows);
   for (size_t j = 0; j < rows; ++j) {
     const std::vector<double>& row = x[keep[j]];
-    for (size_t f = 0; f < dim; ++f) scratch.columns[f * rows + j] = row[f];
-    scratch.y[j] = y[keep[j]];
-    scratch.y_squared[j] = scratch.y[j] * scratch.y[j];
+    for (size_t f = 0; f < dim; ++f) data.columns[f * rows + j] = row[f];
+    data.y[j] = y[keep[j]];
+    data.y_squared[j] = data.y[j] * data.y[j];
   }
-  scratch.indices.reserve(rows);
-  scratch.node_y.resize(rows);
-  scratch.node_y_squared.resize(rows);
-  scratch.node_values.resize(rows);
-  scratch.features.resize(dim);
 
-  for (size_t t = 0; t < trees_.size(); ++t) {
-    Rng rng(CombineSeeds(options_.seed, CombineSeeds(t, rows)));
-    scratch.indices.clear();
-    if (options_.bootstrap && rows > 1) {
-      for (size_t i = 0; i < rows; ++i) {
-        scratch.indices.push_back(static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(rows) - 1)));
-      }
-    } else {
-      scratch.indices.resize(rows);
-      std::iota(scratch.indices.begin(), scratch.indices.end(), size_t{0});
-    }
-    scratch.nodes.clear();
-    BuildNode(&scratch, 0, rows, 0, &rng);
-    trees_[t].nodes.assign(scratch.nodes.begin(), scratch.nodes.end());
-  }
+  // Each tree draws from its own seed and writes only trees_[t], so the
+  // forest is the same however the pool spreads the trees.
+  ThreadPool& pool = ThreadPool::Shared();
+  std::vector<FitScratch> scratch(pool.num_slots());
+  pool.ParallelFor(trees_.size(), [&](size_t slot, size_t t) {
+    GrowTree(data, t, &scratch[slot]);
+  });
   fitted_ = true;
   return Status::Ok();
 }
 
-int RandomForest::BuildNode(FitScratch* scratch, size_t begin, size_t end,
-                            int depth, Rng* rng) const {
+void RandomForest::GrowTree(const FitData& data, size_t t,
+                            FitScratch* scratch) {
+  const size_t rows = data.rows;
+  if (scratch->node_y.empty()) {
+    scratch->indices.reserve(rows);
+    scratch->node_y.resize(rows);
+    scratch->node_y_squared.resize(rows);
+    scratch->node_values.resize(rows);
+    scratch->features.resize(data.dim);
+  }
+  Rng rng(CombineSeeds(options_.seed, CombineSeeds(t, rows)));
+  scratch->indices.clear();
+  if (options_.bootstrap && rows > 1) {
+    for (size_t i = 0; i < rows; ++i) {
+      scratch->indices.push_back(static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(rows) - 1)));
+    }
+  } else {
+    scratch->indices.resize(rows);
+    std::iota(scratch->indices.begin(), scratch->indices.end(), size_t{0});
+  }
+  scratch->nodes.clear();
+  BuildNode(data, scratch, 0, rows, 0, &rng);
+  trees_[t].nodes.assign(scratch->nodes.begin(), scratch->nodes.end());
+}
+
+int RandomForest::BuildNode(const FitData& data, FitScratch* scratch,
+                            size_t begin, size_t end, int depth,
+                            Rng* rng) const {
   const size_t n = end - begin;
-  const size_t dim = scratch->dim;
+  const size_t dim = data.dim;
   const size_t* sample = scratch->indices.data() + begin;
   double* node_y = scratch->node_y.data();
-  for (size_t i = 0; i < n; ++i) node_y[i] = scratch->y[sample[i]];
+  for (size_t i = 0; i < n; ++i) node_y[i] = data.y[sample[i]];
 
   // Mean and (population) variance of the node's targets.
   double node_mean = 0.0;
@@ -219,7 +237,7 @@ int RandomForest::BuildNode(FitScratch* scratch, size_t begin, size_t end,
 
   double* node_y_squared = scratch->node_y_squared.data();
   for (size_t i = 0; i < n; ++i) {
-    node_y_squared[i] = scratch->y_squared[sample[i]];
+    node_y_squared[i] = data.y_squared[sample[i]];
   }
 
   // Candidate features without replacement: a partial Fisher-Yates shuffle
@@ -250,7 +268,7 @@ int RandomForest::BuildNode(FitScratch* scratch, size_t begin, size_t end,
     // do not depend on the order they are taken in; only a tie between
     // -0.0 and +0.0 could pick the other sign, and both give the same
     // thresholds and the same constant-feature test.
-    const double* column = scratch->columns.data() + f * scratch->rows;
+    const double* column = data.columns.data() + f * data.rows;
     double lo_even = std::numeric_limits<double>::infinity();
     double hi_even = -std::numeric_limits<double>::infinity();
     double lo_odd = lo_even, hi_odd = hi_even;
@@ -326,8 +344,8 @@ int RandomForest::BuildNode(FitScratch* scratch, size_t begin, size_t end,
   if (best_feature < 0) return make_leaf();
 
   // Partition the sample in place.
-  const double* column = scratch->columns.data() +
-                         static_cast<size_t>(best_feature) * scratch->rows;
+  const double* column =
+      data.columns.data() + static_cast<size_t>(best_feature) * data.rows;
   auto go_left = [&](size_t row) {
     const double v = column[row];
     return best_equality ? (v == best_threshold) : (v <= best_threshold);
@@ -342,8 +360,8 @@ int RandomForest::BuildNode(FitScratch* scratch, size_t begin, size_t end,
   // Reserve this node's slot before recursing so children land after it.
   scratch->nodes.emplace_back();
   const int self = static_cast<int>(scratch->nodes.size() - 1);
-  const int left = BuildNode(scratch, begin, mid, depth + 1, rng);
-  const int right = BuildNode(scratch, mid, end, depth + 1, rng);
+  const int left = BuildNode(data, scratch, begin, mid, depth + 1, rng);
+  const int right = BuildNode(data, scratch, mid, end, depth + 1, rng);
   Node& node = scratch->nodes[static_cast<size_t>(self)];
   node.feature = best_feature;
   node.threshold = best_threshold;

@@ -72,15 +72,21 @@ class RandomForest : public Surrogate {
     std::vector<Node> nodes;
   };
 
-  /// One Fit's training data in column-major order, plus the buffers the
-  /// split scan reuses from node to node (defined in the .cc file).
+  /// One Fit's training data in column-major order, shared read-only by
+  /// every tree (defined in the .cc file).
+  struct FitData;
+  /// The buffers one tree's split scan reuses from node to node; one per
+  /// pool slot (defined in the .cc file).
   struct FitScratch;
+
+  /// Grows tree `t` of the forest on `data` into `trees_[t]`.
+  void GrowTree(const FitData& data, size_t t, FitScratch* scratch);
 
   /// Recursively grows the tree in `scratch->nodes` over the sample
   /// positions [begin, end) of `scratch->indices`; returns the index of the
   /// created node.
-  int BuildNode(FitScratch* scratch, size_t begin, size_t end, int depth,
-                class Rng* rng) const;
+  int BuildNode(const FitData& data, FitScratch* scratch, size_t begin,
+                size_t end, int depth, class Rng* rng) const;
 
   /// Index of the leaf of `tree` containing `x` (dim() doubles).
   const Node& FindLeaf(const Tree& tree, const double* x) const;

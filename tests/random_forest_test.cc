@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -198,18 +199,21 @@ uint64_t FitAndDigest(RandomForestOptions options) {
   return PredictionDigest(forest.PredictBatch(queries));
 }
 
+constexpr uint64_t kBootstrapDigest = 9428472440277690018ULL;
+constexpr uint64_t kNoBootstrapDigest = 2362699922105893277ULL;
+
 // The digests were captured from the row-major split scan that preceded the
 // column-major fused one; any change to split selection, the training-set
 // cap or the leaf statistics moves them.
 TEST(RandomForestTest, PredictionsMatchPinnedDigests) {
   RandomForestOptions bootstrap;
   bootstrap.seed = 31;
-  EXPECT_EQ(FitAndDigest(bootstrap), 9428472440277690018ULL);
+  EXPECT_EQ(FitAndDigest(bootstrap), kBootstrapDigest);
 
   RandomForestOptions no_bootstrap;
   no_bootstrap.seed = 32;
   no_bootstrap.bootstrap = false;
-  EXPECT_EQ(FitAndDigest(no_bootstrap), 2362699922105893277ULL);
+  EXPECT_EQ(FitAndDigest(no_bootstrap), kNoBootstrapDigest);
 
   // A threshold count that is not a multiple of the scan's lane count.
   RandomForestOptions odd_thresholds;
@@ -218,6 +222,23 @@ TEST(RandomForestTest, PredictionsMatchPinnedDigests) {
   odd_thresholds.min_samples_leaf = 1;
   odd_thresholds.max_points = 300;
   EXPECT_EQ(FitAndDigest(odd_thresholds), 22880796627741545ULL);
+}
+
+// Two fits at once share the process-wide pool: whichever finds it busy
+// grows its trees inline. Both forests must still be the pinned ones.
+TEST(RandomForestTest, ConcurrentFitsMatchPinnedDigests) {
+  RandomForestOptions bootstrap;
+  bootstrap.seed = 31;
+  RandomForestOptions no_bootstrap;
+  no_bootstrap.seed = 32;
+  no_bootstrap.bootstrap = false;
+  for (int round = 0; round < 4; ++round) {
+    uint64_t other_digest = 0;
+    std::thread other([&] { other_digest = FitAndDigest(no_bootstrap); });
+    EXPECT_EQ(FitAndDigest(bootstrap), kBootstrapDigest);
+    other.join();
+    EXPECT_EQ(other_digest, kNoBootstrapDigest);
+  }
 }
 
 TEST(RandomForestTest, PredictiveVarianceIsPositive) {

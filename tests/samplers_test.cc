@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/obs/observability.h"
 #include "src/optimizer/bo_sampler.h"
 #include "src/optimizer/median_imputation.h"
 #include "src/optimizer/mfes_sampler.h"
@@ -184,24 +185,75 @@ TEST(BoSamplerTest, FitsHighestLevelWithEnoughData) {
 
 TEST(MaximizeAcquisitionTest, ReturnsNulloptWhenAllKnown) {
   ConfigurationSpace space = TinyDiscreteSpace();
-  MeasurementStore store(1);
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  for (double a : {0.0, 1.0}) {
-    for (double b : {0.0, 1.0}) {
-      Configuration c({a, b});
-      store.Add(1, c, a + b);
-      x.push_back(space.Encode(c));
-      y.push_back(a + b);
+  // Known is measured or pending at any level: in the second round the
+  // only unmeasured config is pending, at another level than the data.
+  for (bool last_pending : {false, true}) {
+    MeasurementStore store(2);
+    std::vector<std::vector<double>> x;
+    std::vector<double> y;
+    for (double a : {0.0, 1.0}) {
+      for (double b : {0.0, 1.0}) {
+        Configuration c({a, b});
+        if (last_pending && a + b == 2.0) {
+          store.AddPending(c, 2);
+          continue;
+        }
+        store.Add(1, c, a + b);
+        x.push_back(space.Encode(c));
+        y.push_back(a + b);
+      }
+    }
+    RandomForest model;
+    ASSERT_TRUE(model.Fit(x, y).ok());
+    AcquisitionMaximizerOptions options;
+    Rng rng(8);
+    std::optional<Configuration> result =
+        MaximizeAcquisition(space, store, model, 0.0, 1, options, &rng);
+    EXPECT_FALSE(result.has_value()) << "last_pending = " << last_pending;
+  }
+}
+
+TEST(MfesSamplerTest, RefitsTopMemberOnlyWhenItsTrainingSetChanges) {
+  ConfigurationSpace space = SmallSpace();
+  MeasurementStore store(2);
+  Rng rng(12);
+  std::vector<Configuration> top;
+  for (int i = 0; i < 24; ++i) {
+    Configuration c = space.Sample(&rng);
+    store.Add(1, c, Bowl(c));
+    if (i % 2 == 0) {
+      store.Add(2, c, Bowl(c));
+      top.push_back(c);
     }
   }
-  RandomForest model;
-  ASSERT_TRUE(model.Fit(x, y).ok());
-  AcquisitionMaximizerOptions options;
-  Rng rng(8);
-  std::optional<Configuration> result =
-      MaximizeAcquisition(space, store, model, 0.0, 1, options, &rng);
-  EXPECT_FALSE(result.has_value());
+  MfesSamplerOptions options;
+  options.bo.seed = 13;
+  options.bo.random_fraction = 0.0;
+  MfesSampler sampler(&space, &store, options);
+  Observability obs;
+  sampler.SetObservability(&obs);
+  auto fits = [&obs] {
+    const MetricsSnapshot metrics = obs.metrics.Snapshot();
+    auto it = metrics.counters.find("sampler.fits");
+    return it != metrics.counters.end() ? it->second : 0;
+  };
+  sampler.Sample(2);
+  EXPECT_EQ(fits(), 2);  // M_1 and M_2
+
+  // A pending config at a lower level leaves M_2's data as it was.
+  store.AddPending(space.Sample(&rng), 1);
+  sampler.Sample(2);
+  EXPECT_EQ(fits(), 2);
+
+  // One pending at level 2 joins M_2's data at the median.
+  store.AddPending(space.Sample(&rng), 2);
+  sampler.Sample(2);
+  EXPECT_EQ(fits(), 3);
+
+  // An in-place overwrite changes no group size but does change D_2.
+  store.Add(2, top[0], Bowl(top[0]) + 0.5);
+  sampler.Sample(2);
+  EXPECT_EQ(fits(), 4);
 }
 
 TEST(MfesSamplerTest, RandomUntilEnoughDataThenModelBased) {
