@@ -604,10 +604,48 @@ void BM_SimCoreEvents(benchmark::State& state) {
 }
 BENCHMARK(BM_SimCoreEvents)->Unit(benchmark::kMillisecond)->Iterations(3);
 
-/// Benchmarks `--quick` keeps: the allocation-bounded data-structure kernels.
+/// One Rng::Uniform() draw: the engine's tempered output and the exact
+/// branch-free conversion to [0, 1).
+void BM_RngUniform(benchmark::State& state) {
+  Rng rng(11);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.Uniform());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngUniform);
+
+/// One Rng::UniformInt draw over a range that changes every call.
+void BM_RngUniformInt(benchmark::State& state) {
+  Rng rng(12);
+  int64_t hi = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.UniformInt(0, hi));
+    hi = hi % 1000 + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngUniformInt);
+
+/// A fresh Rng plus 8 draws: the per-attempt pattern of the fault plan and
+/// the simulated objective, which seed one short stream per attempt or per
+/// parameter. Lazy seeding makes the engine's construction nearly free.
+void BM_RngFreshDraws(benchmark::State& state) {
+  uint64_t seed = 13;
+  for (auto _ : state) {
+    Rng rng(seed++);
+    double sum = 0.0;
+    for (int i = 0; i < 8; ++i) sum += rng.Uniform();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngFreshDraws);
+
+/// Benchmarks `--quick` keeps: the allocation-bounded data-structure kernels
+/// and the Rng draws every layer makes.
 constexpr char kQuickFilter[] =
     "BM_(CalendarQueue|BinaryHeap|RankTree|StoreIndexedAdd|StorePendingChurn|"
-    "TrialHistoryRecord|JournalAppend)";
+    "TrialHistoryRecord|JournalAppend|RngUniform|RngUniformInt|"
+    "RngFreshDraws)";
 
 /// Console output as usual, plus BENCH_micro.json: schema_version 1, one
 /// entry per benchmark run with name / iterations / ns_per_op and, for

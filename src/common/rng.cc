@@ -1,9 +1,31 @@
 #include "src/common/rng.h"
 
+#include <algorithm>
 #include <cmath>
+#include <istream>
+#include <ostream>
 #include <sstream>
 
+#include "src/common/logging.h"
+
 namespace hypertune {
+
+namespace {
+
+// std::mt19937_64's parameters (w = 64, n = 312, m = 156, r = 31).
+constexpr uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;
+constexpr uint64_t kLowerMask = ~kUpperMask;
+constexpr uint64_t kInitMultiplier = 6364136223846793005ULL;
+
+// One step of the recurrence on the joined word y, without the data-dependent
+// branch of `y & 1 ? a : 0`.
+inline uint64_t TwistBits(uint64_t upper, uint64_t lower) {
+  const uint64_t y = (upper & kUpperMask) | (lower & kLowerMask);
+  return (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+}
+
+}  // namespace
 
 uint64_t MixSeed(uint64_t x) {
   // SplitMix64 finalizer (Steele, Lea, Flood 2014).
@@ -17,7 +39,98 @@ uint64_t CombineSeeds(uint64_t a, uint64_t b) {
   return MixSeed(a ^ (MixSeed(b) + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2)));
 }
 
+void MersenneTwister64::CopyFrom(const MersenneTwister64& other) {
+  std::copy_n(other.x_, other.seeded_, x_);
+  pos_ = other.pos_;
+  ready_ = other.ready_;
+  seeded_ = other.seeded_;
+}
+
+void MersenneTwister64::Seed(uint32_t count) {
+  // The previous word stays in a register: reloading it from the array
+  // would add a store-to-load forward to the recurrence's critical path.
+  uint64_t word = x_[seeded_ - 1];
+  for (; seeded_ < count; ++seeded_) {
+    word = kInitMultiplier * (word ^ (word >> 62)) + seeded_;
+    x_[seeded_] = word;
+  }
+}
+
+void MersenneTwister64::TwistWord(uint32_t k) {
+  // Word k reads seed words k, k + 1 and k + 156 when k < 156; later words
+  // read k + 1 and words the first half already twisted. Word 311 reads the
+  // twisted word 0, as the standard engine's last step does.
+  Seed(std::min(k + kM + 1, kN));
+  x_[k] = x_[(k + kM) % kN] ^ TwistBits(x_[k], x_[(k + 1) % kN]);
+}
+
+void MersenneTwister64::TwistAll() {
+  uint32_t k = 0;
+  for (; k < kN - kM; ++k) x_[k] = x_[k + kM] ^ TwistBits(x_[k], x_[k + 1]);
+  for (; k < kN - 1; ++k) {
+    x_[k] = x_[k + kM - kN] ^ TwistBits(x_[k], x_[k + 1]);
+  }
+  x_[kN - 1] = x_[kM - 1] ^ TwistBits(x_[kN - 1], x_[0]);
+}
+
+void MersenneTwister64::Refill() {
+  if (pos_ < kN) {
+    // Lazy first generation: twist just the word this draw returns.
+    TwistWord(pos_);
+    ready_ = pos_ + 1;
+    return;
+  }
+  TwistAll();
+  pos_ = 0;
+}
+
+void MersenneTwister64::Materialize() {
+  if (ready_ == kN) return;
+  if (ready_ == 0) {
+    // No draw yet: the standard engine holds the seed words, due to twist.
+    Seed(kN);
+    pos_ = ready_ = kN;
+    return;
+  }
+  for (uint32_t k = ready_; k < kN; ++k) TwistWord(k);
+  ready_ = kN;
+}
+
+std::ostream& operator<<(std::ostream& os, const MersenneTwister64& engine) {
+  MersenneTwister64 full = engine;
+  full.Materialize();
+  // The standard engine's formatting, flags restored afterwards.
+  const std::ios_base::fmtflags flags = os.flags();
+  const char fill = os.fill();
+  os.flags(std::ios_base::dec | std::ios_base::fixed | std::ios_base::left);
+  os.fill(' ');
+  for (uint64_t word : full.x_) os << word << ' ';
+  os << full.pos_;
+  os.flags(flags);
+  os.fill(fill);
+  return os;
+}
+
+std::istream& operator>>(std::istream& is, MersenneTwister64& engine) {
+  const std::ios_base::fmtflags flags = is.flags();
+  is.flags(std::ios_base::dec | std::ios_base::skipws);
+  uint64_t words[MersenneTwister64::kN];
+  for (uint64_t& word : words) is >> word;
+  uint64_t pos = 0;
+  is >> pos;
+  if (pos > MersenneTwister64::kN) is.setstate(std::ios_base::failbit);
+  if (is) {
+    std::copy_n(words, MersenneTwister64::kN, engine.x_);
+    engine.pos_ = static_cast<uint32_t>(pos);
+    engine.ready_ = engine.seeded_ = MersenneTwister64::kN;
+  }
+  is.flags(flags);
+  return is;
+}
+
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
+  HT_CHECK(lo <= hi) << "Rng::UniformInt(lo=" << lo << ", hi=" << hi
+                     << "): empty range";
   std::uniform_int_distribution<int64_t> dist(lo, hi);
   return dist(engine_);
 }
@@ -45,16 +158,21 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
 std::string Rng::SerializeState() const {
   // The standard guarantees operator<</>> round-trip engines and
   // distributions exactly (the normal distribution's cached second draw
-  // included), using only digits and spaces.
+  // included), using only digits and spaces. Uniform() draws without a
+  // distribution object; the `0 1` range tokens of one stay in the text so
+  // that it is the text of std::mt19937_64 plus both std distributions.
   std::ostringstream out;
-  out << engine_ << ' ' << unit_ << ' ' << normal_;
+  out << engine_ << ' ' << std::uniform_real_distribution<double>(0.0, 1.0)
+      << ' ' << normal_;
   return out.str();
 }
 
 Status Rng::DeserializeState(const std::string& state) {
   std::istringstream in(state);
   Rng fresh(0);
-  in >> fresh.engine_ >> fresh.unit_ >> fresh.normal_;
+  double unit_lo = 0.0;
+  double unit_hi = 0.0;
+  in >> fresh.engine_ >> unit_lo >> unit_hi >> fresh.normal_;
   if (!in) return Status::InvalidArgument("rng: malformed serialized state");
   // Reject trailing garbage: a truncated-then-padded token stream must not
   // silently restore.
@@ -62,19 +180,25 @@ Status Rng::DeserializeState(const std::string& state) {
   if (in >> extra) {
     return Status::InvalidArgument("rng: trailing bytes in serialized state");
   }
+  // Nothing reads the unit range any more, so a different one would be
+  // ignored silently.
+  if (unit_lo != 0.0 || unit_hi != 1.0) {
+    return Status::InvalidArgument("rng: unit distribution range is not 0 1");
+  }
   engine_ = fresh.engine_;
-  unit_ = fresh.unit_;
   normal_ = fresh.normal_;
   return Status::Ok();
 }
 
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
+  HT_CHECK(k <= n) << "Rng::SampleWithoutReplacement(n=" << n << ", k=" << k
+                   << "): k exceeds n";
   // Partial Fisher-Yates over an index vector; O(n) space, O(k) swaps.
   std::vector<size_t> indices(n);
   for (size_t i = 0; i < n; ++i) indices[i] = i;
   std::vector<size_t> out;
   out.reserve(k);
-  for (size_t i = 0; i < k && i < n; ++i) {
+  for (size_t i = 0; i < k; ++i) {
     size_t j = static_cast<size_t>(
         UniformInt(static_cast<int64_t>(i), static_cast<int64_t>(n) - 1));
     std::swap(indices[i], indices[j]);

@@ -1,7 +1,10 @@
 #ifndef HYPERTUNE_COMMON_RNG_H_
 #define HYPERTUNE_COMMON_RNG_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <iosfwd>
 #include <random>
 #include <string>
 #include <vector>
@@ -19,22 +22,107 @@ uint64_t MixSeed(uint64_t x);
 /// Combines two seed components into one (order-sensitive).
 uint64_t CombineSeeds(uint64_t a, uint64_t b);
 
-/// A seeded pseudo-random number generator wrapping std::mt19937_64 with
-/// convenience draws used throughout the library.
+/// MT19937-64 with the seeding, recurrence, tempering and stream text of
+/// std::mt19937_64: equal seeds give equal outputs, and operator<< writes
+/// the bytes the standard engine would. It differs only in cost:
 ///
-/// Rng is cheap to construct; components that need reproducible independent
-/// streams construct their own Rng from mixed seeds rather than sharing one.
+///  - the twist is branch-free: `(0 - (y & 1)) & a` replaces `y & 1 ? a : 0`;
+///  - seeding is lazy. A fresh engine holds only its seed. Draw k of the
+///    first generation computes the seed words up to min(k + 156, 311) and
+///    twists word k alone; later generations twist all 312 words at once.
+///
+/// See DESIGN.md "Random streams" for the bit-identity argument.
+class MersenneTwister64 {
+ public:
+  using result_type = uint64_t;
+
+  explicit MersenneTwister64(uint64_t seed) { x_[0] = seed; }
+
+  /// Copies only the words that are set, so copying a lazily seeded engine
+  /// never reads an indeterminate word.
+  MersenneTwister64(const MersenneTwister64& other) { CopyFrom(other); }
+  MersenneTwister64& operator=(const MersenneTwister64& other) {
+    if (this != &other) CopyFrom(other);
+    return *this;
+  }
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (pos_ >= ready_) [[unlikely]] Refill();
+    return Temper(x_[pos_++]);
+  }
+
+  /// Writes what std::mt19937_64 would hold: the seed words and position
+  /// 312 before the first draw, the whole twisted generation after it.
+  friend std::ostream& operator<<(std::ostream& os,
+                                  const MersenneTwister64& engine);
+  /// Reads the standard engine's text. A position above 312 sets failbit;
+  /// on failure the engine is left unchanged.
+  friend std::istream& operator>>(std::istream& is, MersenneTwister64& engine);
+
+ private:
+  static constexpr uint32_t kN = 312;
+  static constexpr uint32_t kM = 156;
+
+  static result_type Temper(result_type z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  void CopyFrom(const MersenneTwister64& other);
+  /// Starts the next generation, or twists the next word of a lazy first one.
+  void Refill();
+  /// Computes the seed words [seeded_, count).
+  void Seed(uint32_t count);
+  /// Twists word k of the lazy first generation.
+  void TwistWord(uint32_t k);
+  /// Twists the whole next generation (every word is set).
+  void TwistAll();
+  /// Completes a lazy first generation, leaving the state the standard
+  /// engine would hold.
+  void Materialize();
+
+  uint64_t x_[kN];
+  uint32_t pos_ = 0;     // next word to output
+  uint32_t ready_ = 0;   // words [0, ready_) hold the current generation
+  uint32_t seeded_ = 1;  // words [0, seeded_) are set; kN once seeding is done
+};
+
+/// Maps a 64-bit engine output to [0, 1) exactly as
+/// std::generate_canonical<double, 53> does for a 64-bit engine: round to the
+/// nearest double, scale by 2^-64, and clamp 1 to the largest double below 1.
+/// Both 32-bit halves convert exactly and their sum rounds once, like the
+/// direct unsigned conversion, but without its sign branch.
+inline double UnitFromBits(uint64_t x) {
+  const double hi = static_cast<double>(static_cast<uint32_t>(x >> 32));
+  const double lo = static_cast<double>(static_cast<uint32_t>(x));
+  return std::min((hi * 0x1p32 + lo) * 0x1p-64, 0x1.fffffffffffffp-1);
+}
+
+/// A seeded pseudo-random number generator over MersenneTwister64, a
+/// bit-identical twin of std::mt19937_64, with the convenience draws used
+/// throughout the library.
+///
+/// Rng is cheap to construct: seeding is lazy, so an Rng that makes a few
+/// draws costs a fraction of a full engine seeding. Components that need
+/// reproducible independent streams construct their own Rng from mixed seeds
+/// rather than sharing one.
 class Rng {
  public:
   explicit Rng(uint64_t seed) : engine_(MixSeed(seed)) {}
 
-  /// Uniform double in [0, 1).
-  double Uniform() { return unit_(engine_); }
+  /// Uniform double in [0, 1); bit-identical to
+  /// std::uniform_real_distribution<double>(0, 1) on the same engine.
+  double Uniform() { return UnitFromBits(engine_()); }
 
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
 
-  /// Uniform integer in [lo, hi] inclusive.
+  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
   /// Standard normal draw.
@@ -55,7 +143,7 @@ class Rng {
 
   /// Samples an index in [0, weights.size()) proportionally to `weights`.
   /// Non-positive weights are treated as zero; if all weights are zero the
-  /// draw is uniform.
+  /// draw is uniform. Requires a non-empty `weights`.
   size_t Categorical(const std::vector<double>& weights);
 
   /// Returns `k` distinct indices sampled uniformly from [0, n).
@@ -71,22 +159,23 @@ class Rng {
     }
   }
 
-  /// Access to the underlying engine for std distributions.
-  std::mt19937_64& engine() { return engine_; }
+  /// One raw 64-bit engine output, e.g. to seed a derived stream.
+  uint64_t Next64() { return engine_(); }
 
   /// Serializes the complete generator state (engine plus the cached state
-  /// of the unit/normal distributions) as a portable text token stream.
-  /// A restored Rng continues the exact draw sequence — the contract
-  /// scheduler snapshots rely on.
+  /// of the normal distribution) as a portable text token stream: the text
+  /// `std::mt19937_64`, a uniform_real_distribution(0, 1) and a
+  /// normal_distribution would write. A restored Rng continues the exact
+  /// draw sequence — the contract scheduler snapshots rely on.
   std::string SerializeState() const;
 
   /// Restores state produced by SerializeState(). Rejects malformed input
-  /// with InvalidArgument and leaves the generator unchanged on failure.
+  /// (including a unit-distribution range other than 0 1) with
+  /// InvalidArgument and leaves the generator unchanged on failure.
   [[nodiscard]] Status DeserializeState(const std::string& state);
 
  private:
-  std::mt19937_64 engine_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
+  MersenneTwister64 engine_;
   std::normal_distribution<double> normal_{0.0, 1.0};
 };
 

@@ -199,7 +199,7 @@ Configuration BoSampler::Sample(int target_level) {
   bool explore = rng_.Bernoulli(options_.random_fraction);
   if (explore || !EnsureModel()) {
     RandomSampler random(space_, store_,
-                         CombineSeeds(options_.seed, rng_.engine()()));
+                         CombineSeeds(options_.seed, rng_.Next64()));
     return random.Sample(target_level);
   }
   return ProposeFromModel();

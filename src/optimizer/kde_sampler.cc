@@ -118,7 +118,7 @@ Configuration KdeSampler::Sample(int target_level) {
   bool explore = rng_.Bernoulli(options_.random_fraction);
   if (level == 0 || explore) {
     RandomSampler random(space_, store_,
-                         CombineSeeds(options_.seed, rng_.engine()()));
+                         CombineSeeds(options_.seed, rng_.Next64()));
     return random.Sample(target_level);
   }
 
@@ -145,7 +145,7 @@ Configuration KdeSampler::Sample(int target_level) {
   }
   if (bad_rows.size() < 2) {
     RandomSampler random(space_, store_,
-                         CombineSeeds(options_.seed, rng_.engine()()));
+                         CombineSeeds(options_.seed, rng_.Next64()));
     return random.Sample(target_level);
   }
 
@@ -165,7 +165,7 @@ Configuration KdeSampler::Sample(int target_level) {
   }
   if (best_unit.empty()) {
     RandomSampler random(space_, store_,
-                         CombineSeeds(options_.seed, rng_.engine()()));
+                         CombineSeeds(options_.seed, rng_.Next64()));
     return random.Sample(target_level);
   }
   Configuration proposal = space_->Decode(best_unit);

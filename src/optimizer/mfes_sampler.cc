@@ -142,7 +142,7 @@ Configuration MfesSampler::Sample(int target_level) {
   bool explore = rng_.Bernoulli(options_.bo.random_fraction);
   if (explore || !enough_data || !EnsureEnsemble()) {
     RandomSampler random(space_, store_,
-                         CombineSeeds(options_.bo.seed, rng_.engine()()));
+                         CombineSeeds(options_.bo.seed, rng_.Next64()));
     return random.Sample(target_level);
   }
 

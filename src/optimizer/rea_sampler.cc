@@ -17,7 +17,7 @@ ReaSampler::ReaSampler(const ConfigurationSpace* space,
 Configuration ReaSampler::Sample(int target_level) {
   if (population_.size() < options_.population_size) {
     RandomSampler random(space_, store_,
-                         CombineSeeds(options_.seed, rng_.engine()()));
+                         CombineSeeds(options_.seed, rng_.Next64()));
     return random.Sample(target_level);
   }
   // Tournament selection: best fitness among a uniform sample.

@@ -20,6 +20,14 @@ touch them:
   unseeded-rng std::random_device, rand(), srand(), time() are allowed
                only in src/common/rng.cc. All randomness flows from the
                run seed through hypertune::Rng.
+  std-engine   std::mt19937, std::mt19937_64, std::minstd_rand*,
+               std::ranlux*, std::knuth_b and std::default_random_engine
+               are allowed only in src/common/rng.{h,cc}. Library
+               randomness stays on Rng's one engine, which tests/rng_test.cc
+               pins to std::mt19937_64's stream; a second engine, or a std
+               algorithm fed one, would tie draws to the standard library's
+               version. Tests and benches keep the standard engines as
+               their references.
   raw-stdout   std::cout / printf in library code corrupts machine-read
                report output and interleaves under threads; stdout
                belongs to src/report (and examples/, which the rule does
@@ -60,9 +68,9 @@ only in the baseline are reported but tolerated, so `--quick` subsets
 ratchet the kernels they cover; names only in CURRENT are new benchmarks
 and pass (they join the ratchet when the baseline is regenerated). An
 empty intersection fails: a ratchet that compares nothing guards nothing.
-The baseline must also cover the surrogate hot-path kernels
-(REQUIRED_RATCHET_KERNELS) — a baseline regenerated without them would
-silently stop guarding the batched-prediction speedups.
+The baseline must also cover the surrogate hot-path kernels and the fresh
+Rng stream (REQUIRED_RATCHET_KERNELS) — a baseline regenerated without them
+would silently stop guarding those speedups.
 
 Usage: python3 tools/lint.py [--root DIR]   (exit 1 on any violation)
        python3 tools/lint.py --validate-trace PATH
@@ -95,6 +103,11 @@ DETERMINISM_RULES = [
      "C rand()/srand() is hidden global state; derive from hypertune::Rng"),
     ("unseeded-rng", re.compile(r"(?<![\w:.>])time\s*\("),
      "time() is nondeterministic; runs must be pure functions of the seed"),
+    ("std-engine",
+     re.compile(r"std::(mt19937(_64)?|minstd_rand0?|ranlux\w*|knuth_b|"
+                r"default_random_engine)\b"),
+     "standard engines are allowed only in src/common/rng.{h,cc}; draw "
+     "through hypertune::Rng (Next64() for a raw 64-bit value)"),
     ("raw-stdout", re.compile(r"std::cout"),
      "library code must not write stdout (reports own it); use HT_LOG"),
     ("raw-stdout", re.compile(r"(?<![\w:.])f?printf\s*\("),
@@ -107,6 +120,7 @@ RULE_EXEMPT = {
                   "src/runtime/process_cluster.cc",
                   "src/runtime/worker_main.cc", "src/obs/clock.cc"),
     "unseeded-rng": ("src/common/rng.cc",),
+    "std-engine": ("src/common/rng.h", "src/common/rng.cc"),
     "raw-stdout": ("src/report/",),
 }
 # Determinism rules police the library only; tests/bench/examples may time
@@ -370,15 +384,17 @@ def validate_bench(path):
 
 
 # Kernels the committed baseline must cover for the ratchet to mean
-# anything: the surrogate hot path (DESIGN.md §13). A baseline missing one
-# of these (or a parameterized variant, "NAME/64") silently un-guards the
-# batched-prediction speedup claims, so their absence is an error rather
-# than a skip. Checked against the BASELINE only — CI's --quick run
-# intentionally executes a subset, so CURRENT may omit them.
+# anything: the surrogate hot path (DESIGN.md §13) and a fresh Rng's short
+# stream (DESIGN.md "Random streams"). A baseline missing one of these (or a
+# parameterized variant, "NAME/64") silently un-guards the batched-prediction
+# and lazy-seeding speedup claims, so their absence is an error rather than
+# a skip. Checked against the BASELINE only — CI's --quick run intentionally
+# executes a subset, so CURRENT may omit them.
 REQUIRED_RATCHET_KERNELS = (
     "BM_GpPredictBatch",
     "BM_CholUpdateAppend",
     "BM_AcqSweep",
+    "BM_RngFreshDraws",
 )
 
 
