@@ -205,6 +205,34 @@ std::vector<size_t> RecordBoundaries(const std::string& journal_bytes) {
   return ends;
 }
 
+/// FNV-1a digest of a journal's bytes.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
+
+/// The uninterrupted journal of each matrix leg, pinned. A resumed run is
+/// compared with an uninterrupted run of the same build, so without these
+/// a reordered or re-encoded record would go unnoticed.
+uint64_t PinnedJournalDigest(Sched which, bool with_faults) {
+  switch (which) {
+    case Sched::kSync:
+      return with_faults ? 1831188803759815618ULL : 3022614969459084868ULL;
+    case Sched::kAsync:
+      return with_faults ? 10439777434921246008ULL : 11647327383090945691ULL;
+    case Sched::kBatchBo:
+      return with_faults ? 10864744387289404340ULL : 13762200767566770011ULL;
+    case Sched::kAsyncBo:
+    case Sched::kLearnedBo:
+      break;
+  }
+  return 0;
+}
+
 TEST(JournalRecoveryTest, CrashPointMatrix) {
   for (Sched which : {Sched::kSync, Sched::kAsync, Sched::kBatchBo}) {
     for (bool with_faults : {false, true}) {
@@ -219,6 +247,9 @@ TEST(JournalRecoveryTest, CrashPointMatrix) {
         EXPECT_GT(golden.result.failed_attempts, 0);
         EXPECT_GT(golden.result.worker_deaths, 0);
       }
+
+      EXPECT_EQ(Fnv1a(golden.journal_bytes),
+                PinnedJournalDigest(which, with_faults));
 
       const std::vector<size_t> ends = RecordBoundaries(golden.journal_bytes);
       ASSERT_GT(ends.size(), 2u);

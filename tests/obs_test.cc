@@ -149,6 +149,70 @@ uint64_t HashRun(const RunResult& result) {
   return hash;
 }
 
+/// FNV-1a folding with doubles taken by their bits.
+struct Fnv {
+  uint64_t hash = 1469598103934665603ULL;
+  void Mix(uint64_t v) {
+    hash ^= v;
+    hash *= 1099511628211ULL;
+  }
+  void MixDouble(double d) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    Mix(bits);
+  }
+  void MixString(const std::string& s) {
+    Mix(s.size());
+    for (char c : s) Mix(static_cast<unsigned char>(c));
+  }
+};
+
+/// Digest of a whole trace: every field of every event, in record order.
+/// On the simulator every field, time included, is a pure function of the
+/// run's options (the clock is virtual).
+uint64_t HashTrace(const std::vector<TraceEvent>& events) {
+  Fnv fnv;
+  for (const TraceEvent& e : events) {
+    fnv.Mix(static_cast<uint64_t>(e.kind));
+    fnv.MixDouble(e.time);
+    fnv.Mix(static_cast<uint64_t>(e.worker));
+    fnv.Mix(static_cast<uint64_t>(e.job_id));
+    fnv.Mix(static_cast<uint64_t>(e.level));
+    fnv.Mix(static_cast<uint64_t>(e.bracket));
+    fnv.Mix(static_cast<uint64_t>(e.attempt));
+    fnv.Mix(e.speculative ? 1u : 0u);
+    fnv.MixString(e.name);
+    fnv.MixDouble(e.value);
+  }
+  return fnv.hash;
+}
+
+/// Digest of a metrics snapshot: every counter, gauge and histogram (count,
+/// sum, min, max, buckets), in name order.
+uint64_t HashMetrics(const MetricsSnapshot& metrics) {
+  Fnv fnv;
+  for (const auto& [name, value] : metrics.counters) {
+    fnv.MixString(name);
+    fnv.Mix(static_cast<uint64_t>(value));
+  }
+  for (const auto& [name, value] : metrics.gauges) {
+    fnv.MixString(name);
+    fnv.MixDouble(value);
+  }
+  for (const auto& [name, h] : metrics.histograms) {
+    fnv.MixString(name);
+    fnv.Mix(static_cast<uint64_t>(h.count));
+    fnv.MixDouble(h.sum);
+    fnv.MixDouble(h.min);
+    fnv.MixDouble(h.max);
+    for (const auto& [bucket, count] : h.buckets) {
+      fnv.Mix(static_cast<uint64_t>(bucket));
+      fnv.Mix(static_cast<uint64_t>(count));
+    }
+  }
+  return fnv.hash;
+}
+
 /// The worker-fault chaos run from golden_history_test: every fault
 /// mechanism live at once, optionally instrumented.
 RunResult RunChaos(Observability* obs) {
@@ -323,6 +387,23 @@ TEST(ObsTest, ChaosRunTracePairsAndMetricsMatchRunResult) {
   EXPECT_EQ(csv.str().rfind("worker,state,start_seconds,end_seconds,job_id",
                             0),
             0u);
+}
+
+TEST(ObsTest, ChaosRunTraceMetricsAndTimingArePinned) {
+  // Pins the simulator's instrumented output byte for byte: the order of
+  // trace events and every field of each, the metrics snapshot, and the
+  // RunResult timing fields the golden digests leave out. Captured before
+  // the backends moved their transition sinks into the attempt ledger.
+  Observability obs;
+  RunResult result = RunChaos(&obs);
+  EXPECT_EQ(HashTrace(obs.trace.Snapshot()), 11565403980023211240ULL);
+  EXPECT_EQ(HashMetrics(obs.metrics.Snapshot()), 17559053976238705847ULL);
+  // Doubles are pinned bit-exactly, as hex floats.
+  EXPECT_EQ(result.busy_seconds, 0x1.2668504e81f2fp+13);
+  EXPECT_EQ(result.idle_seconds, 0x1.c797afb17e0d1p+13);
+  EXPECT_EQ(result.utilization, 0x1.91f6def7d1825p-2);
+  EXPECT_EQ(result.elapsed_seconds, 0x1.77p+12);
+  EXPECT_EQ(result.events_processed, 118);
 }
 
 TEST(ObsTest, InstrumentationIsBitIdenticalToObsOff) {
