@@ -4,20 +4,14 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "src/common/arena.h"
 #include "src/common/calendar_queue.h"
 #include "src/common/logging.h"
-#include "src/common/rank_tree.h"
 #include "src/common/rng.h"
-#include "src/runtime/journal.h"
-#include "src/runtime/scheduler_contract.h"
 
 namespace hypertune {
 namespace {
@@ -103,49 +97,30 @@ struct EarlierEvent {
   }
 };
 
-/// A copy of a job occupying a worker right now.
-struct RunningAttempt {
-  Job job;
-  double start_time = 0.0;
-  /// True for the duplicate copy launched by straggler speculation.
-  bool speculative = false;
-};
-
-/// Per-worker fault-domain state.
+/// Per-worker mechanism state; the ledger owns the rest.
 struct WorkerState {
   bool alive = true;
-  bool quarantined = false;
   /// Which life of this worker is current (0 = first); bumped at death.
   int64_t incarnation = 0;
   /// Bumped whenever the worker's running attempt is released (resolution
   /// or cancellation), invalidating queued events of the old attempt.
   int64_t epoch = 0;
-  /// When the current down/quarantine window started (for accounting).
-  double down_since = 0.0;
-  /// Consecutive job-level failures on this worker (quarantine trigger).
-  int consecutive_failures = 0;
   /// Seeded plan for the current incarnation.
   WorkerLifetime lifetime;
 };
 
 }  // namespace
 
-void RunResult::Finalize(int num_workers) {
-  double capacity = elapsed_seconds * static_cast<double>(num_workers);
-  idle_seconds = std::max(0.0, capacity - busy_seconds);
-  double denominator = busy_seconds + idle_seconds;
-  utilization = denominator > 0.0 ? busy_seconds / denominator : 0.0;
-}
-
 RunResult SimulatedCluster::Run(SchedulerInterface* scheduler,
                                 const TuningProblem& problem) {
   HT_CHECK(options_.num_workers >= 1) << "need at least one worker";
-  // Every run audits the pull contract by default, so the whole test suite
-  // doubles as a contract-conformance suite for the scheduler under test.
-  SchedulerContractChecker contract_checker(scheduler);
-  if (options_.check_contract) scheduler = &contract_checker;
-  RunResult result;
-  result.history.set_retention(options_.retention);
+  double now = 0.0;
+  // Trace events are stamped with the virtual clock. The ledger applies
+  // the attempt policy and journals every transition before this loop
+  // applies it.
+  AttemptLedger ledger(options_, options_.worker_faults, options_.speculation,
+                       scheduler, problem.max_resource(),
+                       [&now] { return now; }, options_.retention);
   Rng straggler_rng(CombineSeeds(options_.seed, 0x5772A667ULL));
 
   CalendarQueue<SimEvent, SimEventTime, EarlierEvent> queue;
@@ -160,53 +135,14 @@ RunResult SimulatedCluster::Run(SchedulerInterface* scheduler,
   std::vector<int> idle_workers;
   for (int w = options_.num_workers - 1; w >= 0; --w) idle_workers.push_back(w);
   std::vector<WorkerState> workers(options_.num_workers);
-  std::vector<std::optional<RunningAttempt>> running(options_.num_workers);
-  /// Workers that are alive and not quarantined (idle or busy).
-  int available_workers = options_.num_workers;
-  /// Attempts currently occupying workers (== count of engaged `running`
-  /// slots); makes the termination check O(1) instead of a worker scan.
-  int running_attempts = 0;
 
   /// Requeued jobs whose backoff already expired, awaiting an idle worker.
   std::deque<Job> ready_retries;
   /// Retry timers currently pending in the event queue.
   int pending_retry_timers = 0;
-  /// Job-level failures (crash/timeout) consumed per unresolved job. Worker
-  /// loss never registers here, which is exactly how it avoids burning the
-  /// job's retry budget while the attempt number still advances.
-  std::unordered_map<int64_t, int> job_failures;
-  /// Jobs that already used their one speculative duplicate.
-  std::unordered_set<int64_t> duplicated_jobs;
-  /// Which workers currently run a copy of each job (1, or 2 while a
-  /// speculative duplicate races its primary).
-  std::unordered_map<int64_t, std::vector<int>> job_workers;
-  /// Completed-attempt durations per fidelity level, in a rank tree so the
-  /// running median that drives straggler detection is O(log n) to read
-  /// (the former sorted-vector insert was O(n) per completion).
-  std::unordered_map<int, RankTree> level_durations;
 
-  double now = 0.0;
   const double budget = options_.time_budget_seconds;
-  const double full_resource = problem.max_resource();
-  int64_t completed = 0;
-
-  // Observability: trace events are stamped with the virtual clock, and the
-  // sink is threaded to the scheduler stack (the contract checker forwards
-  // it inward and mirrors its own events). Recording consumes no random
-  // numbers and perturbs no decision, so instrumented runs are bit-identical
-  // to uninstrumented ones.
-  Observability* const obs = options_.obs.sink;
-  if (obs != nullptr) {
-    obs->trace.SetClock([&now] { return now; });
-    scheduler->SetObservability(obs);
-  }
-
-  // Write-ahead journal: every transition below is appended (or, on a
-  // resumed run, byte-verified against the loaded stream) *before* it is
-  // applied. The hooks consume no random numbers and perturb no decision,
-  // so journaled runs are bit-identical to unjournaled ones.
-  RunJournal* const journal = options_.journal;
-  if (journal != nullptr) journal->SetObservability(options_.obs);
+  int64_t events_processed = 0;
 
   // Seed each worker's first incarnation. Draws nothing (and schedules
   // nothing) when worker faults are off, so fault-off runs stay
@@ -224,29 +160,7 @@ RunResult SimulatedCluster::Run(SchedulerInterface* scheduler,
     }
   }
 
-  /// Releases worker `w`'s running attempt and invalidates its queued
-  /// events. Does NOT return the worker to the idle pool.
-  auto release = [&](int w) {
-    running[w].reset();
-    --running_attempts;
-    ++workers[w].epoch;
-  };
-
-  auto remove_job_worker = [&](int64_t job_id, int w) {
-    auto it = job_workers.find(job_id);
-    if (it == job_workers.end()) return;
-    auto& copies = it->second;
-    copies.erase(std::remove(copies.begin(), copies.end(), w), copies.end());
-    if (copies.empty()) job_workers.erase(it);
-  };
-
-  /// True when another copy of `job_id` is still racing.
-  auto sibling_live = [&](int64_t job_id) {
-    auto it = job_workers.find(job_id);
-    return it != job_workers.end() && !it->second.empty();
-  };
-
-  auto launch = [&](const Job& job, bool speculative_copy) {
+  auto launch = [&](Job job, bool speculative_copy) {
     int worker = idle_workers.back();
     idle_workers.pop_back();
 
@@ -263,33 +177,6 @@ RunResult SimulatedCluster::Run(SchedulerInterface* scheduler,
     AttemptPlan plan =
         PlanAttempt(options_.faults, options_.seed, job, cost,
                     speculative_copy ? kSpeculativeStreamSalt : 0);
-    RunningAttempt attempt;
-    attempt.job = job;
-    attempt.start_time = now;
-    attempt.speculative = speculative_copy;
-    running[worker] = std::move(attempt);
-    ++running_attempts;
-    job_workers[job.job_id].push_back(worker);
-
-    if (obs != nullptr) {
-      TraceEvent e;
-      e.kind = speculative_copy ? TraceKind::kSpeculativeLaunch
-                                : TraceKind::kJobLaunch;
-      e.worker = worker;
-      e.job_id = job.job_id;
-      e.level = job.level;
-      e.bracket = job.bracket;
-      e.attempt = job.attempt;
-      e.speculative = speculative_copy;
-      obs->trace.Record(std::move(e));
-      obs->metrics.Increment(speculative_copy ? "speculation.launched"
-                                              : "jobs.launched");
-    }
-    if (journal != nullptr) {
-      journal->Launch(job.job_id, job.attempt, worker, speculative_copy,
-                      plan.duration, now);
-    }
-
     SimEvent flight;
     flight.end_time = now + plan.duration;
     flight.worker = worker;
@@ -299,23 +186,21 @@ RunResult SimulatedCluster::Run(SchedulerInterface* scheduler,
                                     : EventKind::kTimeout)
                               : EventKind::kComplete;
     flight.token = workers[worker].epoch;
+    const int level = job.level;
+    ledger.Launch(worker, std::move(job), speculative_copy, plan.duration,
+                  now);
     push_event(flight);
 
     // Arm the straggler watchdog for primaries once the level's median is
     // trustworthy. The watchdog goes stale automatically (epoch mismatch)
     // if the attempt resolves first.
     if (!speculative_copy && options_.speculation.enabled()) {
-      auto it = level_durations.find(job.level);
-      if (it != level_durations.end() &&
-          static_cast<int>(it->second.size()) >=
-              options_.speculation.min_samples) {
-        const RankTree& tree = it->second;
-        double median = tree.key(tree.Kth((tree.size() - 1) / 2));
+      const double threshold = ledger.StragglerThreshold(level);
+      if (std::isfinite(threshold)) {
         SimEvent watchdog;
-        watchdog.end_time =
-            now + options_.speculation.speculation_factor * median;
+        watchdog.end_time = now + threshold;
         watchdog.worker = worker;
-        watchdog.job_id = job.job_id;
+        watchdog.job_id = flight.job_id;
         watchdog.kind = EventKind::kSpeculate;
         watchdog.token = workers[worker].epoch;
         push_event(watchdog);
@@ -329,197 +214,46 @@ RunResult SimulatedCluster::Run(SchedulerInterface* scheduler,
       if (!ready_retries.empty()) {
         Job job = std::move(ready_retries.front());
         ready_retries.pop_front();
-        launch(job, /*speculative_copy=*/false);
+        launch(std::move(job), /*speculative_copy=*/false);
         continue;
       }
-      std::optional<Job> job = scheduler->NextJob();
+      std::optional<Job> job = ledger.Decide(now);
       if (!job.has_value()) break;
-      if (journal != nullptr) journal->Decision(*job, now);
-      launch(*job, /*speculative_copy=*/false);
+      launch(*std::move(job), /*speculative_copy=*/false);
     }
   };
 
-  /// Reports a failed attempt to the scheduler and either requeues the job
-  /// or records the abandoned trial. The caller has already charged busy
-  /// time and released the worker.
-  auto handle_failure = [&](const Job& job, FailureKind kind, int worker,
-                            double start_time, double burned) {
-    ++result.failed_attempts;
-    result.wasted_seconds += burned;
-    if (obs != nullptr) {
-      TraceEvent e;
-      e.kind = TraceKind::kJobFailed;
-      e.worker = worker;
-      e.job_id = job.job_id;
-      e.level = job.level;
-      e.bracket = job.bracket;
-      e.attempt = job.attempt;
-      e.name = FailureKindName(kind);
-      e.value = burned;
-      obs->trace.Record(std::move(e));
-      obs->metrics.Increment("jobs.failed_attempts");
-    }
-    switch (kind) {
-      case FailureKind::kCrash:
-        ++result.crash_attempts;
-        break;
-      case FailureKind::kTimeout:
-        ++result.timeout_attempts;
-        break;
-      case FailureKind::kWorkerLost:
-        ++result.worker_lost_attempts;
-        break;
-    }
-
-    int prior_failures = 0;
-    auto it = job_failures.find(job.job_id);
-    if (it != job_failures.end()) prior_failures = it->second;
-
-    FailureInfo info;
-    info.kind = kind;
-    info.attempt = job.attempt;
-    info.retries_remaining =
-        std::max(0, options_.faults.max_retries - prior_failures);
-    info.wasted_seconds = burned;
-    info.worker = worker;
-
-    if (journal != nullptr) {
-      journal->Failed(job.job_id, job.attempt, kind, worker, burned, now);
-    }
-    if (scheduler->OnJobFailed(job, info)) {
-      ++result.retries;
-      if (kind != FailureKind::kWorkerLost) {
-        job_failures[job.job_id] = prior_failures + 1;
-      }
-      Job next_attempt = job;
-      ++next_attempt.attempt;
-      if (obs != nullptr) {
-        TraceEvent e;
-        e.kind = TraceKind::kJobRequeued;
-        e.job_id = job.job_id;
-        e.level = job.level;
-        e.attempt = next_attempt.attempt;
-        e.name = FailureKindName(kind);
-        obs->trace.Record(std::move(e));
-        obs->metrics.Increment("jobs.requeued");
-      }
-      if (kind == FailureKind::kWorkerLost) {
-        // Node death is the cluster's fault: requeue immediately, no
-        // backoff, budget untouched.
-        if (journal != nullptr) {
-          journal->Requeue(job.job_id, next_attempt.attempt, now, now);
-        }
-        ready_retries.push_back(std::move(next_attempt));
-        return;
-      }
-      double delay = RetryDelay(options_.faults, options_.seed, job);
-      if (journal != nullptr) {
-        journal->Requeue(job.job_id, next_attempt.attempt,
-                         delay > 0.0 ? now + delay : now, now);
-      }
-      if (delay > 0.0) {
-        SimEvent timer;
-        timer.end_time = now + delay;
-        timer.job_id = next_attempt.job_id;
-        timer.kind = EventKind::kRetryReady;
-        timer.retry_slot = retry_slab.Acquire(std::move(next_attempt));
-        push_event(timer);
-        ++pending_retry_timers;
-      } else {
-        ready_retries.push_back(std::move(next_attempt));
-      }
+  /// Parks a requeued job on a retry timer, or runnable at once.
+  auto park = [&](AttemptEnd& end) {
+    if (!end.retry.has_value()) return;
+    if (end.retry_delay > 0.0) {
+      SimEvent timer;
+      timer.end_time = now + end.retry_delay;
+      timer.job_id = end.retry->job_id;
+      timer.kind = EventKind::kRetryReady;
+      timer.retry_slot = retry_slab.Acquire(*std::move(end.retry));
+      push_event(timer);
+      ++pending_retry_timers;
     } else {
-      ++result.failed_trials;
-      if (journal != nullptr) journal->Abandon(job.job_id, job.attempt, now);
-      if (obs != nullptr) {
-        TraceEvent e;
-        e.kind = TraceKind::kJobAbandoned;
-        e.job_id = job.job_id;
-        e.level = job.level;
-        e.attempt = job.attempt;
-        e.name = FailureKindName(kind);
-        obs->trace.Record(std::move(e));
-        obs->metrics.Increment("jobs.abandoned");
-      }
-      TrialRecord record;
-      record.job = job;
-      record.result.cost_seconds = burned;
-      record.start_time = start_time;
-      record.end_time = now;
-      record.worker = worker;
-      record.failure_kind = kind;
-      result.history.RecordFailure(record);
-      job_failures.erase(job.job_id);
-      duplicated_jobs.erase(job.job_id);
+      ready_retries.push_back(*std::move(end.retry));
     }
-  };
-
-  /// Returns worker `w` to the pull loop after a job-level failure, unless
-  /// its consecutive-failure streak trips the quarantine policy.
-  auto free_worker_after_failure = [&](int w) {
-    WorkerState& ws = workers[w];
-    ++ws.consecutive_failures;
-    const WorkerFaultOptions& wf = options_.worker_faults;
-    if (wf.quarantine_failures > 0 && wf.quarantine_seconds > 0.0 &&
-        ws.consecutive_failures >= wf.quarantine_failures) {
-      if (journal != nullptr) {
-        journal->QuarantineBegin(w, now + wf.quarantine_seconds, now);
-      }
-      ws.quarantined = true;
-      ws.consecutive_failures = 0;
-      ws.down_since = now;
-      --available_workers;
-      ++result.quarantines;
-      if (obs != nullptr) {
-        TraceEvent e;
-        e.kind = TraceKind::kQuarantineBegin;
-        e.worker = w;
-        e.value = wf.quarantine_seconds;
-        obs->trace.Record(std::move(e));
-        obs->metrics.Increment("workers.quarantines");
-      }
-      SimEvent rejoin;
-      rejoin.end_time = now + wf.quarantine_seconds;
-      rejoin.worker = w;
-      rejoin.kind = EventKind::kQuarantineEnd;
-      rejoin.token = ws.incarnation;
-      push_event(rejoin);
-    } else {
-      idle_workers.push_back(w);
-    }
-  };
-
-  /// True when the run is over even though the queue may still hold worker
-  /// lifecycle events: nothing running, nothing requeued, scheduler done.
-  /// With recoveries enabled the queue never empties (death and rebirth
-  /// events chain forever), so termination must not rely on queue.empty().
-  /// O(1): running attempts are counted, not scanned.
-  auto no_work_left = [&]() {
-    if (!ready_retries.empty() || pending_retry_timers > 0) return false;
-    if (running_attempts > 0) return false;
-    return scheduler->Exhausted();
   };
 
   try_assign();
 
+  // With recoveries enabled the queue never empties (death and rebirth
+  // events chain forever), so the run also ends when the ledger has no
+  // unresolved job and the scheduler is exhausted.
   while (!queue.empty()) {
-    // A failed append or a replay-verify divergence latches the journal
-    // into an error state; applying further unjournaled transitions would
-    // defeat the write-ahead guarantee, so the run stops here.
-    if (journal != nullptr && !journal->ok()) break;
+    if (ledger.JournalFailed()) break;
     SimEvent flight = queue.PopMin();
-    ++result.events_processed;
+    ++events_processed;
     if (flight.end_time > budget) {
       // The earliest remaining event lands past the budget: the run is
       // over. Worker time spent inside the budget by still-running
       // attempts counts as busy; timers and lifecycle events occupy no
       // worker and contribute nothing.
-      for (int w = 0; w < options_.num_workers; ++w) {
-        if (running[w].has_value()) {
-          result.busy_seconds +=
-              std::max(0.0, budget - running[w]->start_time);
-        }
-      }
+      ledger.ChargeRunning(budget);
       now = budget;
       break;
     }
@@ -533,71 +267,22 @@ RunResult SimulatedCluster::Run(SchedulerInterface* scheduler,
       continue;
     }
 
+    const int w = flight.worker;
+    WorkerState& ws = workers[w];
+
     if (flight.kind == EventKind::kWorkerDeath) {
-      WorkerState& ws = workers[flight.worker];
       if (!ws.alive || ws.incarnation != flight.token) continue;
-      if (journal != nullptr) {
-        journal->WorkerDeath(flight.worker, ws.lifetime.permanent, now);
+      if (ledger.Busy(w)) {
+        ++ws.epoch;  // orphan the in-flight attempt
+      } else if (!ledger.Quarantined(w)) {
+        idle_workers.erase(
+            std::find(idle_workers.begin(), idle_workers.end(), w));
       }
-      ++result.worker_deaths;
-      const int w = flight.worker;
-      if (obs != nullptr) {
-        TraceEvent e;
-        e.kind = TraceKind::kWorkerDeath;
-        e.worker = w;
-        obs->trace.Record(std::move(e));
-        obs->metrics.Increment("workers.deaths");
-      }
-      if (ws.quarantined) {
-        // Death supersedes quarantine: close the quarantine window (its
-        // rejoin event goes stale via the incarnation bump below).
-        ws.quarantined = false;
-        result.worker_down_seconds += now - ws.down_since;
-      } else {
-        --available_workers;
-        if (running[w].has_value()) {
-          // Orphan the in-flight attempt.
-          RunningAttempt attempt = *running[w];
-          double burned = now - attempt.start_time;
-          result.busy_seconds += burned;
-          release(w);
-          remove_job_worker(attempt.job.job_id, w);
-          if (sibling_live(attempt.job.job_id)) {
-            // A speculative sibling keeps racing: this copy dies silently
-            // (no scheduler notification, no budget effect).
-            ++result.speculative_losses;
-            result.speculative_wasted_seconds += burned;
-            if (obs != nullptr) {
-              TraceEvent e;
-              e.kind = TraceKind::kSpeculativeCopyLost;
-              e.worker = w;
-              e.job_id = attempt.job.job_id;
-              e.level = attempt.job.level;
-              e.attempt = attempt.job.attempt;
-              e.speculative = attempt.speculative;
-              e.value = burned;
-              obs->trace.Record(std::move(e));
-              obs->metrics.Increment("speculation.losses");
-            }
-            if (options_.check_contract) {
-              contract_checker.NoteSpeculativeCopyLost(attempt.job);
-            }
-          } else {
-            handle_failure(attempt.job, FailureKind::kWorkerLost, w,
-                           attempt.start_time, burned);
-          }
-        } else {
-          idle_workers.erase(
-              std::find(idle_workers.begin(), idle_workers.end(), w));
-        }
-      }
+      AttemptEnd end = ledger.WorkerDeath(w, ws.lifetime.permanent, now);
+      park(end);
       ws.alive = false;
-      ws.down_since = now;
       ++ws.incarnation;
-      ws.consecutive_failures = 0;
-      if (ws.lifetime.permanent) {
-        ++result.workers_lost_permanently;
-      } else {
+      if (!ws.lifetime.permanent) {
         SimEvent rebirth;
         rebirth.end_time = now + ws.lifetime.downtime_seconds;
         rebirth.worker = w;
@@ -605,253 +290,85 @@ RunResult SimulatedCluster::Run(SchedulerInterface* scheduler,
         rebirth.token = ws.incarnation;
         push_event(rebirth);
       }
-      try_assign();
-      if (no_work_left()) break;
-      continue;
-    }
-
-    if (flight.kind == EventKind::kWorkerRecover) {
-      WorkerState& ws = workers[flight.worker];
+    } else if (flight.kind == EventKind::kWorkerRecover) {
       if (ws.alive || ws.incarnation != flight.token) continue;
-      if (journal != nullptr) journal->WorkerRecover(flight.worker, now);
+      ledger.WorkerRecover(w, now);
       ws.alive = true;
-      ++available_workers;
-      if (obs != nullptr) {
-        TraceEvent e;
-        e.kind = TraceKind::kWorkerRecover;
-        e.worker = flight.worker;
-        obs->trace.Record(std::move(e));
-        obs->metrics.Increment("workers.recoveries");
-      }
-      result.worker_down_seconds += now - ws.down_since;
       ws.lifetime = PlanWorkerLifetime(options_.worker_faults, options_.seed,
-                                       flight.worker, ws.incarnation);
+                                       w, ws.incarnation);
       if (std::isfinite(ws.lifetime.uptime_seconds)) {
         SimEvent death;
         death.end_time = now + ws.lifetime.uptime_seconds;
-        death.worker = flight.worker;
+        death.worker = w;
         death.kind = EventKind::kWorkerDeath;
         death.token = ws.incarnation;
         push_event(death);
       }
-      idle_workers.push_back(flight.worker);
-      try_assign();
-      if (no_work_left()) break;
-      continue;
-    }
-
-    if (flight.kind == EventKind::kQuarantineEnd) {
-      WorkerState& ws = workers[flight.worker];
-      if (!ws.alive || !ws.quarantined || ws.incarnation != flight.token) {
+      idle_workers.push_back(w);
+    } else if (flight.kind == EventKind::kQuarantineEnd) {
+      if (!ws.alive || !ledger.Quarantined(w) ||
+          ws.incarnation != flight.token) {
         continue;
       }
-      if (journal != nullptr) journal->QuarantineEnd(flight.worker, now);
-      ws.quarantined = false;
-      ++available_workers;
-      result.worker_down_seconds += now - ws.down_since;
-      if (obs != nullptr) {
-        TraceEvent e;
-        e.kind = TraceKind::kQuarantineEnd;
-        e.worker = flight.worker;
-        obs->trace.Record(std::move(e));
-      }
-      idle_workers.push_back(flight.worker);
-      try_assign();
-      if (no_work_left()) break;
-      continue;
-    }
-
-    if (flight.kind == EventKind::kSpeculate) {
-      const int w = flight.worker;
+      ledger.QuarantineEnd(w, now);
+      idle_workers.push_back(w);
+    } else if (flight.kind == EventKind::kSpeculate) {
       // Still the same attempt, still un-duplicated, and a spare worker is
       // idle right now — otherwise the watchdog expires without effect.
-      if (workers[w].epoch != flight.token || !running[w].has_value() ||
-          duplicated_jobs.count(flight.job_id) > 0 || idle_workers.empty()) {
+      if (ws.epoch != flight.token || !ledger.CanSpeculate(w) ||
+          idle_workers.empty()) {
         continue;
       }
-      Job duplicate = running[w]->job;
-      if (journal != nullptr) journal->Speculate(duplicate.job_id, w, now);
-      duplicated_jobs.insert(duplicate.job_id);
-      ++result.speculative_attempts;
-      if (options_.check_contract) {
-        contract_checker.NoteSpeculativeLaunch(duplicate);
-      }
-      launch(duplicate, /*speculative_copy=*/true);
+      launch(ledger.Speculate(w, now), /*speculative_copy=*/true);
       continue;
-    }
-
-    // From here on: an attempt outcome (kComplete/kCrash/kTimeout). Skip it
-    // if the attempt was cancelled or orphaned in the meantime — its worker
-    // time was already charged at cancellation.
-    if (workers[flight.worker].epoch != flight.token ||
-        !running[flight.worker].has_value()) {
-      continue;
-    }
-
-    const int w = flight.worker;
-    const RunningAttempt attempt = *running[w];
-    const double duration = now - attempt.start_time;
-    result.busy_seconds += duration;
-    release(w);
-    remove_job_worker(attempt.job.job_id, w);
-
-    if (flight.kind != EventKind::kComplete) {
-      FailureKind kind = flight.kind == EventKind::kCrash
-                             ? FailureKind::kCrash
-                             : FailureKind::kTimeout;
-      if (sibling_live(attempt.job.job_id)) {
-        // A copy died while its sibling races on: silent speculative loss —
-        // the scheduler hears nothing and no retry budget is consumed, but
-        // the worker's failure streak still counts toward quarantine.
-        ++result.speculative_losses;
-        result.speculative_wasted_seconds += duration;
-        if (obs != nullptr) {
-          TraceEvent e;
-          e.kind = TraceKind::kSpeculativeCopyLost;
-          e.worker = w;
-          e.job_id = attempt.job.job_id;
-          e.level = attempt.job.level;
-          e.attempt = attempt.job.attempt;
-          e.speculative = attempt.speculative;
-          e.value = duration;
-          obs->trace.Record(std::move(e));
-          obs->metrics.Increment("speculation.losses");
-        }
-        if (options_.check_contract) {
-          contract_checker.NoteSpeculativeCopyLost(attempt.job);
+    } else {
+      // An attempt outcome (kComplete/kCrash/kTimeout). Skip it if the
+      // attempt was cancelled or orphaned in the meantime — its worker
+      // time was already charged then.
+      if (ws.epoch != flight.token) continue;
+      ++ws.epoch;
+      if (flight.kind != EventKind::kComplete) {
+        AttemptEnd end = ledger.Fail(w,
+                                     flight.kind == EventKind::kCrash
+                                         ? FailureKind::kCrash
+                                         : FailureKind::kTimeout,
+                                     now);
+        park(end);
+        if (end.quarantined) {
+          SimEvent rejoin;
+          rejoin.end_time = now + options_.worker_faults.quarantine_seconds;
+          rejoin.worker = w;
+          rejoin.kind = EventKind::kQuarantineEnd;
+          rejoin.token = ws.incarnation;
+          push_event(rejoin);
+        } else {
+          idle_workers.push_back(w);
         }
       } else {
-        handle_failure(attempt.job, kind, w, attempt.start_time, duration);
-      }
-      free_worker_after_failure(w);
-    } else {
-      // First finisher wins: cancel a still-racing sibling before the
-      // result is delivered.
-      bool cancelled_sibling = false;
-      if (sibling_live(attempt.job.job_id)) {
-        int loser = job_workers[attempt.job.job_id].front();
-        double loser_burned = now - running[loser]->start_time;
-        result.busy_seconds += loser_burned;
-        result.speculative_wasted_seconds += loser_burned;
-        ++result.speculative_losses;
-        if (obs != nullptr) {
-          TraceEvent e;
-          e.kind = TraceKind::kSpeculativeCopyLost;
-          e.worker = loser;
-          e.job_id = attempt.job.job_id;
-          e.level = running[loser]->job.level;
-          e.attempt = running[loser]->job.attempt;
-          e.speculative = running[loser]->speculative;
-          e.value = loser_burned;
-          obs->trace.Record(std::move(e));
-          obs->metrics.Increment("speculation.losses");
+        const Job& job = ledger.RunningJob(w);
+        EvalOutcome outcome = problem.Evaluate(
+            job.config, job.resource,
+            CombineSeeds(options_.seed, job.config.Hash()));
+        EvalResult eval;
+        eval.objective = outcome.objective;
+        eval.test_objective = outcome.test_objective;
+        const int loser = ledger.Complete(w, eval, now);
+        if (loser >= 0) {
+          ++workers[loser].epoch;
+          idle_workers.push_back(loser);
         }
-        release(loser);
-        job_workers.erase(attempt.job.job_id);
-        idle_workers.push_back(loser);
-        cancelled_sibling = true;
+        idle_workers.push_back(w);
+        if (ledger.TrialCapReached()) break;
       }
-      if (attempt.speculative) ++result.speculative_wins;
-
-      uint64_t noise_seed =
-          CombineSeeds(options_.seed, attempt.job.config.Hash());
-      EvalOutcome outcome = problem.Evaluate(attempt.job.config,
-                                             attempt.job.resource, noise_seed);
-
-      EvalResult eval;
-      eval.objective = outcome.objective;
-      eval.test_objective = outcome.test_objective;
-      eval.cost_seconds = duration;
-
-      if (journal != nullptr) {
-        journal->Complete(attempt.job, eval, w, attempt.start_time, now);
-      }
-
-      TrialRecord record;
-      record.job = attempt.job;
-      record.result = eval;
-      record.start_time = attempt.start_time;
-      record.end_time = now;
-      record.worker = w;
-      record.speculative = attempt.speculative;
-      result.history.Record(record, attempt.job.resource >= full_resource);
-      if (options_.observer) options_.observer(record);
-
-      if (obs != nullptr) {
-        TraceEvent e;
-        e.kind = TraceKind::kJobComplete;
-        e.worker = w;
-        e.job_id = attempt.job.job_id;
-        e.level = attempt.job.level;
-        e.bracket = attempt.job.bracket;
-        e.attempt = attempt.job.attempt;
-        e.speculative = attempt.speculative;
-        e.value = eval.objective;
-        obs->trace.Record(std::move(e));
-        obs->metrics.Increment("jobs.completed");
-        if (attempt.speculative) obs->metrics.Increment("speculation.wins");
-        obs->metrics.Observe("trial.duration_seconds", duration);
-      }
-
-      scheduler->OnJobComplete(attempt.job, eval);
-      if (cancelled_sibling && options_.check_contract) {
-        contract_checker.NoteSpeculativeCopyLost(attempt.job);
-      }
-      workers[w].consecutive_failures = 0;
-      job_failures.erase(attempt.job.job_id);
-      duplicated_jobs.erase(attempt.job.job_id);
-
-      level_durations[attempt.job.level].Insert(duration);
-
-      idle_workers.push_back(w);
-      ++completed;
-      if (journal != nullptr) {
-        journal->MaybeCheckpoint(*scheduler, completed, now);
-      }
-      if (options_.max_trials > 0 && completed >= options_.max_trials) break;
     }
-
     try_assign();
-    // If no attempt is running, no retry is pending, and the scheduler is
-    // exhausted, the run ends before the budget (e.g. a single bracket
-    // fully drained).
-    if (no_work_left()) break;
+    // The run ends before the budget once nothing is running or requeued
+    // and the scheduler is exhausted (e.g. a single bracket fully drained).
+    if (ledger.NoWorkLeft()) break;
   }
 
-  result.elapsed_seconds = std::min(now, budget);
-  for (int w = 0; w < options_.num_workers; ++w) {
-    const WorkerState& ws = workers[w];
-    if (!ws.alive || ws.quarantined) {
-      result.worker_down_seconds +=
-          std::max(0.0, result.elapsed_seconds - ws.down_since);
-    }
-  }
-  result.Finalize(options_.num_workers);
-  if (journal != nullptr && journal->ok()) journal->RunEnd(result);
-  if (obs != nullptr) {
-    // Close the trace: every attempt still in flight at shutdown gets its
-    // terminal event, so each launch pairs with exactly one terminal.
-    for (int w = 0; w < options_.num_workers; ++w) {
-      if (!running[w].has_value()) continue;
-      TraceEvent e;
-      e.kind = TraceKind::kJobTruncated;
-      e.time = result.elapsed_seconds;
-      e.worker = w;
-      e.job_id = running[w]->job.job_id;
-      e.level = running[w]->job.level;
-      e.bracket = running[w]->job.bracket;
-      e.attempt = running[w]->job.attempt;
-      e.speculative = running[w]->speculative;
-      obs->trace.Record(std::move(e));
-      obs->metrics.Increment("jobs.truncated");
-    }
-    obs->metrics.SetGauge("run.elapsed_seconds", result.elapsed_seconds);
-    obs->metrics.SetGauge("run.busy_seconds", result.busy_seconds);
-    obs->metrics.SetGauge("run.utilization", result.utilization);
-    // Freeze the clock: the installed lambda captures `now` by reference,
-    // which dies with this frame.
-    obs->trace.SetClock([t = result.elapsed_seconds] { return t; });
-  }
+  RunResult result = ledger.Finish(std::min(now, budget));
+  result.events_processed = events_processed;
   return result;
 }
 

@@ -1,32 +1,16 @@
 #ifndef HYPERTUNE_RUNTIME_SIMULATED_CLUSTER_H_
 #define HYPERTUNE_RUNTIME_SIMULATED_CLUSTER_H_
 
-#include <cstdint>
-#include <functional>
-
-#include "src/obs/observability.h"
 #include "src/problems/problem.h"
+#include "src/runtime/attempt_ledger.h"
 #include "src/runtime/fault_injector.h"
 #include "src/runtime/scheduler_interface.h"
-#include "src/runtime/trial_history.h"
 
 namespace hypertune {
 
-class RunJournal;
-
-/// Observer invoked after every completed trial (progress reporting,
-/// live dashboards, external early-stopping). Called on the simulator's
-/// driving thread / under the thread backend's completion lock — keep it
-/// cheap and do not call back into the cluster.
-using TrialObserver = std::function<void(const TrialRecord&)>;
-
-/// Options for a cluster run (shared by both backends).
-struct ClusterOptions {
-  int num_workers = 8;
-  /// Virtual (simulated) or wall-clock budget in seconds.
-  double time_budget_seconds = 3600.0;
-  /// Run seed: drives evaluation noise and straggler noise.
-  uint64_t seed = 0;
+/// Options for a SimulatedCluster run: the shared BackendOptions plus the
+/// simulator's evaluation-time model and fault domain.
+struct ClusterOptions : BackendOptions {
   /// Log-normal sigma of multiplicative evaluation-time noise; 0 disables
   /// straggler injection.
   double straggler_sigma = 0.0;
@@ -34,105 +18,15 @@ struct ClusterOptions {
   /// duration (models configuration-sampling latency; the paper includes
   /// "optimization overhead" in tracked wall-clock time).
   double dispatch_overhead_seconds = 0.0;
-  /// Stop after this many completed trials (<= 0: unlimited).
-  int64_t max_trials = -1;
-  /// Seeded crash/timeout injection and the retry policy (defaults: off).
-  FaultOptions faults;
   /// Whole-worker fault domain: seeded node death/recovery, permanent
   /// losses, and the quarantine policy for suspect workers (defaults: off).
   WorkerFaultOptions worker_faults;
   /// Speculative straggler re-execution (defaults: off).
   SpeculationOptions speculation;
-  /// Optional per-completion callback.
-  TrialObserver observer;
   /// How much per-trial detail the run's TrialHistory keeps. kAggregates
   /// drops per-trial records (keeping counters and the improvement-only
   /// anytime curve) so mega-scale simulations run in O(1) memory per trial.
   TrialRetention retention = TrialRetention::kFull;
-  /// Audit the scheduler contract on every call by wrapping the scheduler
-  /// in a SchedulerContractChecker (aborts with an event dump on the first
-  /// violation). On by default — the checker perturbs no decision and no
-  /// RNG, so checked runs are bit-identical to unchecked ones; turn it off
-  /// for microbenchmarks that measure raw scheduler overhead.
-  bool check_contract = true;
-  /// Observability sink (trace events + metrics). Off by default; recording
-  /// consumes no random numbers and perturbs no decision, so instrumented
-  /// runs stay bit-identical to uninstrumented ones. The backend stamps
-  /// trace events with its own clock: virtual time here, run-relative wall
-  /// time on ThreadCluster.
-  ObservabilityOptions obs;
-  /// Optional write-ahead journal (borrowed; may be null). When set, every
-  /// state transition — scheduler decision, launch, completion, failure,
-  /// requeue, worker death/recovery, quarantine, speculation — is appended
-  /// (and flushed) *before* the transition is applied, so a killed run can
-  /// be resumed bit-identically (see core/run_recovery.h). Journal hooks
-  /// consume no random numbers and perturb no decision: journal-on and
-  /// journal-off runs are bit-identical. Deliberately excluded from
-  /// ClusterFingerprint for the same reason.
-  RunJournal* journal = nullptr;
-};
-
-/// Aggregate outcome of a cluster run.
-struct RunResult {
-  TrialHistory history;
-  /// Virtual time when the run stopped.
-  double elapsed_seconds = 0.0;
-  /// Sum over workers of busy seconds (evaluation time, including time
-  /// burned by attempts that later crashed or timed out).
-  double busy_seconds = 0.0;
-  /// Sum over workers of idle seconds inside [0, elapsed].
-  double idle_seconds = 0.0;
-  /// Worker utilization in [0, 1]: busy / (busy + idle).
-  double utilization = 0.0;
-  /// Attempts that crashed or timed out (each retry that fails counts).
-  int64_t failed_attempts = 0;
-  /// Failed attempts that were requeued for another try.
-  int64_t retries = 0;
-  /// Jobs abandoned after exhausting their retries (== history.failures()).
-  int64_t failed_trials = 0;
-  /// Worker seconds burned by failed attempts.
-  double wasted_seconds = 0.0;
-
-  // --- Failure-kind breakdown of failed_attempts. ---
-  /// Attempts that crashed (job-level; consumes retry budget).
-  int64_t crash_attempts = 0;
-  /// Attempts killed by the per-job timeout (job-level; consumes budget).
-  int64_t timeout_attempts = 0;
-  /// Attempts orphaned by a worker death (worker-level; never consumes the
-  /// job's retry budget — always requeued immediately).
-  int64_t worker_lost_attempts = 0;
-
-  // --- Worker fault-domain accounting. ---
-  /// Worker death events over the run (a worker can die more than once).
-  int64_t worker_deaths = 0;
-  /// Workers that died permanently and never rejoined.
-  int64_t workers_lost_permanently = 0;
-  /// Quarantine windows entered by suspect workers.
-  int64_t quarantines = 0;
-  /// Sum over workers of seconds spent dead or quarantined inside
-  /// [0, elapsed] (informational; not part of busy/idle).
-  double worker_down_seconds = 0.0;
-
-  // --- Speculative re-execution accounting. ---
-  /// Duplicate copies launched for straggling attempts.
-  int64_t speculative_attempts = 0;
-  /// Duplicates that finished before their straggling primary.
-  int64_t speculative_wins = 0;
-  /// Copies retired while their sibling lived (cancelled losers, crashed
-  /// copies, copies orphaned by worker death).
-  int64_t speculative_losses = 0;
-  /// Worker seconds burned by losing speculative copies.
-  double speculative_wasted_seconds = 0.0;
-
-  /// Simulator events processed (queue pops), SimulatedCluster only. The
-  /// denominator-free throughput measure for scalability benchmarks:
-  /// events / wall seconds is the event core's processing rate.
-  int64_t events_processed = 0;
-
-  /// Derives idle_seconds and utilization from elapsed/busy. Utilization is
-  /// busy / (busy + idle) and defined as 0 for a zero-trial run (no time
-  /// elapsed), never NaN.
-  void Finalize(int num_workers);
 };
 
 /// Discrete-event distributed execution backend with a virtual clock.
