@@ -7,22 +7,14 @@
 
 namespace hypertune {
 
-/// Options for the real-concurrency backend.
-struct ThreadClusterOptions {
-  int num_workers = 4;
-  /// Wall-clock budget in seconds.
-  double time_budget_seconds = 10.0;
-  uint64_t seed = 0;
+/// Options for the real-concurrency backend: the shared BackendOptions
+/// (wall-clock budget; the observer runs under the run lock) plus the
+/// sleep model and the fault domain.
+struct ThreadClusterOptions : BackendOptions {
   /// Each evaluation additionally sleeps cost_seconds * this factor, so the
   /// synthetic problems' cost model manifests as real elapsed time (set to 0
   /// to run evaluations back-to-back).
   double cost_sleep_scale = 0.0;
-  /// Stop after this many completed trials (<= 0: unlimited).
-  int64_t max_trials = -1;
-  /// Seeded crash/timeout injection and the retry policy (defaults: off).
-  /// Failure draws are keyed on (seed, job_id, attempt), so which attempts
-  /// fail is reproducible even though thread interleaving is not.
-  FaultOptions faults;
   /// Whole-worker fault domain (node death/recovery, quarantine). Lifetimes
   /// are wall-clock seconds here; draws are keyed on (seed, worker_id,
   /// incarnation) just like the simulator's.
@@ -30,26 +22,6 @@ struct ThreadClusterOptions {
   /// Speculative straggler re-execution (defaults: off). Idle workers scan
   /// for straggling attempts instead of spinning at a barrier.
   SpeculationOptions speculation;
-  /// Optional per-completion callback (invoked under the completion lock;
-  /// the RecordCompletion helper in thread_cluster.cc encodes that promise
-  /// as a REQUIRES annotation).
-  TrialObserver observer;
-  /// Audit the scheduler contract on every call (see
-  /// ClusterOptions::check_contract). The checker runs inside the
-  /// serialized scheduler section, so it needs no extra synchronization.
-  bool check_contract = true;
-  /// Observability sink (trace events + metrics). Off by default. Trace
-  /// events are stamped with run-relative wall-clock seconds (the backend's
-  /// own elapsed clock); the recorder and registry are internally
-  /// synchronized, so worker threads record concurrently.
-  ObservabilityOptions obs;
-  /// Optional write-ahead journal (borrowed; may be null). Every transition
-  /// is appended before it is applied, exactly as on SimulatedCluster. The
-  /// journal is internally synchronized, so worker threads append
-  /// concurrently. Thread interleaving is not reproducible, so a thread
-  /// journal serves durability (store recovery, post-mortems) rather than
-  /// bit-identical replay — resume deterministic runs on the simulator.
-  RunJournal* journal = nullptr;
 };
 
 /// Multi-threaded execution backend running one OS thread per worker.

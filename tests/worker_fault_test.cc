@@ -408,6 +408,11 @@ TEST(WorkerFaultTest, ThreadAllWorkersDiePermanentlyShutsDownCleanly) {
   CheckFaultAccounting(result);
   EXPECT_EQ(result.workers_lost_permanently, 4);
   EXPECT_EQ(result.worker_deaths, 4);
+  // Each permanent death opens a down window that the end of the run
+  // closes, so the dead cluster's time counts as down time.
+  EXPECT_GT(result.worker_down_seconds, 0.0);
+  EXPECT_LE(result.worker_down_seconds,
+            options.num_workers * result.elapsed_seconds);
   // Even under TSan the cluster is gone within seconds, not the 60 s
   // budget (this is a liveness check, not a timing-sensitive one).
   EXPECT_LT(result.elapsed_seconds, 50.0);
