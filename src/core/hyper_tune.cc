@@ -34,18 +34,25 @@ TunerFactoryOptions MakeFactoryOptions(const HyperTuneOptions& options) {
   return factory;
 }
 
+/// Fills the options every backend shares; `budget_seconds` is virtual on
+/// the simulator and wall-clock on threads and processes.
+void FillBackendOptions(const HyperTuneOptions& options, double budget_seconds,
+                        BackendOptions* backend) {
+  backend->num_workers = options.num_workers;
+  backend->time_budget_seconds = budget_seconds;
+  backend->seed = options.seed;
+  backend->faults = options.faults;
+  backend->obs = options.obs;
+}
+
 /// The simulator configuration Optimize runs under. Resume rebuilds the
 /// same one, so the journal fingerprint ties a journal to its options.
 ClusterOptions MakeClusterOptions(const HyperTuneOptions& options) {
   ClusterOptions cluster;
-  cluster.num_workers = options.num_workers;
-  cluster.time_budget_seconds = options.time_budget_seconds;
-  cluster.seed = options.seed;
+  FillBackendOptions(options, options.time_budget_seconds, &cluster);
   cluster.straggler_sigma = options.straggler_sigma;
-  cluster.faults = options.faults;
   cluster.worker_faults = options.worker_faults;
   cluster.speculation = options.speculation;
-  cluster.obs = options.obs;
   return cluster;
 }
 
@@ -113,14 +120,10 @@ TuningOutcome HyperTune::OptimizeOnThreads(const TuningProblem& problem,
       CreateTuner(problem, MakeFactoryOptions(options));
 
   ThreadClusterOptions cluster;
-  cluster.num_workers = options.num_workers;
-  cluster.time_budget_seconds = wall_budget_seconds;
-  cluster.seed = options.seed;
+  FillBackendOptions(options, wall_budget_seconds, &cluster);
   cluster.cost_sleep_scale = cost_sleep_scale;
-  cluster.faults = options.faults;
   cluster.worker_faults = options.worker_faults;
   cluster.speculation = options.speculation;
-  cluster.obs = options.obs;
   return MakeOutcome(tuner->RunOnThreads(problem, cluster));
 }
 
@@ -134,15 +137,10 @@ TuningOutcome HyperTune::OptimizeOnProcesses(const TuningProblem& problem,
       CreateTuner(problem, MakeFactoryOptions(options));
 
   ProcessClusterOptions cluster;
-  cluster.num_workers = options.num_workers;
-  cluster.time_budget_seconds = wall_budget_seconds;
-  cluster.seed = options.seed;
+  FillBackendOptions(options, wall_budget_seconds, &cluster);
   cluster.worker_binary = worker_binary;
   cluster.problem_spec = problem_spec;
   cluster.cost_sleep_scale = cost_sleep_scale;
-  cluster.faults = options.faults;
-  cluster.worker_faults = options.worker_faults;
-  cluster.obs = options.obs;
   return MakeOutcome(tuner->RunOnProcesses(problem, cluster));
 }
 

@@ -7,7 +7,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -20,10 +19,9 @@
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/thread_annotations.h"
+#include "src/runtime/attempt_ledger.h"
 #include "src/runtime/fault_injector.h"
-#include "src/runtime/journal.h"
 #include "src/runtime/process_protocol.h"
-#include "src/runtime/scheduler_contract.h"
 
 namespace hypertune {
 namespace {
@@ -76,7 +74,8 @@ struct Inbox {
 };
 
 /// Driver-side view of one worker slot across its process incarnations.
-/// Touched only by the supervisor thread.
+/// Touched only by the supervisor thread; the attempt it runs lives in the
+/// ledger.
 struct WorkerSlot {
   int id = -1;
   pid_t pid = -1;
@@ -89,15 +88,10 @@ struct WorkerSlot {
 
   /// Wall time (run-relative) of the last inbound message.
   double last_heartbeat = 0.0;
-  /// The attempt currently executing on this worker, if any.
-  std::optional<Job> busy;
-  double job_start = 0.0;
   /// Set when the driver itself decided to kill the process (heartbeat
   /// miss, watchdog timeout); classifies the EOF that follows.
   bool kill_pending = false;
   FailureKind pending_kill_kind = FailureKind::kWorkerLost;
-  /// SIGSTOP chaos was applied to this incarnation.
-  bool stopped = false;
 
   /// Deaths since the last completed hello handshake (fail-fast counter).
   int prehello_deaths = 0;
@@ -105,13 +99,6 @@ struct WorkerSlot {
   int consecutive_deaths = 0;
   /// Respawn due time for a dead slot.
   double respawn_at = 0.0;
-
-  /// Consecutive job-level failures reported by a *surviving* worker
-  /// (clean FailureMessage); drives quarantine.
-  int consecutive_failures = 0;
-  bool in_quarantine = false;
-  double quarantine_until = 0.0;
-  double quarantine_started = 0.0;
 };
 
 }  // namespace
@@ -124,33 +111,21 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
   HT_CHECK(!options_.problem_spec.empty())
       << "ProcessClusterOptions::problem_spec is required";
 
-  // Every scheduler call happens on this (the supervisor) thread, so the
-  // contract audit needs no synchronization.
-  SchedulerContractChecker contract_checker(scheduler);
-  if (options_.check_contract) scheduler = &contract_checker;
-
   const auto start = std::chrono::steady_clock::now();
   auto elapsed = [&]() {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)
         .count();
   };
+  // Every ledger call, and so every scheduler call, happens on this (the
+  // supervisor) thread, so the contract audit needs no synchronization.
+  AttemptLedger ledger(options_, WorkerFaultOptions{}, SpeculationOptions{},
+                       scheduler, problem.max_resource(), elapsed);
   Observability* const obs = options_.obs.sink;
-  if (obs != nullptr) {
-    obs->trace.SetClock(elapsed);
-    scheduler->SetObservability(obs);
-  }
-  RunJournal* const journal = options_.journal;
-  if (journal != nullptr) journal->SetObservability(options_.obs);
-  const double full_resource = problem.max_resource();
 
   Inbox inbox;
   std::vector<WorkerSlot> slots(static_cast<size_t>(options_.num_workers));
-  RunResult result;
   std::deque<std::pair<double, Job>> retry_queue;  // (ready_at, job)
-  std::unordered_map<int64_t, int> job_failures;   // job-level failures
-  int in_flight = 0;
-  int64_t completed = 0;
   int64_t dispatched = 0;
   bool stop = false;
 
@@ -199,8 +174,6 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
     slot.alive = true;
     slot.hello_seen = false;
     slot.kill_pending = false;
-    slot.stopped = false;
-    slot.busy.reset();
     slot.last_heartbeat = elapsed();
     const int worker = slot.id;
     const int fd = slot.fd;
@@ -228,98 +201,14 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
       obs->metrics.Increment("process.spawns");
       if (inc > 1) obs->metrics.Increment("process.respawns");
     }
-  };
-
-  // Settles the accounting for a failed attempt (orphan, crash, timeout):
-  // journal + trace, then the scheduler's requeue-or-abandon verdict.
-  // Worker-level loss never touches the retry budget.
-  auto handle_attempt_failure = [&](const Job& job, FailureKind kind,
-                                    int worker, double burned,
-                                    double job_start, double now) {
-    result.busy_seconds += burned;
-    result.wasted_seconds += burned;
-    ++result.failed_attempts;
-    const bool job_level = kind != FailureKind::kWorkerLost;
-    if (kind == FailureKind::kCrash) ++result.crash_attempts;
-    if (kind == FailureKind::kTimeout) ++result.timeout_attempts;
-    if (kind == FailureKind::kWorkerLost) ++result.worker_lost_attempts;
-    if (journal != nullptr) {
-      journal->Failed(job.job_id, job.attempt, kind, worker, burned, now);
-    }
-    if (obs != nullptr) {
-      TraceEvent e;
-      e.kind = TraceKind::kJobFailed;
-      e.worker = worker;
-      e.job_id = job.job_id;
-      e.level = job.level;
-      e.bracket = job.bracket;
-      e.attempt = job.attempt;
-      e.name = FailureKindName(kind);
-      e.value = burned;
-      obs->trace.Record(std::move(e));
-      obs->metrics.Increment("jobs.failed_attempts");
-    }
-    int prior = 0;
-    auto fit = job_failures.find(job.job_id);
-    if (fit != job_failures.end()) prior = fit->second;
-    FailureInfo info;
-    info.kind = kind;
-    info.attempt = job.attempt;
-    info.retries_remaining = std::max(0, options_.faults.max_retries - prior);
-    info.wasted_seconds = burned;
-    info.worker = worker;
-    if (scheduler->OnJobFailed(job, info)) {
-      ++result.retries;
-      if (job_level) job_failures[job.job_id] = prior + 1;
-      Job next_attempt = job;
-      ++next_attempt.attempt;
-      const double ready_at =
-          job_level ? now + RetryDelay(options_.faults, options_.seed, job)
-                    : now;
-      if (journal != nullptr) {
-        journal->Requeue(job.job_id, next_attempt.attempt, ready_at, now);
-      }
-      if (obs != nullptr) {
-        TraceEvent e;
-        e.kind = TraceKind::kJobRequeued;
-        e.job_id = job.job_id;
-        e.level = job.level;
-        e.attempt = next_attempt.attempt;
-        e.name = FailureKindName(kind);
-        obs->trace.Record(std::move(e));
-        obs->metrics.Increment("jobs.requeued");
-      }
-      retry_queue.emplace_back(ready_at, std::move(next_attempt));
-    } else {
-      if (journal != nullptr) {
-        journal->Abandon(job.job_id, job.attempt, now);
-      }
-      ++result.failed_trials;
-      if (obs != nullptr) {
-        TraceEvent e;
-        e.kind = TraceKind::kJobAbandoned;
-        e.job_id = job.job_id;
-        e.level = job.level;
-        e.attempt = job.attempt;
-        e.name = FailureKindName(kind);
-        obs->trace.Record(std::move(e));
-        obs->metrics.Increment("jobs.abandoned");
-      }
-      TrialRecord record;
-      record.job = job;
-      record.result.cost_seconds = burned;
-      record.start_time = job_start;
-      record.end_time = now;
-      record.worker = worker;
-      record.failure_kind = kind;
-      result.history.RecordFailure(record);
-      --in_flight;
-      job_failures.erase(job.job_id);
-    }
+    // A respawn is the slot's recovery: it closes the down window its
+    // death opened.
+    if (inc > 1) ledger.WorkerRecover(worker, slot.last_heartbeat);
   };
 
   // Reaps a dead worker after its EOF: joins the reader, classifies the
-  // exit, requeues the orphaned attempt, and schedules the respawn.
+  // exit, hands the orphaned attempt to the ledger, and schedules the
+  // respawn.
   auto handle_death = [&](WorkerSlot& slot) {
     if (slot.reader.joinable()) slot.reader.join();
     int status = 0;
@@ -350,20 +239,9 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
     ++slot.consecutive_deaths;
     slot.permanently_failed =
         slot.permanently_failed ||
-        (prehello &&
-         slot.prehello_deaths >= options_.max_consecutive_spawn_failures);
+        (prehello && slot.prehello_deaths >= kMaxConsecutiveSpawnFailures);
 
-    ++result.worker_deaths;
-    if (slot.permanently_failed) ++result.workers_lost_permanently;
-    if (journal != nullptr) {
-      journal->WorkerDeath(slot.id, slot.permanently_failed, now);
-    }
     if (obs != nullptr) {
-      TraceEvent death;
-      death.kind = TraceKind::kWorkerDeath;
-      death.worker = slot.id;
-      obs->trace.Record(std::move(death));
-      obs->metrics.Increment("workers.deaths");
       TraceEvent e;
       e.kind = TraceKind::kProcessExit;
       e.worker = slot.id;
@@ -372,32 +250,25 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
       obs->trace.Record(std::move(e));
       obs->metrics.Increment("process.exits");
     }
-
-    if (slot.busy.has_value()) {
-      const Job job = *slot.busy;
-      handle_attempt_failure(job, kind, slot.id, now - slot.job_start,
-                             slot.job_start, now);
+    AttemptEnd end =
+        ledger.WorkerDeath(slot.id, slot.permanently_failed, now, kind);
+    if (end.retry.has_value()) {
+      retry_queue.emplace_back(now + end.retry_delay, *std::move(end.retry));
     }
 
     slot.alive = false;
-    slot.busy.reset();
     slot.kill_pending = false;
-    slot.stopped = false;
     slot.pid = -1;
     if (!slot.permanently_failed) {
       const int exponent =
           std::min(slot.consecutive_deaths - 1, 16);  // overflow guard
       double backoff = options_.respawn_backoff_seconds *
                        std::pow(2.0, static_cast<double>(exponent));
-      if (options_.respawn_backoff_cap_seconds > 0.0) {
-        backoff = std::min(backoff, options_.respawn_backoff_cap_seconds);
-      }
-      if (options_.respawn_jitter > 0.0) {
-        Rng rng(CombineSeeds(CombineSeeds(options_.seed,
-                                          static_cast<uint64_t>(slot.id)),
-                             static_cast<uint64_t>(slot.incarnation)));
-        backoff *= 1.0 + options_.respawn_jitter * (rng.Uniform() - 0.5);
-      }
+      backoff = std::min(backoff, kRespawnBackoffCapSeconds);
+      Rng rng(CombineSeeds(
+          CombineSeeds(options_.seed, static_cast<uint64_t>(slot.id)),
+          static_cast<uint64_t>(slot.incarnation)));
+      backoff *= 1.0 + kRespawnJitter * (rng.Uniform() - 0.5);
       slot.respawn_at = now + backoff;
     }
   };
@@ -409,9 +280,7 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
 
   while (!stop) {
     const double now = elapsed();
-    // A failed journal append latches an error; applying further
-    // unjournaled transitions would defeat the write-ahead guarantee.
-    if (journal != nullptr && !journal->ok()) break;
+    if (ledger.JournalFailed()) break;
     if (now >= options_.time_budget_seconds) break;
 
     bool any_usable = false;
@@ -441,82 +310,40 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
         ::kill(slot.pid, SIGKILL);
         continue;
       }
+      const bool busy = ledger.Busy(slot.id);
       // Per-attempt watchdog (FaultOptions::timeout_seconds, wall clock).
-      if (!slot.kill_pending && slot.busy.has_value() &&
-          options_.faults.timeout_seconds > 0.0 &&
-          now - slot.job_start > options_.faults.timeout_seconds) {
+      if (!slot.kill_pending && busy && options_.faults.timeout_seconds > 0.0 &&
+          now - ledger.StartTime(slot.id) > options_.faults.timeout_seconds) {
         slot.kill_pending = true;
         slot.pending_kill_kind = FailureKind::kTimeout;
         ::kill(slot.pid, SIGKILL);
         continue;
       }
-      // Quarantine bookkeeping.
-      if (slot.in_quarantine && slot.quarantine_until <= now) {
-        slot.in_quarantine = false;
-        result.worker_down_seconds += now - slot.quarantine_started;
-        if (journal != nullptr) journal->QuarantineEnd(slot.id, now);
-        if (obs != nullptr) {
-          TraceEvent e;
-          e.kind = TraceKind::kQuarantineEnd;
-          e.worker = slot.id;
-          obs->trace.Record(std::move(e));
-        }
-      }
 
       // Dispatch one job to an idle, healthy worker: expired retries
       // first, then a fresh scheduler decision.
-      if (slot.busy.has_value() || !slot.hello_seen || slot.kill_pending ||
-          slot.in_quarantine) {
-        continue;
-      }
+      if (busy || !slot.hello_seen || slot.kill_pending) continue;
       Job job;
-      bool have_job = false;
-      auto ready = retry_queue.end();
-      for (auto it = retry_queue.begin(); it != retry_queue.end(); ++it) {
-        if (it->first <= now) {
-          ready = it;
-          break;
-        }
-      }
+      auto ready = std::find_if(
+          retry_queue.begin(), retry_queue.end(),
+          [now](const auto& entry) { return entry.first <= now; });
       if (ready != retry_queue.end()) {
         job = std::move(ready->second);
         retry_queue.erase(ready);
-        have_job = true;
       } else {
-        std::optional<Job> next = scheduler->NextJob();
-        if (next.has_value()) {
-          job = *std::move(next);
-          if (journal != nullptr) journal->Decision(job, now);
-          ++in_flight;
-          have_job = true;
-        }
+        std::optional<Job> next = ledger.Decide(now);
+        if (!next.has_value()) continue;
+        job = *std::move(next);
       }
-      if (!have_job) continue;
 
       // Crash injection is decided driver-side (seeded, keyed on
       // (seed, job_id, attempt)) and delivered in the job frame.
       AttemptPlan plan = PlanAttempt(options_.faults, options_.seed, job,
                                      /*nominal_duration=*/0.0);
       JobMessage msg;
-      msg.job = job;
       msg.inject_crash = plan.failed && plan.kind == FailureKind::kCrash;
-      if (journal != nullptr) {
-        journal->Launch(job.job_id, job.attempt, slot.id,
-                        /*speculative=*/false, 0.0, now);
-      }
-      if (obs != nullptr) {
-        TraceEvent e;
-        e.kind = TraceKind::kJobLaunch;
-        e.worker = slot.id;
-        e.job_id = job.job_id;
-        e.level = job.level;
-        e.bracket = job.bracket;
-        e.attempt = job.attempt;
-        obs->trace.Record(std::move(e));
-        obs->metrics.Increment("jobs.launched");
-      }
-      slot.busy = job;
-      slot.job_start = now;
+      msg.job = std::move(job);
+      ledger.Launch(slot.id, msg.job, /*speculative=*/false, 0.0, now);
       // A write failure means the worker died; its EOF handles the rest.
       (void)WriteFrame(slot.fd, EncodeJobMessage(msg));
 
@@ -527,19 +354,11 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
       } else if (options_.chaos_stop_every > 0 &&
                  dispatched % options_.chaos_stop_every == 0) {
         ::kill(slot.pid, SIGSTOP);  // chaos: freeze; heartbeat must catch
-        slot.stopped = true;
       }
     }
 
     if (!any_usable) break;  // every slot failed permanently
-
-    const bool busy_somewhere = std::any_of(
-        slots.begin(), slots.end(),
-        [](const WorkerSlot& s) { return s.busy.has_value(); });
-    if (!busy_somewhere && retry_queue.empty() && in_flight == 0 &&
-        scheduler->Exhausted()) {
-      break;
-    }
+    if (ledger.NoWorkLeft()) break;
 
     for (InboxMessage& msg : inbox.Drain(kPollSeconds)) {
       WorkerSlot& slot = slots[static_cast<size_t>(msg.worker)];
@@ -552,129 +371,35 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
       slot.last_heartbeat = msg_now;
       ProcessMessage type;
       if (!ProcessMessageTypeOf(msg.payload, &type).ok()) continue;
-      switch (type) {
-        case ProcessMessage::kHello: {
-          slot.hello_seen = true;
-          slot.prehello_deaths = 0;
-          slot.consecutive_deaths = 0;
+      if (type == ProcessMessage::kHello) {
+        slot.hello_seen = true;
+        slot.prehello_deaths = 0;
+        slot.consecutive_deaths = 0;
+      } else if (type == ProcessMessage::kResult) {
+        ResultMessage res;
+        if (!DecodeResultMessage(msg.payload, &res).ok()) continue;
+        if (!ledger.Busy(slot.id) ||
+            ledger.RunningJob(slot.id).job_id != res.job.job_id ||
+            ledger.RunningJob(slot.id).attempt != res.job.attempt) {
+          continue;  // stale result from before a kill decision
+        }
+        ledger.Complete(slot.id, res.result, msg_now);
+        if (ledger.TrialCapReached()) {
+          stop = true;
           break;
         }
-        case ProcessMessage::kHeartbeat:
-          break;  // deadline already refreshed
-        case ProcessMessage::kResult: {
-          ResultMessage res;
-          if (!DecodeResultMessage(msg.payload, &res).ok()) break;
-          if (!slot.busy.has_value() ||
-              slot.busy->job_id != res.job.job_id ||
-              slot.busy->attempt != res.job.attempt) {
-            break;  // stale result from before a kill decision
-          }
-          const Job job = *slot.busy;
-          const double burned = msg_now - slot.job_start;
-          result.busy_seconds += burned;
-          EvalResult eval = res.result;
-          eval.cost_seconds = burned;
-          if (journal != nullptr) {
-            journal->Complete(job, eval, slot.id, slot.job_start, msg_now);
-          }
-          TrialRecord record;
-          record.job = job;
-          record.result = eval;
-          record.start_time = slot.job_start;
-          record.end_time = msg_now;
-          record.worker = slot.id;
-          result.history.Record(record, job.resource >= full_resource);
-          if (options_.observer) options_.observer(record);
-          if (obs != nullptr) {
-            TraceEvent e;
-            e.kind = TraceKind::kJobComplete;
-            e.worker = slot.id;
-            e.job_id = job.job_id;
-            e.level = job.level;
-            e.bracket = job.bracket;
-            e.attempt = job.attempt;
-            e.value = eval.objective;
-            obs->trace.Record(std::move(e));
-            obs->metrics.Increment("jobs.completed");
-            obs->metrics.Observe("trial.duration_seconds", burned);
-          }
-          scheduler->OnJobComplete(job, eval);
-          job_failures.erase(job.job_id);
-          slot.busy.reset();
-          slot.consecutive_failures = 0;
-          --in_flight;
-          ++completed;
-          if (journal != nullptr) {
-            journal->MaybeCheckpoint(*scheduler, completed, msg_now);
-          }
-          if (options_.max_trials > 0 && completed >= options_.max_trials) {
-            stop = true;
-          }
-          break;
-        }
-        case ProcessMessage::kFailure: {
-          // A clean in-process evaluation failure: the worker survives and
-          // goes idle; budget-wise this is a crash-kind job failure.
-          FailureMessage fail;
-          if (!DecodeFailureMessage(msg.payload, &fail).ok()) break;
-          if (!slot.busy.has_value() ||
-              slot.busy->job_id != fail.job_id ||
-              slot.busy->attempt != fail.attempt) {
-            break;
-          }
-          const Job job = *slot.busy;
-          slot.busy.reset();
-          handle_attempt_failure(job, FailureKind::kCrash, slot.id,
-                                 msg_now - slot.job_start, slot.job_start,
-                                 msg_now);
-          ++slot.consecutive_failures;
-          const WorkerFaultOptions& wf = options_.worker_faults;
-          if (wf.quarantine_failures > 0 && wf.quarantine_seconds > 0.0 &&
-              slot.consecutive_failures >= wf.quarantine_failures) {
-            slot.consecutive_failures = 0;
-            slot.in_quarantine = true;
-            slot.quarantine_started = msg_now;
-            slot.quarantine_until = msg_now + wf.quarantine_seconds;
-            ++result.quarantines;
-            if (journal != nullptr) {
-              journal->QuarantineBegin(slot.id, slot.quarantine_until,
-                                       msg_now);
-            }
-            if (obs != nullptr) {
-              TraceEvent e;
-              e.kind = TraceKind::kQuarantineBegin;
-              e.worker = slot.id;
-              e.value = wf.quarantine_seconds;
-              obs->trace.Record(std::move(e));
-              obs->metrics.Increment("workers.quarantines");
-            }
-          }
-          break;
-        }
-        case ProcessMessage::kJob:
-        case ProcessMessage::kShutdown:
-          break;  // driver-to-worker messages; ignore if echoed
       }
-      if (stop) break;
+      // Heartbeats only refresh the deadline; driver-to-worker tags are
+      // ignored if echoed.
     }
   }
 
-  // Drain: truncation traces for in-flight attempts, a shutdown frame to
-  // every live worker, a grace window, SIGKILL for stragglers (SIGKILL
-  // also terminates SIGSTOPped processes), then reap and join everything.
+  // Drain: running attempts are cut off (the ledger truncates them in the
+  // trace), a shutdown frame goes to every live worker, a grace window,
+  // SIGKILL for stragglers (SIGKILL also terminates SIGSTOPped processes),
+  // then reap and join everything.
+  ledger.ChargeRunning(elapsed());
   for (WorkerSlot& slot : slots) {
-    if (slot.alive && slot.busy.has_value()) {
-      result.busy_seconds += elapsed() - slot.job_start;
-      if (obs != nullptr) {
-        TraceEvent e;
-        e.kind = TraceKind::kJobTruncated;
-        e.worker = slot.id;
-        e.job_id = slot.busy->job_id;
-        e.level = slot.busy->level;
-        e.attempt = slot.busy->attempt;
-        obs->trace.Record(std::move(e));
-      }
-    }
     if (slot.alive) (void)WriteFrame(slot.fd, EncodeShutdown());
   }
   const double drain_start = elapsed();
@@ -700,18 +425,7 @@ RunResult ProcessCluster::Run(SchedulerInterface* scheduler,
       slot.fd = -1;
     }
   }
-
-  result.elapsed_seconds = elapsed();
-  result.Finalize(options_.num_workers);
-  if (journal != nullptr && journal->ok()) journal->RunEnd(result);
-  if (obs != nullptr) {
-    obs->metrics.SetGauge("run.elapsed_seconds", result.elapsed_seconds);
-    obs->metrics.SetGauge("run.busy_seconds", result.busy_seconds);
-    obs->metrics.SetGauge("run.utilization", result.utilization);
-    // Freeze the clock: the installed lambda reads this frame's locals.
-    obs->trace.SetClock([t = result.elapsed_seconds] { return t; });
-  }
-  return result;
+  return ledger.Finish(elapsed());
 }
 
 }  // namespace hypertune

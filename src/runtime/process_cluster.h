@@ -10,15 +10,24 @@
 
 namespace hypertune {
 
-/// Options for the multi-process backend.
-struct ProcessClusterOptions {
-  int num_workers = 2;
-  /// Wall-clock budget in seconds.
-  double time_budget_seconds = 30.0;
-  uint64_t seed = 0;
-  /// Stop after this many completed trials (<= 0: unlimited).
-  int64_t max_trials = -1;
+/// Respawn supervision constants. The n-th consecutive death of a slot
+/// waits respawn_backoff_seconds * 2^(n-1), capped at
+/// kRespawnBackoffCapSeconds, then scaled by a seeded jitter factor uniform
+/// in [1 - kRespawnJitter/2, 1 + kRespawnJitter/2] keyed on
+/// (seed, worker, incarnation).
+inline constexpr double kRespawnBackoffCapSeconds = 1.0;
+inline constexpr double kRespawnJitter = 0.25;
+/// A slot whose spawns die this many times in a row before completing the
+/// hello handshake is declared permanently failed (fail-fast on a broken
+/// binary rather than respawn-looping forever).
+inline constexpr int kMaxConsecutiveSpawnFailures = 3;
 
+/// Options for the multi-process backend: the shared BackendOptions
+/// (wall-clock budget; the observer runs on the driver thread) plus the
+/// worker binary and its supervision knobs. The process backend has no
+/// worker-fault knobs: real process death replaces the seeded death
+/// schedule.
+struct ProcessClusterOptions : BackendOptions {
   /// Path to the hypertune_worker binary the driver fork+execs. Required.
   std::string worker_binary;
   /// Problem registry spec (see problems/problem_registry.h) the workers
@@ -30,19 +39,6 @@ struct ProcessClusterOptions {
   /// ThreadClusterOptions::cost_sleep_scale).
   double cost_sleep_scale = 0.0;
 
-  /// Crash injection and the retry policy. crash_probability draws are
-  /// resolved driver-side via PlanAttempt (keyed on (seed, job_id,
-  /// attempt)) and delivered as JobMessage::inject_crash, so a doomed
-  /// attempt genuinely kills its worker process. timeout_seconds becomes a
-  /// driver-side wall-clock watchdog: an overdue worker is SIGKILLed and
-  /// the attempt reported as FailureKind::kTimeout.
-  FaultOptions faults;
-  /// Quarantine policy for workers whose attempts keep failing for
-  /// job-level reasons (quarantine_failures / quarantine_seconds; the
-  /// lifetime knobs are ignored — real process death replaces the seeded
-  /// death schedule).
-  WorkerFaultOptions worker_faults;
-
   /// Seconds between worker heartbeat messages.
   double heartbeat_interval_seconds = 0.05;
   /// A worker silent for longer than this is declared lost: SIGKILLed,
@@ -50,17 +46,9 @@ struct ProcessClusterOptions {
   /// the heartbeat interval.
   double heartbeat_timeout_seconds = 2.0;
 
-  /// Respawn backoff after a worker death: the n-th consecutive death of a
-  /// slot waits base * 2^(n-1), capped, then scaled by a seeded jitter
-  /// factor uniform in [1 - jitter/2, 1 + jitter/2] keyed on
-  /// (seed, worker, incarnation).
+  /// Base respawn backoff after a worker death (see
+  /// kRespawnBackoffCapSeconds).
   double respawn_backoff_seconds = 0.01;
-  double respawn_backoff_cap_seconds = 1.0;
-  double respawn_jitter = 0.25;
-  /// A slot whose spawns die this many times in a row before completing
-  /// the hello handshake is declared permanently failed (fail-fast on a
-  /// broken binary rather than respawn-looping forever).
-  int max_consecutive_spawn_failures = 3;
 
   /// Chaos injection for the supervision tests: when > 0, every N-th
   /// dispatched job is immediately followed by SIGKILL (kill) or SIGSTOP
@@ -69,20 +57,6 @@ struct ProcessClusterOptions {
   /// included — so only the heartbeat deadline can catch it.
   int64_t chaos_kill_every = 0;
   int64_t chaos_stop_every = 0;
-
-  /// Optional per-completion callback (driver thread).
-  TrialObserver observer;
-  /// Audit the scheduler contract on every call. All scheduler calls
-  /// happen on the driver thread, so the checker needs no extra locking.
-  bool check_contract = true;
-  /// Observability sink; trace events are stamped with run-relative wall
-  /// seconds.
-  ObservabilityOptions obs;
-  /// Optional write-ahead journal (borrowed; may be null). Serves
-  /// durability (store recovery, post-mortems) as on ThreadCluster;
-  /// wall-clock interleaving is not reproducible, so resume deterministic
-  /// runs on the simulator.
-  RunJournal* journal = nullptr;
 };
 
 /// Multi-process execution backend: the driver fork+execs one
@@ -100,11 +74,20 @@ struct ProcessClusterOptions {
 /// FailureKind::kWorkerLost and the orphaned attempt is requeued
 /// immediately without consuming its retry budget, while a nonzero exit
 /// mid-attempt means FailureKind::kCrash and consumes budget. Dead slots
-/// respawn under capped exponential backoff with seeded jitter; slots
-/// that repeatedly die before completing the hello handshake are declared
-/// permanently failed. Shutdown drains: kShutdown to every live worker,
-/// close, waitpid with a grace window, SIGKILL stragglers, join readers —
-/// no zombies, no leaked fds.
+/// respawn under capped exponential backoff with seeded jitter, and a
+/// respawn counts as the slot's recovery; slots that repeatedly die before
+/// completing the hello handshake are declared permanently failed.
+///
+/// Faults: FaultOptions::crash_probability draws are resolved driver-side
+/// via PlanAttempt (keyed on (seed, job_id, attempt)) and delivered as
+/// JobMessage::inject_crash, so a doomed attempt genuinely kills its
+/// worker process. timeout_seconds becomes a driver-side wall-clock
+/// watchdog: an overdue worker is SIGKILLed and the attempt reported as
+/// FailureKind::kTimeout.
+///
+/// Shutdown drains: kShutdown to every live worker, close, waitpid with a
+/// grace window, SIGKILL stragglers, join readers — no zombies, no leaked
+/// fds.
 class ProcessCluster {
  public:
   explicit ProcessCluster(ProcessClusterOptions options)

@@ -16,8 +16,6 @@ const char* ProcessMessageName(ProcessMessage type) {
       return "heartbeat";
     case ProcessMessage::kResult:
       return "result";
-    case ProcessMessage::kFailure:
-      return "failure";
     case ProcessMessage::kJob:
       return "job";
     case ProcessMessage::kShutdown:
@@ -26,13 +24,18 @@ const char* ProcessMessageName(ProcessMessage type) {
   return "?";
 }
 
+/// Tag 4 carried a clean-failure message no worker ever sent. It stays
+/// unassigned, so a frame carrying it is rejected, never misread.
+constexpr uint8_t kRetiredTag = 4;
+
 Status ProcessMessageTypeOf(const std::string& payload, ProcessMessage* out) {
   if (payload.empty()) {
     return Status::InvalidArgument("process message: empty payload");
   }
   const uint8_t tag = static_cast<uint8_t>(payload[0]);
   if (tag < static_cast<uint8_t>(ProcessMessage::kHello) ||
-      tag > static_cast<uint8_t>(ProcessMessage::kShutdown)) {
+      tag > static_cast<uint8_t>(ProcessMessage::kShutdown) ||
+      tag == kRetiredTag) {
     return Status::InvalidArgument("process message: unknown tag");
   }
   *out = static_cast<ProcessMessage>(tag);
@@ -100,24 +103,6 @@ Status DecodeResultMessage(const std::string& payload, ResultMessage* out) {
   HT_RETURN_IF_ERROR(DecodeJob(&dec, &out->job));
   HT_RETURN_IF_ERROR(DecodeEvalResult(&dec, &out->result));
   return dec.ExpectEnd("result message");
-}
-
-std::string EncodeFailureMessage(const FailureMessage& msg) {
-  WireEncoder enc;
-  enc.PutU8(static_cast<uint8_t>(ProcessMessage::kFailure));
-  enc.PutI64(msg.job_id);
-  enc.PutI32(msg.attempt);
-  enc.PutString(msg.message);
-  return enc.Release();
-}
-
-Status DecodeFailureMessage(const std::string& payload, FailureMessage* out) {
-  WireDecoder dec(payload);
-  HT_RETURN_IF_ERROR(ExpectTag(&dec, ProcessMessage::kFailure));
-  HT_RETURN_IF_ERROR(dec.GetI64(&out->job_id));
-  HT_RETURN_IF_ERROR(dec.GetI32(&out->attempt));
-  HT_RETURN_IF_ERROR(dec.GetString(&out->message));
-  return dec.ExpectEnd("failure message");
 }
 
 std::string EncodeJobMessage(const JobMessage& msg) {

@@ -26,7 +26,7 @@ namespace hypertune {
 ///
 ///   driver -> worker:  kJob, kShutdown
 ///   worker -> driver:  kHello (once, after exec), kHeartbeat (periodic),
-///                      kResult, kFailure
+///                      kResult
 ///
 /// Liveness is message-driven: any inbound frame refreshes the worker's
 /// heartbeat deadline, and the kHeartbeat message exists so an evaluation
@@ -40,7 +40,8 @@ enum class ProcessMessage : uint8_t {
   kHello = 1,
   kHeartbeat = 2,
   kResult = 3,
-  kFailure = 4,
+  // 4 was a clean in-process failure message no worker ever sent; it
+  // stays unassigned.
   kJob = 5,
   kShutdown = 6,
 };
@@ -72,14 +73,6 @@ struct ResultMessage {
   EvalResult result;
 };
 
-/// A clean in-process evaluation failure (the worker survives). Process
-/// deaths carry no message — they are reported by EOF + exit status.
-struct FailureMessage {
-  int64_t job_id = -1;
-  int32_t attempt = 0;
-  std::string message;
-};
-
 /// One evaluation assignment. `inject_crash` is the fault-injection seam:
 /// the worker calls _exit(kCrashExitCode) mid-attempt instead of
 /// evaluating, simulating a hard worker crash for the chaos tests.
@@ -106,10 +99,6 @@ std::string EncodeHeartbeat(const HeartbeatMessage& msg);
 std::string EncodeResultMessage(const ResultMessage& msg);
 [[nodiscard]] Status DecodeResultMessage(const std::string& payload,
                                          ResultMessage* out);
-
-std::string EncodeFailureMessage(const FailureMessage& msg);
-[[nodiscard]] Status DecodeFailureMessage(const std::string& payload,
-                                          FailureMessage* out);
 
 std::string EncodeJobMessage(const JobMessage& msg);
 [[nodiscard]] Status DecodeJobMessage(const std::string& payload,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/observability.h"
 #include "src/problems/counting_ones.h"
 #include "src/problems/nas_bench.h"
 
@@ -108,6 +109,28 @@ TEST(HyperTuneTest, OptimizeOnThreadsProducesResults) {
       HyperTune::OptimizeOnThreads(problem, options, /*wall=*/1.5);
   EXPECT_GT(outcome.run.history.num_trials(), 10u);
   EXPECT_LE(outcome.best_objective, 0.0);
+}
+
+TEST(HyperTuneTest, OptimizeOnProcessesProducesResults) {
+  // The facade's subprocess entry point: the workers rebuild the same
+  // problem from its registry spec, so the driver-side problem and the
+  // spec must agree.
+  CountingOnesOptions problem_options;
+  problem_options.max_samples = 27.0;
+  CountingOnes problem(problem_options);
+  HyperTuneOptions options;
+  options.num_workers = 2;
+  options.seed = 6;
+  Observability sink;
+  options.obs.sink = &sink;
+  TuningOutcome outcome = HyperTune::OptimizeOnProcesses(
+      problem, options, HYPERTUNE_WORKER_BINARY,
+      "counting-ones:max_samples=27", /*wall=*/1.5);
+  EXPECT_GT(outcome.run.history.num_trials(), 10u);
+  EXPECT_LE(outcome.best_objective, 0.0);
+  EXPECT_EQ(outcome.run.worker_deaths, 0);
+  EXPECT_EQ(sink.metrics.Snapshot().counters["process.spawns"],
+            options.num_workers);
 }
 
 }  // namespace

@@ -69,7 +69,6 @@ ProcessClusterOptions BaseOptions() {
   options.heartbeat_interval_seconds = 0.02;
   options.heartbeat_timeout_seconds = 1.0;
   options.respawn_backoff_seconds = 0.005;
-  options.respawn_backoff_cap_seconds = 0.05;
   return options;
 }
 
@@ -236,7 +235,6 @@ TEST(ProcessClusterTest, BrokenWorkerBinaryFailsSlotsPermanently) {
   ProcessClusterOptions options = BaseOptions();
   options.problem_spec = "no-such-problem";
   options.time_budget_seconds = 30.0;
-  options.max_consecutive_spawn_failures = 2;
 
   ProcessCluster cluster(options);
   RunResult result = cluster.Run(setup->scheduler.get(), setup->problem);
@@ -244,7 +242,12 @@ TEST(ProcessClusterTest, BrokenWorkerBinaryFailsSlotsPermanently) {
   EXPECT_TRUE(result.history.trials().empty());
   EXPECT_EQ(result.workers_lost_permanently, options.num_workers);
   EXPECT_GE(result.worker_deaths,
-            options.num_workers * options.max_consecutive_spawn_failures);
+            options.num_workers * kMaxConsecutiveSpawnFailures);
+  // Every death opens a down window: a respawn closes it, and the end of
+  // the run closes the permanent ones.
+  EXPECT_GT(result.worker_down_seconds, 0.0);
+  EXPECT_LE(result.worker_down_seconds,
+            options.num_workers * result.elapsed_seconds);
   EXPECT_TRUE(NoChildrenRemain());
 }
 

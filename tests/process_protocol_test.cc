@@ -70,17 +70,6 @@ TEST(ProcessProtocolTest, EveryMessageTypeRoundTrips) {
     EXPECT_EQ(out.result.cost_seconds, 1.5);
   }
   {
-    FailureMessage msg;
-    msg.job_id = 421;
-    msg.attempt = 2;
-    msg.message = "oom";
-    FailureMessage out;
-    ASSERT_TRUE(DecodeFailureMessage(EncodeFailureMessage(msg), &out).ok());
-    EXPECT_EQ(out.job_id, 421);
-    EXPECT_EQ(out.attempt, 2);
-    EXPECT_EQ(out.message, "oom");
-  }
-  {
     JobMessage msg;
     msg.job = TestJob();
     msg.inject_crash = true;
@@ -105,6 +94,11 @@ TEST(ProcessProtocolTest, TagsAreCheckedAndNamed) {
   JobMessage job;
   EXPECT_FALSE(DecodeJobMessage(EncodeHello({1, 2}), &job).ok());
   EXPECT_FALSE(ProcessMessageTypeOf("", &type).ok());
+  // Unknown tags: below and above the range, and the retired tag 4.
+  for (char tag : {'\x00', '\x04', '\x07'}) {
+    EXPECT_FALSE(ProcessMessageTypeOf(std::string(1, tag), &type).ok())
+        << "tag " << static_cast<int>(tag);
+  }
 }
 
 /// Framing fixture: a real socketpair, like the backend uses.
