@@ -16,6 +16,7 @@
 #include "src/obs/observability.h"
 #include "src/optimizer/random_sampler.h"
 #include "src/problems/counting_ones.h"
+#include "src/runtime/process_cluster.h"
 #include "src/runtime/simulated_cluster.h"
 #include "src/runtime/thread_cluster.h"
 #include "src/scheduler/sync_bracket_scheduler.h"
@@ -329,23 +330,16 @@ TEST(ChromeTraceTest, RejectsTerminalWithoutLaunch) {
   EXPECT_FALSE(WriteChromeTrace(trace, &out).ok());
 }
 
-TEST(ObsTest, ChaosRunTracePairsAndMetricsMatchRunResult) {
-  Observability obs;
-  RunResult result = RunChaos(&obs);
+/// The observability contract every backend keeps: launches pair with
+/// terminal events, spans nest, and the metrics equal the RunResult
+/// counters (the ledger writes both from the same transition).
+void ExpectTraceMatchesRunResult(const Observability& obs,
+                                 const RunResult& result) {
   std::vector<TraceEvent> events = obs.trace.Snapshot();
   ASSERT_FALSE(events.empty());
-
-  // The run must actually exercise every fault mechanism for the checks
-  // below to mean anything.
-  ASSERT_GT(result.worker_deaths, 0);
-  ASSERT_GT(result.failed_attempts, 0);
-  ASSERT_GT(result.speculative_attempts, 0);
-
   ExpectLaunchTerminalPairing(events);
   ExpectSpansNest(events);
 
-  // Metrics are fed from the same code paths as the RunResult counters, so
-  // the two accountings must agree exactly.
   MetricsSnapshot metrics = obs.metrics.Snapshot();
   EXPECT_EQ(Counter(metrics, "jobs.completed"),
             static_cast<int64_t>(result.history.num_trials()));
@@ -387,6 +381,84 @@ TEST(ObsTest, ChaosRunTracePairsAndMetricsMatchRunResult) {
   EXPECT_EQ(csv.str().rfind("worker,state,start_seconds,end_seconds,job_id",
                             0),
             0u);
+}
+
+TEST(ObsTest, ChaosRunTracePairsAndMetricsMatchRunResult) {
+  Observability obs;
+  RunResult result = RunChaos(&obs);
+  // The run must actually exercise every fault mechanism for the checks
+  // to mean anything.
+  ASSERT_GT(result.worker_deaths, 0);
+  ASSERT_GT(result.failed_attempts, 0);
+  ASSERT_GT(result.speculative_attempts, 0);
+  ExpectTraceMatchesRunResult(obs, result);
+}
+
+TEST(ObsTest, ThreadChaosRunTracePairsAndMetricsMatchRunResult) {
+  // Deaths, crashes, quarantine and speculation on real threads. The
+  // assertions are bookkeeping only, so they hold under TSan slowdown.
+  CountingOnes problem;
+  MeasurementStore store(3);
+  RandomSampler sampler(&problem.space(), &store, 5);
+  BracketSchedulerOptions options;
+  options.ladder.eta = 3.0;
+  options.ladder.num_levels = 3;
+  options.ladder.max_resource = 27.0;
+  options.selector.policy = BracketPolicy::kRoundRobin;
+  SyncBracketScheduler scheduler(&problem.space(), &store, &sampler, nullptr,
+                                 options);
+  Observability obs;
+  ThreadClusterOptions cluster_options;
+  cluster_options.num_workers = 6;
+  cluster_options.time_budget_seconds = 1.5;
+  cluster_options.seed = 9;
+  cluster_options.cost_sleep_scale = 1e-3;
+  cluster_options.faults.crash_probability = 0.1;
+  cluster_options.faults.max_retries = 1;
+  cluster_options.faults.retry_backoff_seconds = 0.01;
+  cluster_options.worker_faults.mttf_seconds = 0.3;
+  cluster_options.worker_faults.mttr_seconds = 0.05;
+  cluster_options.worker_faults.permanent_death_probability = 0.2;
+  cluster_options.worker_faults.quarantine_failures = 2;
+  cluster_options.worker_faults.quarantine_seconds = 0.05;
+  cluster_options.speculation.speculation_factor = 2.0;
+  cluster_options.obs.sink = &obs;
+  ThreadCluster cluster(cluster_options);
+  RunResult result = cluster.Run(&scheduler, problem);
+  ASSERT_GT(result.worker_deaths, 0);
+  ASSERT_GT(result.history.num_trials(), 0u);
+  ExpectTraceMatchesRunResult(obs, result);
+}
+
+TEST(ObsTest, ProcessChaosRunTracePairsAndMetricsMatchRunResult) {
+  // SIGKILLed worker subprocesses: orphaned attempts, respawns, and the
+  // attempts still running when the trial cap stops the run.
+  CountingOnes problem;
+  MeasurementStore store(3);
+  RandomSampler sampler(&problem.space(), &store, 17);
+  BracketSchedulerOptions options;
+  options.ladder.eta = 3.0;
+  options.ladder.num_levels = 3;
+  options.ladder.max_resource = 729.0;
+  options.selector.policy = BracketPolicy::kRoundRobin;
+  SyncBracketScheduler scheduler(&problem.space(), &store, &sampler, nullptr,
+                                 options);
+  Observability obs;
+  ProcessClusterOptions cluster_options;
+  cluster_options.num_workers = 2;
+  cluster_options.time_budget_seconds = 60.0;
+  cluster_options.max_trials = 12;
+  cluster_options.seed = 42;
+  cluster_options.worker_binary = HYPERTUNE_WORKER_BINARY;
+  cluster_options.problem_spec = "counting-ones";
+  cluster_options.heartbeat_interval_seconds = 0.02;
+  cluster_options.respawn_backoff_seconds = 0.005;
+  cluster_options.chaos_kill_every = 3;
+  cluster_options.obs.sink = &obs;
+  ProcessCluster cluster(cluster_options);
+  RunResult result = cluster.Run(&scheduler, problem);
+  ASSERT_GT(result.worker_lost_attempts, 0);
+  ExpectTraceMatchesRunResult(obs, result);
 }
 
 TEST(ObsTest, ChaosRunTraceMetricsAndTimingArePinned) {
