@@ -84,8 +84,9 @@ void AttemptLedger::Emit(const Transition& t) {
       break;
     case TransitionKind::kLaunch:
       if (obs != nullptr) {
-        TraceEvent e = AttemptEvent(t.speculative ? TraceKind::kSpeculativeLaunch
-                                                  : TraceKind::kJobLaunch,
+        TraceEvent e = AttemptEvent(t.speculative
+                                        ? TraceKind::kSpeculativeLaunch
+                                        : TraceKind::kJobLaunch,
                                     *job);
         e.worker = t.worker;
         e.bracket = job->bracket;
@@ -169,7 +170,9 @@ void AttemptLedger::Emit(const Transition& t) {
       break;
     case TransitionKind::kAbandon: {
       ++result_.failed_trials;
-      if (journal != nullptr) journal->Abandon(job->job_id, job->attempt, t.now);
+      if (journal != nullptr) {
+        journal->Abandon(job->job_id, job->attempt, t.now);
+      }
       TrialRecord record;
       record.job = *job;
       record.result.cost_seconds = t.seconds;
@@ -203,7 +206,9 @@ void AttemptLedger::Emit(const Transition& t) {
       ++result_.speculative_attempts;
       break;
     case TransitionKind::kWorkerDeath: {
-      if (journal != nullptr) journal->WorkerDeath(t.worker, t.permanent, t.now);
+      if (journal != nullptr) {
+        journal->WorkerDeath(t.worker, t.permanent, t.now);
+      }
       ++result_.worker_deaths;
       if (t.permanent) ++result_.workers_lost_permanently;
       if (obs != nullptr) {
@@ -212,7 +217,9 @@ void AttemptLedger::Emit(const Transition& t) {
       }
       // Death supersedes quarantine: it closes the quarantine window.
       const WorkerSlot& slot = workers_[t.worker];
-      if (slot.quarantined) result_.worker_down_seconds += t.now - slot.down_since;
+      if (slot.quarantined) {
+        result_.worker_down_seconds += t.now - slot.down_since;
+      }
       break;
     }
     case TransitionKind::kWorkerRecover:
@@ -300,10 +307,7 @@ bool AttemptLedger::JournalFailed() const {
 std::optional<Job> AttemptLedger::Decide(double now) {
   std::optional<Job> job = scheduler_->NextJob();
   if (!job.has_value()) return job;
-  Transition t;
-  t.kind = TransitionKind::kDecision;
-  t.now = now;
-  t.job = &*job;
+  Transition t(TransitionKind::kDecision, now, -1, &*job);
   Emit(t);
   jobs_.try_emplace(job->job_id);
   ++unresolved_;
@@ -320,11 +324,7 @@ void AttemptLedger::Launch(int worker, Job job, bool speculative,
   JobEntry& entry = jobs_[slot.job.job_id];
   entry.copies[entry.copies[0] < 0 ? 0 : 1] = worker;
 
-  Transition t;
-  t.kind = TransitionKind::kLaunch;
-  t.now = now;
-  t.worker = worker;
-  t.job = &slot.job;
+  Transition t(TransitionKind::kLaunch, now, worker, &slot.job);
   t.speculative = speculative;
   t.seconds = planned_seconds;
   Emit(t);
@@ -332,11 +332,7 @@ void AttemptLedger::Launch(int worker, Job job, bool speculative,
 
 Job AttemptLedger::Speculate(int worker, double now) {
   const Job& job = workers_[worker].job;
-  Transition t;
-  t.kind = TransitionKind::kSpeculate;
-  t.now = now;
-  t.worker = worker;
-  t.job = &job;
+  Transition t(TransitionKind::kSpeculate, now, worker, &job);
   Emit(t);
   jobs_[job.job_id].duplicated = true;
   if (check_contract_) checker_.NoteSpeculativeLaunch(job);
@@ -367,11 +363,7 @@ int AttemptLedger::Complete(int worker, EvalResult eval, double now) {
     WorkerSlot& lost = workers_[loser];
     const double burned = now - lost.start_time;
     result_.busy_seconds += burned;
-    Transition t;
-    t.kind = TransitionKind::kCopyLost;
-    t.now = now;
-    t.worker = loser;
-    t.job = &lost.job;
+    Transition t(TransitionKind::kCopyLost, now, loser, &lost.job);
     t.speculative = lost.speculative;
     t.seconds = burned;
     Emit(t);
@@ -379,11 +371,7 @@ int AttemptLedger::Complete(int worker, EvalResult eval, double now) {
   }
 
   eval.cost_seconds = duration;
-  Transition t;
-  t.kind = TransitionKind::kComplete;
-  t.now = now;
-  t.worker = worker;
-  t.job = &slot.job;
+  Transition t(TransitionKind::kComplete, now, worker, &slot.job);
   t.speculative = slot.speculative;
   t.seconds = duration;
   t.start_time = slot.start_time;
@@ -415,10 +403,7 @@ AttemptEnd AttemptLedger::EndFailedCopy(int worker, FailureKind kind,
   result_.busy_seconds += burned;
   JobEntry& entry = Retire(worker);
 
-  Transition t;
-  t.now = now;
-  t.worker = worker;
-  t.job = &job;
+  Transition t(TransitionKind::kFailed, now, worker, &job);
   t.failure = kind;
   t.seconds = burned;
   if (entry.copies[0] >= 0) {
@@ -431,7 +416,6 @@ AttemptEnd AttemptLedger::EndFailedCopy(int worker, FailureKind kind,
     return {};
   }
 
-  t.kind = TransitionKind::kFailed;
   Emit(t);
   FailureInfo info;
   info.kind = kind;
@@ -449,10 +433,7 @@ AttemptEnd AttemptLedger::EndFailedCopy(int worker, FailureKind kind,
     }
     end.retry = job;
     ++end.retry->attempt;
-    Transition requeue;
-    requeue.kind = TransitionKind::kRequeue;
-    requeue.now = now;
-    requeue.job = &*end.retry;
+    Transition requeue(TransitionKind::kRequeue, now, -1, &*end.retry);
     requeue.failure = kind;
     requeue.seconds = end.retry_delay;
     Emit(requeue);
@@ -473,10 +454,7 @@ AttemptEnd AttemptLedger::Fail(int worker, FailureKind kind, double now) {
   const WorkerFaultOptions& wf = worker_faults_;
   if (wf.quarantine_failures > 0 && wf.quarantine_seconds > 0.0 &&
       slot.failure_streak >= wf.quarantine_failures) {
-    Transition t;
-    t.kind = TransitionKind::kQuarantineBegin;
-    t.now = now;
-    t.worker = worker;
+    Transition t(TransitionKind::kQuarantineBegin, now, worker);
     t.seconds = wf.quarantine_seconds;
     Emit(t);
     slot.quarantined = true;
@@ -490,10 +468,7 @@ AttemptEnd AttemptLedger::Fail(int worker, FailureKind kind, double now) {
 
 AttemptEnd AttemptLedger::WorkerDeath(int worker, bool permanent, double now,
                                       FailureKind orphan) {
-  Transition t;
-  t.kind = TransitionKind::kWorkerDeath;
-  t.now = now;
-  t.worker = worker;
+  Transition t(TransitionKind::kWorkerDeath, now, worker);
   t.permanent = permanent;
   Emit(t);
   AttemptEnd end;
@@ -507,19 +482,13 @@ AttemptEnd AttemptLedger::WorkerDeath(int worker, bool permanent, double now,
 }
 
 void AttemptLedger::WorkerRecover(int worker, double now) {
-  Transition t;
-  t.kind = TransitionKind::kWorkerRecover;
-  t.now = now;
-  t.worker = worker;
+  Transition t(TransitionKind::kWorkerRecover, now, worker);
   Emit(t);
   workers_[worker].down = false;
 }
 
 void AttemptLedger::QuarantineEnd(int worker, double now) {
-  Transition t;
-  t.kind = TransitionKind::kQuarantineEnd;
-  t.now = now;
-  t.worker = worker;
+  Transition t(TransitionKind::kQuarantineEnd, now, worker);
   Emit(t);
   workers_[worker].quarantined = false;
   workers_[worker].down = false;
@@ -548,11 +517,7 @@ RunResult AttemptLedger::Finish(double elapsed) {
     for (int w = 0; w < num_workers_; ++w) {
       const WorkerSlot& slot = workers_[w];
       if (!slot.busy) continue;
-      Transition t;
-      t.kind = TransitionKind::kTruncated;
-      t.now = elapsed;
-      t.worker = w;
-      t.job = &slot.job;
+      Transition t(TransitionKind::kTruncated, elapsed, w, &slot.job);
       t.speculative = slot.speculative;
       Emit(t);
     }

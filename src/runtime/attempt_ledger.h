@@ -150,14 +150,18 @@ enum class TransitionKind : uint8_t {
 
 /// The value of one state change: what AttemptLedger::Emit writes to the
 /// journal, the trace, the metrics and the RunResult. Fields a kind does
-/// not use keep their defaults.
+/// not use keep their defaults (worker -1 when no worker is involved).
 struct Transition {
-  TransitionKind kind = TransitionKind::kDecision;
+  Transition(TransitionKind kind, double now, int worker,
+             const Job* job = nullptr)
+      : kind(kind), now(now), worker(worker), job(job) {}
+
+  TransitionKind kind;
   /// Backend clock seconds when the change happened.
-  double now = 0.0;
-  int worker = -1;
+  double now;
+  int worker;
   /// The job; for kRequeue its next attempt.
-  const Job* job = nullptr;
+  const Job* job;
   FailureKind failure = FailureKind::kCrash;
   /// The copy is a speculative duplicate (launch, completion, lost copy,
   /// truncation).

@@ -32,6 +32,18 @@ touch them:
                report output and interleaves under threads; stdout
                belongs to src/report (and examples/, which the rule does
                not cover). Library diagnostics go through HT_LOG.
+  transition-sink
+               under src/runtime/, only attempt_ledger.cc writes the
+               attempt lifecycle's sinks. It alone calls RunJournal's
+               transition hooks (Decision through Speculate,
+               MaybeCheckpoint, RunEnd) and records the twelve job and
+               worker lifecycle trace kinds (TraceKind::kJobLaunch
+               through kQuarantineEnd, kPromotion aside). A backend
+               reports what happened to the ledger, which journals,
+               traces, counts and records each transition in one place,
+               so metrics equal RunResult counters by construction. The
+               process backend keeps its mechanism events (kProcessSpawn,
+               kProcessExit, kHeartbeatMiss). tests/ is not covered.
   header-guard every header under src/ carries the canonical
                HYPERTUNE_<PATH>_H_ guard (no #pragma once).
   include-order the first include of src/<d>/<f>.cc is its own header
@@ -127,6 +139,29 @@ RULE_EXEMPT = {
 # themselves and print freely.
 DETERMINISM_SCOPE = "src/"
 
+# transition-sink: the attempt ledger's journal hooks and lifecycle trace
+# kinds, reserved under src/runtime/ for the ledger itself.
+TRANSITION_SINK_SCOPE = "src/runtime/"
+TRANSITION_SINK_OWNER = "src/runtime/attempt_ledger.cc"
+JOURNAL_TRANSITION_HOOKS = (
+    "Decision", "Launch", "Complete", "Failed", "Requeue", "Abandon",
+    "WorkerDeath", "WorkerRecover", "QuarantineBegin", "QuarantineEnd",
+    "Speculate", "MaybeCheckpoint", "RunEnd")
+LIFECYCLE_TRACE_KINDS = (
+    "kJobLaunch", "kJobComplete", "kJobFailed", "kJobTruncated",
+    "kJobRequeued", "kJobAbandoned", "kSpeculativeLaunch",
+    "kSpeculativeCopyLost", "kWorkerDeath", "kWorkerRecover",
+    "kQuarantineBegin", "kQuarantineEnd")
+TRANSITION_SINK_RULES = [
+    (re.compile(r"journal\w*\s*(?:->|\.)\s*(?:%s)\s*\("
+                % "|".join(JOURNAL_TRANSITION_HOOKS), re.IGNORECASE),
+     "journal transition hooks are called only by the attempt ledger "
+     "(src/runtime/attempt_ledger.cc); report the transition to it"),
+    (re.compile(r"TraceKind::(?:%s)\b" % "|".join(LIFECYCLE_TRACE_KINDS)),
+     "job and worker lifecycle trace events are recorded only by the "
+     "attempt ledger (src/runtime/attempt_ledger.cc)"),
+]
+
 
 def iter_source_files(root):
     for top in SOURCE_DIRS:
@@ -164,6 +199,20 @@ def check_determinism(relpath, lines, file_allows, report):
                 continue
             if pattern.search(strip_comments_and_strings(raw)):
                 report(relpath, lineno, rule, message)
+
+
+def check_transition_sinks(relpath, lines, file_allows, report):
+    if (not relpath.startswith(TRANSITION_SINK_SCOPE)
+            or relpath == TRANSITION_SINK_OWNER
+            or "transition-sink" in file_allows):
+        return
+    for lineno, raw in enumerate(lines, 1):
+        if "transition-sink" in ALLOW_LINE_CACHE.get((relpath, lineno), ()):
+            continue
+        code = strip_comments_and_strings(raw)
+        for pattern, message in TRANSITION_SINK_RULES:
+            if pattern.search(code):
+                report(relpath, lineno, "transition-sink", message)
 
 
 def expected_guard(relpath):
@@ -533,6 +582,7 @@ def main():
                         INCLUDE_ALLOWED.add((lineno, m.group(2)))
 
         check_determinism(relpath, lines, file_allows, report)
+        check_transition_sinks(relpath, lines, file_allows, report)
         check_header_guard(relpath, lines, file_allows, report)
         check_include_order(relpath, lines, file_allows, report)
 
