@@ -20,9 +20,10 @@ namespace hypertune {
 class RunJournal;
 
 /// Observer invoked after every completed trial (progress reporting,
-/// live dashboards, external early-stopping). Called on the simulator's
-/// driving thread / under the thread backend's run lock — keep it cheap
-/// and do not call back into the cluster.
+/// live dashboards, external early-stopping). The attempt ledger calls it
+/// on the simulator's driving thread, under ThreadCluster's run lock, or on
+/// ProcessCluster's supervisor thread — keep it cheap and do not call back
+/// into the cluster.
 using TrialObserver = std::function<void(const TrialRecord&)>;
 
 /// Options every execution backend shares. ClusterOptions,
@@ -41,7 +42,7 @@ struct BackendOptions {
   /// Draws are keyed on (seed, job_id, attempt), so which attempts fail is
   /// reproducible on every backend.
   FaultOptions faults;
-  /// Optional per-completion callback.
+  /// Optional per-completion callback (see TrialObserver).
   TrialObserver observer;
   /// Audit the scheduler contract on every call by wrapping the scheduler
   /// in a SchedulerContractChecker (aborts with an event dump on the first

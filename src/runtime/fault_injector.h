@@ -7,11 +7,11 @@
 
 namespace hypertune {
 
-/// Seeded fault model shared by both execution backends: worker crashes at a
-/// uniform point of the evaluation, a per-job watchdog timeout, and a
+/// Seeded fault model shared by every execution backend: worker crashes at
+/// a uniform point of the evaluation, a per-job watchdog timeout, and a
 /// bounded retry policy with exponential backoff. All knobs default to "no
-/// faults", in which case neither backend draws a single random number from
-/// the fault stream and runs are bit-identical to the fault-free code path.
+/// faults", in which case no backend draws a single random number from the
+/// fault stream and runs are bit-identical to the fault-free code path.
 struct FaultOptions {
   /// Per-attempt probability that the worker crashes partway through the
   /// evaluation (the crash point is uniform over the attempt's duration).
@@ -88,7 +88,7 @@ struct SpeculationOptions {
   bool enabled() const { return speculation_factor > 0.0; }
 };
 
-/// Stream salt both backends pass to PlanAttempt for speculative duplicate
+/// Stream salt the speculating backends pass to PlanAttempt for duplicate
 /// copies, so a duplicate draws crash/timeout outcomes independent of its
 /// primary (same (seed, job, attempt), different stream).
 inline constexpr uint64_t kSpeculativeStreamSalt = 0x5BEC0DE5ULL;
@@ -118,8 +118,8 @@ struct WorkerLifetime {
 /// crashes, or times out, and how long the worker is occupied either way.
 /// The draw depends only on (run_seed, job_id, attempt, stream_salt) —
 /// never on scheduling order or thread interleaving — so the simulator
-/// stays deterministic under any event ordering and both backends share one
-/// model. `stream_salt` separates fault streams of duplicate attempts
+/// stays deterministic under any event ordering and every backend shares
+/// one model. `stream_salt` separates fault streams of duplicate attempts
 /// (speculative copies) from their primaries; the default 0 is the primary
 /// stream and matches the pre-speculation draws bit-for-bit.
 AttemptPlan PlanAttempt(const FaultOptions& faults, uint64_t run_seed,

@@ -19,12 +19,12 @@ namespace hypertune {
 
 /// Write-ahead journal for cluster runs.
 ///
-/// Both execution backends append one framed wire record (see
-/// runtime/wire_format.h) *before* applying each state transition —
-/// scheduler decisions, launches, completions, failures, requeues,
-/// abandonments, worker deaths/recoveries, quarantines, speculative
-/// launches — the same log-then-apply layering production schedulers use
-/// for their changelogs. Periodic checkpoint records embed the scheduler's
+/// Every execution backend, through its attempt ledger, appends one framed
+/// wire record (see runtime/wire_format.h) *before* applying each state
+/// transition — scheduler decisions, launches, completions, failures,
+/// requeues, abandonments, worker deaths/recoveries, quarantines,
+/// speculative launches — the same log-then-apply layering production
+/// schedulers use for their changelogs. Periodic checkpoint records embed the scheduler's
 /// Snapshot() bytes so accumulated decision state is pinned, not just the
 /// event stream.
 ///
@@ -163,14 +163,15 @@ class RunJournal {
   RunJournal& operator=(const RunJournal&) = delete;
   ~RunJournal();
 
-  /// Installs the run's observability sink (the backends call this at run
-  /// start so journal flush/replay events land in the run's trace).
+  /// Installs the run's observability sink (the attempt ledger calls this
+  /// at run start so journal flush/replay events land in the run's trace).
   void SetObservability(const ObservabilityOptions& obs);
 
-  // --- Transition hooks, called by the backends log-then-apply. Each
-  // encodes one record and either appends it or (while replaying)
-  // byte-verifies it against the loaded stream. All `now` arguments are
-  // backend clock seconds (virtual on the simulator).
+  // --- Transition hooks, called log-then-apply by the attempt ledger only
+  // (tools/lint.py enforces it). Each encodes one record and either
+  // appends it or (while replaying) byte-verifies it against the loaded
+  // stream. All `now` arguments are backend clock seconds (virtual on the
+  // simulator).
   void Decision(const Job& job, double now) EXCLUDES(mu_);
   void Launch(int64_t job_id, int attempt, int worker, bool speculative,
               double duration, double now) EXCLUDES(mu_);

@@ -46,9 +46,9 @@ struct ContractCheckerOptions {
 /// so scheduler-internal accounting (rung targets vs. members resolved,
 /// promoted ⊆ completed, batch-size bounds) is validated continuously.
 ///
-/// Both execution backends install this wrapper by default (see
-/// ClusterOptions::check_contract / ThreadClusterOptions::check_contract),
-/// which turns the whole test suite into a contract-conformance suite. The
+/// Every execution backend installs this wrapper by default (the attempt
+/// ledger does it; see BackendOptions::check_contract), which turns the
+/// whole test suite into a contract-conformance suite. The
 /// checker keeps no RNG and perturbs no decision, so checked runs are
 /// bit-identical to unchecked ones.
 ///

@@ -11,8 +11,8 @@
 namespace hypertune {
 
 /// Pull-based scheduling contract shared by every method in this library
-/// (SHA, ASHA, D-ASHA, Hyperband variants, batch BO) and by both execution
-/// backends (SimulatedCluster and ThreadCluster).
+/// (SHA, ASHA, D-ASHA, Hyperband variants, batch BO) and by every execution
+/// backend (SimulatedCluster, ThreadCluster and ProcessCluster).
 ///
 /// The backend drives the scheduler:
 ///   - when a worker becomes idle it calls NextJob();
