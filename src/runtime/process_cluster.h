@@ -5,8 +5,8 @@
 #include <string>
 
 #include "src/problems/problem.h"
+#include "src/runtime/attempt_ledger.h"
 #include "src/runtime/scheduler_interface.h"
-#include "src/runtime/simulated_cluster.h"
 
 namespace hypertune {
 

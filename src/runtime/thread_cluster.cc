@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -36,8 +37,10 @@ enum class SleepOutcome {
 /// calls with its own mutex") is thereby enforced at compile time, not
 /// just promised in a comment.
 struct RunState {
-  template <typename... Args>
-  explicit RunState(Args&&... args) : ledger(std::forward<Args>(args)...) {}
+  RunState(const ThreadClusterOptions& options, SchedulerInterface* scheduler,
+           double full_resource, std::function<double()> clock)
+      : ledger(options, options.worker_faults, options.speculation, scheduler,
+               full_resource, std::move(clock)) {}
 
   Mutex mu{LockRank::kClusterRunState, "cluster.run_state"};
   CondVar cv;
@@ -63,8 +66,7 @@ RunResult ThreadCluster::Run(SchedulerInterface* scheduler,
   // file's sanctioned steady-clock seam). The contract checker sits inside
   // the serialized ledger section, so it needs no synchronization of its
   // own.
-  RunState state(options_, options_.worker_faults, options_.speculation,
-                 scheduler, problem.max_resource(), elapsed);
+  RunState state(options_, scheduler, problem.max_resource(), elapsed);
   /// Per-worker kill flags: set under the lock when a sibling copy wins,
   /// read lock-free inside sliced sleeps.
   std::vector<std::atomic<bool>> kills(options_.num_workers);

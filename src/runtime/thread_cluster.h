@@ -2,8 +2,8 @@
 #define HYPERTUNE_RUNTIME_THREAD_CLUSTER_H_
 
 #include "src/problems/problem.h"
+#include "src/runtime/attempt_ledger.h"
 #include "src/runtime/scheduler_interface.h"
-#include "src/runtime/simulated_cluster.h"
 
 namespace hypertune {
 
