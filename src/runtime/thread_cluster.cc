@@ -22,13 +22,6 @@ namespace {
 /// are checked between slices of this length.
 constexpr double kSleepSliceSeconds = 0.001;
 
-/// Why a sliced sleep ended.
-enum class SleepOutcome {
-  kFinished,    ///< the full duration elapsed
-  kKilled,      ///< the copy's kill flag was set (speculative loser)
-  kWorkerDied,  ///< the worker's wall-clock uptime expired mid-attempt
-};
-
 /// Everything the worker threads share. Each field below `mu` is guarded
 /// by it, so a Clang -Wthread-safety build proves no worker ever touches
 /// the ledger or the retry queue off-lock. The scheduler is reachable only
@@ -71,17 +64,17 @@ RunResult ThreadCluster::Run(SchedulerInterface* scheduler,
   /// read lock-free inside sliced sleeps.
   std::vector<std::atomic<bool>> kills(options_.num_workers);
 
-  // Sleeps `seconds` in slices, aborting early when the copy's kill flag is
-  // set or the worker's death time passes. Zero-length sleeps always
-  // finish: a dead worker is reaped at the top of its pull loop instead.
-  auto sliced_sleep = [&](double seconds, const std::atomic<bool>& kill,
-                          double death_at) {
+  // Sleeps `seconds` in slices; returns true when the worker's death time
+  // passed first. A set kill flag (a sibling copy won) ends the sleep early.
+  // Zero-length sleeps always finish: a dead worker is reaped at the top of
+  // its pull loop instead.
+  auto died_while_sleeping = [&](double seconds, const std::atomic<bool>& kill,
+                                 double death_at) {
     double end = elapsed() + seconds;
     for (;;) {
       double remaining = end - elapsed();
-      if (remaining <= 0.0) return SleepOutcome::kFinished;
-      if (kill.load()) return SleepOutcome::kKilled;
-      if (elapsed() >= death_at) return SleepOutcome::kWorkerDied;
+      if (remaining <= 0.0 || kill.load()) return false;
+      if (elapsed() >= death_at) return true;
       std::this_thread::sleep_for(std::chrono::duration<double>(
           std::min(remaining, kSleepSliceSeconds)));
     }
@@ -182,8 +175,7 @@ RunResult ThreadCluster::Run(SchedulerInterface* scheduler,
         EvalOutcome outcome = problem.Evaluate(
             job.config, job.resource,
             CombineSeeds(options_.seed, job.config.Hash()));
-        died = sliced_sleep(plan.duration, kills[w], death_at) ==
-               SleepOutcome::kWorkerDied;
+        died = died_while_sleeping(plan.duration, kills[w], death_at);
         MutexLock lock(state.mu);
         const double now = elapsed();
         if (died) {
