@@ -233,6 +233,51 @@ uint64_t PinnedJournalDigest(Sched which, bool with_faults) {
   return 0;
 }
 
+/// FNV-1a digest of a journal's event stream: every record but the run
+/// header, each one framed, with a checkpoint reduced to its clock and
+/// completion count. It pins what the journal records and when it
+/// checkpoints, but not the header or the snapshot bytes.
+uint64_t EventStreamDigest(const std::string& journal_bytes) {
+  RecordScan scan = ScanRecords(journal_bytes);
+  EXPECT_TRUE(scan.tail.ok());
+  std::string stream;
+  for (const std::string& record : scan.records) {
+    JournalRecord type;
+    EXPECT_TRUE(JournalRecordTypeOf(record, &type).ok());
+    if (type == JournalRecord::kRunHeader) continue;
+    if (type != JournalRecord::kCheckpoint) {
+      AppendRecord(record, &stream);
+      continue;
+    }
+    CheckpointRecord checkpoint;
+    EXPECT_TRUE(DecodeCheckpointRecord(record, &checkpoint).ok());
+    WireEncoder event;
+    event.PutU8(static_cast<uint8_t>(JournalRecord::kCheckpoint));
+    event.PutF64(checkpoint.now);
+    event.PutI64(checkpoint.completions);
+    AppendRecord(event.Release(), &stream);
+  }
+  return Fnv1a(stream);
+}
+
+/// The event stream of each matrix leg, pinned. Unlike the full-byte
+/// digests above, these hold across changes to the snapshot encoding and
+/// the header.
+uint64_t PinnedEventStreamDigest(Sched which, bool with_faults) {
+  switch (which) {
+    case Sched::kSync:
+      return with_faults ? 2170233761856394201ULL : 9637702260155526330ULL;
+    case Sched::kAsync:
+      return with_faults ? 5170448133529114471ULL : 11412306363699163898ULL;
+    case Sched::kBatchBo:
+      return with_faults ? 3605509860712071270ULL : 8655236786389974365ULL;
+    case Sched::kAsyncBo:
+    case Sched::kLearnedBo:
+      break;
+  }
+  return 0;
+}
+
 TEST(JournalRecoveryTest, CrashPointMatrix) {
   for (Sched which : {Sched::kSync, Sched::kAsync, Sched::kBatchBo}) {
     for (bool with_faults : {false, true}) {
@@ -250,6 +295,8 @@ TEST(JournalRecoveryTest, CrashPointMatrix) {
 
       EXPECT_EQ(Fnv1a(golden.journal_bytes),
                 PinnedJournalDigest(which, with_faults));
+      EXPECT_EQ(EventStreamDigest(golden.journal_bytes),
+                PinnedEventStreamDigest(which, with_faults));
 
       const std::vector<size_t> ends = RecordBoundaries(golden.journal_bytes);
       ASSERT_GT(ends.size(), 2u);
