@@ -43,10 +43,14 @@ Status BracketSelector::Restore(WireDecoder* dec) {
   }
   std::vector<double> weights;
   HT_RETURN_IF_ERROR(dec->GetDoubles(&weights));
-  HT_RETURN_IF_ERROR(rng_.DeserializeState(rng_state));
+  Rng rng(0);
+  HT_RETURN_IF_ERROR(rng.DeserializeState(rng_state));
+  // FidelityWeights::Restore is all or nothing, and the last step that can
+  // fail, so a rejection leaves both unchanged.
+  if (weights_ != nullptr) HT_RETURN_IF_ERROR(weights_->Restore(dec));
+  rng_ = rng;
   num_selections_ = selections;
   last_weights_ = std::move(weights);
-  if (weights_ != nullptr) HT_RETURN_IF_ERROR(weights_->Restore(dec));
   return Status::Ok();
 }
 

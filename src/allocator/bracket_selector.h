@@ -71,7 +71,8 @@ class BracketSelector {
   void Snapshot(WireEncoder* enc) const;
 
   /// Restores state produced by Snapshot() on an identically configured
-  /// selector.
+  /// selector. Rejected bytes leave the selector (and its FidelityWeights)
+  /// unchanged.
   [[nodiscard]] Status Restore(WireDecoder* dec);
 
  private:

@@ -117,7 +117,7 @@ class FidelityWeights {
   void Snapshot(WireEncoder* enc) const;
 
   /// Restores state produced by Snapshot() on an identically configured
-  /// instance.
+  /// instance. Rejected bytes leave it unchanged.
   [[nodiscard]] Status Restore(WireDecoder* dec);
 
  private:

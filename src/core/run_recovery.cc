@@ -142,14 +142,26 @@ class JournalPrefixScheduler : public SchedulerInterface {
 
 struct FastPathPlan {
   bool engaged = false;
-  size_t switch_index = 0;  // loaded-record index of the restored checkpoint
+  size_t switch_index = 0;  // loaded-record index of the last applied checkpoint
+  int64_t deltas_applied = 0;
 };
 
-/// Walks the journal's kCheckpoint records newest-first and Restore()s the
-/// first snapshot `scheduler` accepts. Restore leaves the scheduler unused
-/// on failure (its documented contract), so a torn or rejected checkpoint
-/// simply falls back to the previous one — and with none restorable the
-/// caller falls back to full replay on the still-fresh scheduler.
+Status RestoreCheckpoint(const std::string& record,
+                         SchedulerInterface* scheduler) {
+  CheckpointRecord rec;
+  HT_RETURN_IF_ERROR(DecodeCheckpointRecord(record, &rec));
+  WireDecoder dec(rec.snapshot);
+  return scheduler->Restore(&dec);
+}
+
+/// Restores `scheduler` from the journal's newest checkpoint *chain*: the
+/// newest checkpoint that restores on the fresh scheduler — a full image,
+/// since a delta applies only on top of the state it extends — then the
+/// checkpoints after it in order until one fails. Restore leaves the
+/// scheduler unchanged on failure, so a torn or unrestorable delta walks
+/// back to its predecessor, a rejected full image to the chain before it,
+/// and with nothing restorable the caller falls back to full replay on the
+/// still-fresh scheduler.
 FastPathPlan PlanFastPath(const RunJournal& journal,
                           SchedulerInterface* scheduler) {
   const std::vector<std::string>& loaded = journal.loaded_records();
@@ -162,16 +174,19 @@ FastPathPlan PlanFastPath(const RunJournal& journal,
       checkpoints.push_back(i);
     }
   }
-  for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it) {
-    CheckpointRecord rec;
-    if (!DecodeCheckpointRecord(loaded[*it], &rec).ok()) continue;
-    WireDecoder dec(rec.snapshot);
-    Status restored = scheduler->Restore(&dec);
-    if (restored.ok()) {
+  size_t next = checkpoints.size();
+  while (next > 0 && !plan.engaged) {
+    --next;
+    if (RestoreCheckpoint(loaded[checkpoints[next]], scheduler).ok()) {
       plan.engaged = true;
-      plan.switch_index = *it;
-      return plan;
+      plan.switch_index = checkpoints[next];
     }
+  }
+  if (!plan.engaged) return plan;
+  for (++next; next < checkpoints.size(); ++next) {
+    if (!RestoreCheckpoint(loaded[checkpoints[next]], scheduler).ok()) break;
+    plan.switch_index = checkpoints[next];
+    ++plan.deltas_applied;
   }
   return plan;
 }
@@ -192,6 +207,8 @@ Result<RunResult> RunWithJournal(std::unique_ptr<RunJournal> journal,
       driver = facade.get();
       if (options.obs.metrics() != nullptr) {
         options.obs.metrics()->Increment("journal.checkpoint_restored");
+        options.obs.metrics()->Increment("journal.checkpoint_deltas_applied",
+                                         plan.deltas_applied);
         options.obs.metrics()->Increment(
             "journal.replayed_suffix_records",
             static_cast<int64_t>(journal->loaded_records().size() -

@@ -27,11 +27,13 @@ namespace hypertune {
 ///
 /// Checkpoint fast path. Full replay re-executes every scheduler decision
 /// from record 1, so resume cost scales with run length. When the journal
-/// holds kCheckpoint records (periodic scheduler Snapshot()s) and the
-/// caller supplies the scheduler's freshly constructed MeasurementStore,
-/// resume instead Restore()s the scheduler from the latest restorable
-/// checkpoint and serves every prefix scheduler call *from the journal
-/// itself* through an internal facade: NextJob decodes the next kDecision
+/// holds kCheckpoint records (periodic scheduler Snapshot()s, each a full
+/// image or a delta against the previous one) and the caller supplies the
+/// scheduler's freshly constructed MeasurementStore, resume instead
+/// Restore()s the scheduler from the newest checkpoint chain — the newest
+/// full image that restores, then the deltas after it — and serves every
+/// prefix scheduler call *from the journal itself* through an internal
+/// facade: NextJob decodes the next kDecision
 /// record, OnJobFailed reads the following kRequeue/kAbandon verdict,
 /// Snapshot echoes the stored checkpoint bytes, and the store is mirrored
 /// record-by-record (AddPending on decisions, RemovePending+Add on
@@ -39,10 +41,11 @@ namespace hypertune {
 /// state it snapshotted against. The simulator still re-executes the prefix
 /// events — every regenerated record is byte-verified as in full replay, so
 /// divergence detection is undiminished — but sampler fits and scheduler
-/// decisions are only computed for the suffix. A checkpoint whose snapshot
-/// fails Restore() (Restore leaves the scheduler unused on failure) falls
-/// back to the previous checkpoint, and a journal with no restorable
-/// checkpoint falls back to full replay. Both paths produce bit-identical
+/// decisions are only computed for the suffix. A delta that fails
+/// Restore() (which leaves the scheduler unchanged on failure) ends the
+/// chain at its predecessor, a full image that fails falls back to the
+/// chain before it, and a journal with no restorable checkpoint falls back
+/// to full replay. Both paths produce bit-identical
 /// RunResults; scheduler-internal trace events (promotions, sampler fits)
 /// are elided for the prefix on the fast path.
 

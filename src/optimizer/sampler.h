@@ -58,7 +58,7 @@ class Sampler {
   }
 
   /// Restores state produced by SnapshotState() on an identically
-  /// constructed sampler.
+  /// constructed sampler. Rejected bytes leave the sampler unchanged.
   [[nodiscard]] virtual Status RestoreState(WireDecoder* dec) {
     (void)dec;
     return Status::Unimplemented("sampler does not snapshot");

@@ -69,7 +69,6 @@ uint64_t ClusterFingerprint(const ClusterOptions& options) {
   fnv.MixDouble(options.time_budget_seconds);
   fnv.Mix(options.seed);
   fnv.MixDouble(options.straggler_sigma);
-  fnv.MixDouble(options.dispatch_overhead_seconds);
   fnv.Mix(static_cast<uint64_t>(options.max_trials));
   fnv.MixDouble(options.faults.crash_probability);
   fnv.MixDouble(options.faults.timeout_seconds);
@@ -277,11 +276,18 @@ Result<std::unique_ptr<RunJournal>> RunJournal::ResumeCommon(
           "journal: first record is not a run header");
     }
     HT_RETURN_IF_ERROR(dec.GetU32(&version));
-    if (version > kWireFormatVersion) {
+    if (version > kJournalFormatVersion) {
       return Status::InvalidArgument(
           "journal: written by a newer wire format version (" +
           std::to_string(version) + " > " +
-          std::to_string(kWireFormatVersion) + "); upgrade to read it");
+          std::to_string(kJournalFormatVersion) + "); upgrade to read it");
+    }
+    if (version < kJournalFormatVersion) {
+      return Status::InvalidArgument(
+          "journal: format version " + std::to_string(version) +
+          " predates this build's version " +
+          std::to_string(kJournalFormatVersion) +
+          ", whose checkpoints are encoded differently; it cannot be resumed");
     }
     HT_RETURN_IF_ERROR(dec.GetU64(&recorded));
     HT_RETURN_IF_ERROR(dec.ExpectEnd("run header"));
@@ -372,7 +378,7 @@ void RunJournal::MaybeFsyncLocked(uint8_t tag) {
 void RunJournal::WriteHeader(uint64_t fingerprint) {
   WireEncoder enc;
   enc.PutU8(static_cast<uint8_t>(JournalRecord::kRunHeader));
-  enc.PutU32(kWireFormatVersion);
+  enc.PutU32(kJournalFormatVersion);
   enc.PutU64(fingerprint);
   Commit(enc.Release());
 }
@@ -547,6 +553,7 @@ void RunJournal::Speculate(int64_t job_id, int worker, double now) {
 void RunJournal::MaybeCheckpoint(const SchedulerInterface& scheduler,
                                  int64_t completions, double now) {
   if (options_.checkpoint_interval <= 0) return;
+  std::shared_ptr<const std::string> base;
   {
     MutexLock lock(mu_);
     if (!status_.ok()) return;
@@ -554,11 +561,18 @@ void RunJournal::MaybeCheckpoint(const SchedulerInterface& scheduler,
         options_.checkpoint_interval) {
       return;
     }
+    // Full image first and whenever completions have doubled since the
+    // last one; otherwise a delta against the previous checkpoint.
+    if (last_snapshot_ != nullptr &&
+        completions < 2 * last_full_completions_) {
+      base = last_snapshot_;
+    }
   }
   // Snapshot outside the journal lock: the checkpoint fast path's prefix
   // facade (core/run_recovery) answers Snapshot() by consulting this
   // journal's replay cursor, which takes mu_.
   WireEncoder snapshot;
+  snapshot.set_snapshot_base(base.get());
   Status snap = scheduler.Snapshot(&snapshot);
   if (!snap.ok()) return;  // scheduler declines; event stream still suffices
   MutexLock lock(mu_);
@@ -568,6 +582,7 @@ void RunJournal::MaybeCheckpoint(const SchedulerInterface& scheduler,
     return;  // a concurrent caller checkpointed while we snapshotted
   }
   last_checkpoint_completions_ = completions;
+  if (base == nullptr) last_full_completions_ = completions;
   const bool was_replaying = replay_cursor_ < loaded_.size();
   WireEncoder enc;
   enc.PutU8(static_cast<uint8_t>(JournalRecord::kCheckpoint));
@@ -575,13 +590,16 @@ void RunJournal::MaybeCheckpoint(const SchedulerInterface& scheduler,
   enc.PutI64(completions);
   enc.PutString(snapshot.bytes());
   CommitLocked(enc.Release());
-  if (!status_.ok() || was_replaying) return;
+  if (!status_.ok()) return;
+  const double snapshot_bytes = static_cast<double>(snapshot.size());
+  last_snapshot_ = std::make_shared<const std::string>(snapshot.Release());
+  if (was_replaying) return;
   ++checkpoints_;
   if (obs_.trace() != nullptr) {
     TraceEvent event;
     event.kind = TraceKind::kJournalFlush;
     event.time = now;
-    event.value = static_cast<double>(snapshot.size());
+    event.value = snapshot_bytes;
     obs_.trace()->Record(std::move(event));
   }
   if (obs_.metrics() != nullptr) {

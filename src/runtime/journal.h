@@ -41,6 +41,12 @@ namespace hypertune {
 /// and truncated from the file so the resumed run appends from the last
 /// clean byte.
 
+/// Journal format version, written into the run header. Version 2 made
+/// checkpoints a full image or a delta against the previous checkpoint
+/// (see RunJournal::MaybeCheckpoint). A resume rejects any other version
+/// with a Status that names both.
+inline constexpr uint32_t kJournalFormatVersion = 2;
+
 /// Tag byte identifying each journal record (first payload byte).
 enum class JournalRecord : uint8_t {
   kRunHeader = 1,
@@ -85,9 +91,10 @@ struct CompleteRecord {
 };
 
 /// Decoded payload of a kCheckpoint journal record: the scheduler's
-/// Snapshot() bytes plus the completion count and clock at which it was
-/// taken. The checkpoint fast path (core/run_recovery) Restore()s the most
-/// recent one instead of re-deciding the whole prefix.
+/// Snapshot() bytes (a full image or a delta) plus the completion count and
+/// clock at which it was taken. The checkpoint fast path
+/// (core/run_recovery) restores the newest full image and the deltas after
+/// it instead of re-deciding the whole prefix.
 struct CheckpointRecord {
   double now = 0.0;
   int64_t completions = 0;
@@ -120,7 +127,8 @@ struct JournalOptions {
   /// Completions between scheduler-snapshot checkpoint records; <= 0
   /// disables checkpointing (the event stream alone still suffices for
   /// replay-verify recovery). Schedulers whose Snapshot() declines are
-  /// skipped silently.
+  /// skipped silently. Whether a checkpoint is a full image or a delta
+  /// follows from the completion counts alone (MaybeCheckpoint).
   int64_t checkpoint_interval = 64;
 
   /// Durability knob for file-backed journals (ignored in-memory). A crash
@@ -133,7 +141,8 @@ struct JournalOptions {
 /// (Create / CreateInMemory) or from the bytes of a killed run's journal
 /// (OpenForResume / ResumeFromBytes), then handed to the backend via
 /// ClusterOptions::journal. Methods are internally synchronized so the
-/// thread backend's workers may append concurrently.
+/// thread backend's workers may append concurrently. It keeps the last
+/// checkpoint's snapshot, the base of the next delta.
 class RunJournal {
  public:
   /// Fresh file-backed journal; truncates `path` and writes the run header.
@@ -190,7 +199,13 @@ class RunJournal {
 
   /// Emits a kCheckpoint record embedding `scheduler`'s Snapshot() bytes
   /// every `checkpoint_interval` completions (and records a kJournalFlush
-  /// trace event). No-op when the scheduler declines to snapshot.
+  /// trace event). No-op when the scheduler declines to snapshot. The
+  /// first checkpoint asks for a full image, and so does every checkpoint
+  /// at which completions have at least doubled since the last full one;
+  /// every other checkpoint offers the previous checkpoint's snapshot as
+  /// the base of a delta. Full images then sum to at most twice the newest
+  /// one, so the journal grows linearly with the run, and a restore reads
+  /// one full image plus deltas covering at most half the run.
   void MaybeCheckpoint(const SchedulerInterface& scheduler,
                        int64_t completions, double now) EXCLUDES(mu_);
 
@@ -270,6 +285,10 @@ class RunJournal {
   int64_t checkpoints_ GUARDED_BY(mu_) = 0;
   int64_t fsyncs_ GUARDED_BY(mu_) = 0;
   int64_t last_checkpoint_completions_ GUARDED_BY(mu_) = 0;
+  int64_t last_full_completions_ GUARDED_BY(mu_) = 0;
+  /// Snapshot bytes of the last checkpoint appended, verified or echoed;
+  /// null before the first.
+  std::shared_ptr<const std::string> last_snapshot_ GUARDED_BY(mu_);
 };
 
 }  // namespace hypertune

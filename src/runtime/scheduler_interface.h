@@ -80,22 +80,33 @@ class SchedulerInterface {
   /// scheduler's decisions must be identical with and without a sink.
   virtual void SetObservability(Observability* sink) { (void)sink; }
 
-  /// Serializes the scheduler's complete decision state (rungs, in-flight
-  /// maps, counters, sampler RNG) onto `enc` in the versioned wire format.
-  /// The contract: a freshly constructed scheduler with identical
-  /// construction parameters that Restore()s these bytes must make
-  /// bit-identical decisions from then on. Snapshots feed the write-ahead
-  /// journal's periodic checkpoint records (RunJournal::MaybeCheckpoint)
-  /// and the thread backend's warm starts. The default declines — journal
-  /// checkpointing silently skips schedulers without snapshot support.
+  /// Serializes the scheduler's decision state (rungs, in-flight maps,
+  /// counters, sampler RNG) onto `enc` in the versioned wire format, as a
+  /// pure function of that state and the encoder.
+  ///
+  /// Into a plain encoder it writes a *full image*: a freshly constructed
+  /// scheduler with identical construction parameters that Restore()s it
+  /// must make bit-identical decisions from then on. When the encoder
+  /// carries a snapshot base (WireEncoder::snapshot_base, the bytes of an
+  /// earlier snapshot of this scheduler), a scheduler may instead write a
+  /// *delta*: only what changed since the base, which Restore() applies on
+  /// top of exactly the state the base restores to. Schedulers without
+  /// deltas ignore the base. Decorators forward the encoder untouched.
+  ///
+  /// Snapshots feed the write-ahead journal's periodic checkpoint records
+  /// (RunJournal::MaybeCheckpoint) and the thread backend's warm starts.
+  /// The default declines — journal checkpointing silently skips
+  /// schedulers without snapshot support.
   [[nodiscard]] virtual Status Snapshot(WireEncoder* enc) const {
     (void)enc;
     return Status::Unimplemented("scheduler does not snapshot");
   }
 
-  /// Restores state produced by Snapshot() on an identically configured,
-  /// freshly constructed scheduler. Rejects malformed bytes with a non-OK
-  /// Status and must leave the scheduler unused on failure.
+  /// Restores a full image produced by Snapshot() on an identically
+  /// configured, freshly constructed scheduler, or applies a delta on top
+  /// of the state its base restores to. Rejects malformed bytes, and a
+  /// delta on any other state, with a non-OK Status and leaves the
+  /// scheduler unchanged.
   [[nodiscard]] virtual Status Restore(WireDecoder* dec) {
     (void)dec;
     return Status::Unimplemented("scheduler does not snapshot");

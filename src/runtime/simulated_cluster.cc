@@ -172,7 +172,6 @@ RunResult SimulatedCluster::Run(SchedulerInterface* scheduler,
       double sigma = options_.straggler_sigma;
       cost *= straggler_rng.LogNormal(-0.5 * sigma * sigma, sigma);
     }
-    cost += options_.dispatch_overhead_seconds;
 
     AttemptPlan plan =
         PlanAttempt(options_.faults, options_.seed, job, cost,

@@ -14,10 +14,6 @@ struct ClusterOptions : BackendOptions {
   /// Log-normal sigma of multiplicative evaluation-time noise; 0 disables
   /// straggler injection.
   double straggler_sigma = 0.0;
-  /// Fixed per-job optimizer/dispatch overhead added to each evaluation's
-  /// duration (models configuration-sampling latency; the paper includes
-  /// "optimization overhead" in tracked wall-clock time).
-  double dispatch_overhead_seconds = 0.0;
   /// Whole-worker fault domain: seeded node death/recovery, permanent
   /// losses, and the quarantine policy for suspect workers (defaults: off).
   WorkerFaultOptions worker_faults;

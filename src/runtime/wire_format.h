@@ -64,8 +64,16 @@ class WireEncoder {
   std::string Release() { return std::move(buffer_); }
   size_t size() const { return buffer_.size(); }
 
+  /// The bytes of an earlier scheduler snapshot that a Snapshot() into
+  /// this encoder may write a delta against (see
+  /// SchedulerInterface::Snapshot). Null, the default, asks for a full
+  /// image. The encoder borrows the bytes; they must outlive the call.
+  void set_snapshot_base(const std::string* base) { snapshot_base_ = base; }
+  const std::string* snapshot_base() const { return snapshot_base_; }
+
  private:
   std::string buffer_;
+  const std::string* snapshot_base_ = nullptr;
 };
 
 /// Bounds-checked little-endian reads over a borrowed byte range. Every

@@ -15,6 +15,76 @@ bool UsesSingleBracket(const BracketSchedulerOptions& options) {
   return options.selector.policy == BracketPolicy::kFixed;
 }
 
+/// First byte of a snapshot: a full image, or a delta against a base.
+constexpr uint8_t kFullImage = 0;
+constexpr uint8_t kDelta = 1;
+
+/// Rung log sizes of every bracket, [bracket][rung]. Every snapshot leads
+/// with the shape it leaves the scheduler in, so the next checkpoint reads
+/// its base's counts without decoding the rest.
+using Shape = std::vector<std::vector<Bracket::RungCounts>>;
+
+Shape ShapeOf(const std::vector<std::unique_ptr<Bracket>>& brackets) {
+  Shape shape;
+  shape.reserve(brackets.size());
+  for (const auto& bracket : brackets) shape.push_back(bracket->Counts());
+  return shape;
+}
+
+void EncodeShape(const Shape& shape, WireEncoder* enc) {
+  enc->PutU32(static_cast<uint32_t>(shape.size()));
+  for (const auto& rungs : shape) {
+    enc->PutU32(static_cast<uint32_t>(rungs.size()));
+    for (const Bracket::RungCounts& counts : rungs) {
+      enc->PutU32(counts.results);
+      enc->PutU32(counts.closed);
+      enc->PutU32(counts.promoted);
+    }
+  }
+}
+
+/// Decodes a shape with the same brackets and rungs as `like`.
+Status DecodeShape(WireDecoder* dec, const Shape& like, Shape* out) {
+  Shape shape = like;
+  uint32_t size = 0;
+  HT_RETURN_IF_ERROR(dec->GetU32(&size));
+  if (size != shape.size()) {
+    return Status::InvalidArgument(
+        "async scheduler: snapshot bracket count does not match this "
+        "scheduler's configuration");
+  }
+  for (auto& rungs : shape) {
+    HT_RETURN_IF_ERROR(dec->GetU32(&size));
+    if (size != rungs.size()) {
+      return Status::InvalidArgument(
+          "async scheduler: snapshot rung count does not match this "
+          "scheduler's ladder");
+    }
+    for (Bracket::RungCounts& counts : rungs) {
+      HT_RETURN_IF_ERROR(dec->GetU32(&counts.results));
+      HT_RETURN_IF_ERROR(dec->GetU32(&counts.closed));
+      HT_RETURN_IF_ERROR(dec->GetU32(&counts.promoted));
+    }
+  }
+  *out = std::move(shape);
+  return Status::Ok();
+}
+
+/// True when no rung log of `base` is longer than in `shape`.
+bool Extends(const Shape& shape, const Shape& base) {
+  for (size_t b = 0; b < shape.size(); ++b) {
+    for (size_t r = 0; r < shape[b].size(); ++r) {
+      const Bracket::RungCounts& now = shape[b][r];
+      const Bracket::RungCounts& then = base[b][r];
+      if (then.results > now.results || then.closed > now.closed ||
+          then.promoted > now.promoted) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 AsyncBracketScheduler::AsyncBracketScheduler(const ConfigurationSpace* space,
@@ -152,16 +222,35 @@ void AsyncBracketScheduler::SetObservability(Observability* sink) {
 }
 
 Status AsyncBracketScheduler::Snapshot(WireEncoder* enc) const {
+  // A sampler may decline (MFES); find out before encoding the brackets.
+  WireEncoder sampler_state;
+  HT_RETURN_IF_ERROR(sampler_->SnapshotState(&sampler_state));
+
+  // Write a delta when the encoder offers a base this state extends: an
+  // earlier snapshot of this scheduler, whose rung logs are all no longer
+  // than now. Otherwise write the full image.
+  const Shape shape = ShapeOf(brackets_);
+  Shape base;
+  bool delta = false;
+  if (enc->snapshot_base() != nullptr) {
+    WireDecoder dec(*enc->snapshot_base());
+    uint8_t kind = 0;
+    delta = dec.GetU8(&kind).ok() && (kind == kFullImage || kind == kDelta) &&
+            DecodeShape(&dec, shape, &base).ok() && Extends(shape, base);
+  }
+  enc->PutU8(delta ? kDelta : kFullImage);
+  EncodeShape(shape, enc);
+  if (delta) EncodeShape(base, enc);
   enc->PutI64(next_job_id_);
   enc->PutI64(promotions_issued_);
   enc->PutI64(trials_failed_);
-  selector_.Snapshot(enc);
-  HT_RETURN_IF_ERROR(sampler_->SnapshotState(enc));
-
-  enc->PutU32(static_cast<uint32_t>(brackets_.size()));
   std::unordered_map<const Bracket*, uint32_t> bracket_index;
   for (uint32_t i = 0; i < brackets_.size(); ++i) {
-    brackets_[i]->Snapshot(enc);
+    if (delta) {
+      brackets_[i]->SnapshotDelta(base[i], enc);
+    } else {
+      brackets_[i]->Snapshot(enc);
+    }
     bracket_index[brackets_[i].get()] = i;
   }
 
@@ -181,10 +270,31 @@ Status AsyncBracketScheduler::Snapshot(WireEncoder* enc) const {
     enc->PutI64(job_id);
     enc->PutU32(index);
   }
+  selector_.Snapshot(enc);
+  enc->PutRaw(sampler_state.bytes());
   return Status::Ok();
 }
 
 Status AsyncBracketScheduler::Restore(WireDecoder* dec) {
+  // Decode and check everything first, staged; mutate only once all of it
+  // is accepted, so a rejected snapshot leaves the scheduler unchanged.
+  const Shape current = ShapeOf(brackets_);
+  uint8_t kind = 0;
+  Shape after;
+  HT_RETURN_IF_ERROR(dec->GetU8(&kind));
+  if (kind != kFullImage && kind != kDelta) {
+    return Status::InvalidArgument("async scheduler: unknown snapshot kind");
+  }
+  HT_RETURN_IF_ERROR(DecodeShape(dec, current, &after));
+  if (kind == kDelta) {
+    Shape base;
+    HT_RETURN_IF_ERROR(DecodeShape(dec, current, &base));
+    if (base != current) {
+      return Status::FailedPrecondition(
+          "async scheduler: delta extends a different state than this "
+          "scheduler's");
+    }
+  }
   int64_t next_job_id = 0;
   int64_t promotions_issued = 0;
   int64_t trials_failed = 0;
@@ -194,24 +304,32 @@ Status AsyncBracketScheduler::Restore(WireDecoder* dec) {
   if (next_job_id < 0 || promotions_issued < 0 || trials_failed < 0) {
     return Status::InvalidArgument("async scheduler: negative counter");
   }
-  HT_RETURN_IF_ERROR(selector_.Restore(dec));
-  HT_RETURN_IF_ERROR(sampler_->RestoreState(dec));
 
-  uint32_t num_brackets = 0;
-  HT_RETURN_IF_ERROR(dec->GetU32(&num_brackets));
-  if (num_brackets != brackets_.size()) {
-    return Status::InvalidArgument(
-        "async scheduler: snapshot bracket count does not match this "
-        "scheduler's configuration");
-  }
-  for (auto& bracket : brackets_) {
-    HT_RETURN_IF_ERROR(bracket->Restore(dec));
+  std::vector<std::unique_ptr<Bracket>> images;  // full image
+  std::vector<Bracket::Delta> deltas;            // delta
+  std::vector<int64_t> bracket_in_flight;
+  for (size_t i = 0; i < brackets_.size(); ++i) {
+    if (kind == kFullImage) {
+      auto bracket = std::make_unique<Bracket>(brackets_[i]->options());
+      HT_RETURN_IF_ERROR(bracket->Restore(dec));
+      if (bracket->Counts() != after[i]) {
+        return Status::InvalidArgument(
+            "async scheduler: bracket image disagrees with the snapshot's "
+            "rung counts");
+      }
+      bracket_in_flight.push_back(bracket->InFlight());
+      images.push_back(std::move(bracket));
+    } else {
+      deltas.emplace_back();
+      HT_RETURN_IF_ERROR(brackets_[i]->DecodeDelta(dec, after[i],
+                                                   &deltas.back()));
+      bracket_in_flight.push_back(deltas.back().in_flight);
+    }
   }
 
   uint32_t num_inflight = 0;
   HT_RETURN_IF_ERROR(dec->GetU32(&num_inflight));
-  std::unordered_map<int64_t, Bracket*> inflight;
-  inflight.reserve(num_inflight);
+  std::vector<std::pair<int64_t, uint32_t>> inflight;
   for (uint32_t i = 0; i < num_inflight; ++i) {
     int64_t job_id = 0;
     uint32_t index = 0;
@@ -222,16 +340,36 @@ Status AsyncBracketScheduler::Restore(WireDecoder* dec) {
           "async scheduler: in-flight job routed to a bracket index outside "
           "the snapshot");
     }
-    if (!inflight.emplace(job_id, brackets_[index].get()).second) {
+    if (!inflight.empty() && job_id <= inflight.back().first) {
       return Status::InvalidArgument(
-          "async scheduler: duplicate in-flight job id in snapshot");
+          "async scheduler: in-flight job ids not strictly ascending");
+    }
+    --bracket_in_flight[index];
+    inflight.emplace_back(job_id, index);
+  }
+  for (int64_t unrouted : bracket_in_flight) {
+    if (unrouted != 0) {
+      return Status::InvalidArgument(
+          "async scheduler: in-flight map disagrees with the brackets");
     }
   }
+  HT_RETURN_IF_ERROR(RestoreSelectorAndSampler(dec, &selector_, sampler_));
 
+  if (kind == kFullImage) {
+    brackets_ = std::move(images);
+  } else {
+    for (size_t i = 0; i < brackets_.size(); ++i) {
+      brackets_[i]->ApplyDelta(std::move(deltas[i]));
+    }
+  }
+  inflight_.clear();
+  inflight_.reserve(inflight.size());
+  for (const auto& [job_id, index] : inflight) {
+    inflight_.emplace(job_id, brackets_[index].get());
+  }
   next_job_id_ = next_job_id;
   promotions_issued_ = promotions_issued;
   trials_failed_ = trials_failed;
-  inflight_ = std::move(inflight);
   return Status::Ok();
 }
 

@@ -54,15 +54,20 @@ class AsyncBracketScheduler : public SchedulerInterface {
   /// sampler.
   void SetObservability(Observability* sink) override;
 
-  /// Serializes the scheduler's complete mutable state — counters, bracket
-  /// selector, sampler RNG, every persistent bracket, and the in-flight
-  /// routing map (sorted by job id so the bytes are deterministic) — for
-  /// journal checkpoints and warm starts. The measurement store is shared
-  /// runtime infrastructure and is persisted separately (store_io).
+  /// Serializes the scheduler's mutable state — counters, every persistent
+  /// bracket, the in-flight routing map (sorted by job id so the bytes are
+  /// deterministic), bracket selector and sampler RNG — for journal
+  /// checkpoints and warm starts. Every snapshot leads with its rung log
+  /// sizes. Into a plain encoder it writes the full image; given a snapshot
+  /// base whose rung logs this state extends, it writes a delta: the rung
+  /// results, closed nodes and promotions appended since the base, and the
+  /// bounded rest whole. The measurement store is shared runtime
+  /// infrastructure and is persisted separately (store_io).
   [[nodiscard]] Status Snapshot(WireEncoder* enc) const override;
-  /// Restores a Snapshot() image onto a freshly constructed, identically
-  /// configured scheduler. On failure the scheduler may be partially
-  /// mutated and must be discarded.
+  /// Restores a full image onto a freshly constructed, identically
+  /// configured scheduler, or applies a delta on top of exactly the rung
+  /// counts its base left. Anything else is rejected, and a rejected
+  /// snapshot leaves the scheduler unchanged.
   [[nodiscard]] Status Restore(WireDecoder* dec) override;
 
   /// Number of promotions issued so far (for sample-efficiency studies).

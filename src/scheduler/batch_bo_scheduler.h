@@ -50,8 +50,8 @@ class BatchBoScheduler : public SchedulerInterface {
   /// store is shared runtime infrastructure and is persisted separately.
   [[nodiscard]] Status Snapshot(WireEncoder* enc) const override;
   /// Restores a Snapshot() image onto a freshly constructed, identically
-  /// configured scheduler. On failure the scheduler may be partially
-  /// mutated and must be discarded.
+  /// configured scheduler. The sampler state is read last, so a rejected
+  /// image leaves the scheduler unchanged.
   [[nodiscard]] Status Restore(WireDecoder* dec) override;
 
   /// Trials abandoned by the fault runtime.

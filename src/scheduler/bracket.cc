@@ -161,9 +161,9 @@ std::optional<Job> Bracket::FindAsyncPromotion(int64_t job_id) {
           cur.results[static_cast<size_t>(node)].second;
       const uint64_t hash = candidate.Hash();
       cur.order.Close(node);
-      if (cur.promoted.count(hash) > 0) continue;  // duplicate completion
-      cur.promoted.insert(hash);
-      cur.promoted_to_verify.push_back(hash);
+      cur.closed.push_back(node);
+      if (!cur.promoted.insert(hash).second) continue;  // duplicate completion
+      cur.promotion_log.push_back(hash);
       Rung& next = rung(k + 1);
       ++next.issued;
       ++in_flight_;
@@ -187,9 +187,9 @@ void Bracket::MaybeQueueSyncPromotions(int level) {
     const int32_t node = cur.order.Kth(rank);
     const Configuration& candidate =
         cur.results[static_cast<size_t>(node)].second;
-    if (cur.promoted.count(candidate.Hash()) > 0) continue;
-    cur.promoted.insert(candidate.Hash());
-    cur.promoted_to_verify.push_back(candidate.Hash());
+    const uint64_t hash = candidate.Hash();
+    if (!cur.promoted.insert(hash).second) continue;
+    cur.promotion_log.push_back(hash);
     sync_promotions_.emplace_back(candidate, level);
   }
 
@@ -265,13 +265,12 @@ void Bracket::CheckInvariants() const {
     // Incremental audit: each promotion is checked against the completed
     // multiset exactly once, on the first call after it happened — O(new
     // promotions) amortized instead of rebuilding a hash set per call.
-    for (uint64_t hash : r.promoted_to_verify) {
-      auto it = r.completed_hash_counts.find(hash);
+    for (; r.audited < r.promotion_log.size(); ++r.audited) {
+      auto it = r.completed_hash_counts.find(r.promotion_log[r.audited]);
       HT_CHECK(it != r.completed_hash_counts.end() && it->second > 0)
           << "bracket " << options_.index << " rung " << r.level
           << ": promoted a configuration that never completed on the rung";
     }
-    r.promoted_to_verify.clear();
     in_flight_sum += r.issued - r.completed;
   }
   HT_CHECK(in_flight_sum == in_flight_)
@@ -345,10 +344,8 @@ void Bracket::Snapshot(WireEncoder* enc) const {
       EncodeConfiguration(r.results[i].second, enc);
       enc->PutBool(!r.order.is_open(static_cast<int32_t>(i)));
     }
-    std::vector<uint64_t> promoted(r.promoted.begin(), r.promoted.end());
-    std::sort(promoted.begin(), promoted.end());
-    enc->PutU32(static_cast<uint32_t>(promoted.size()));
-    for (uint64_t hash : promoted) enc->PutU64(hash);
+    enc->PutU32(static_cast<uint32_t>(r.promotion_log.size()));
+    for (uint64_t hash : r.promotion_log) enc->PutU64(hash);
   }
   enc->PutU32(static_cast<uint32_t>(sync_promotions_.size()));
   for (const auto& [config, from_level] : sync_promotions_) {
@@ -372,6 +369,7 @@ Status Bracket::Restore(WireDecoder* dec) {
         "bracket: snapshot rung count does not match this bracket's ladder");
   }
   std::vector<Rung> rungs(rungs_.size());
+  uint64_t in_flight_sum = 0;  // wraps, rather than overflows, on garbage
   for (size_t ri = 0; ri < rungs.size(); ++ri) {
     Rung& r = rungs[ri];
     r.level = rungs_[ri].level;
@@ -407,15 +405,27 @@ Status Bracket::Restore(WireDecoder* dec) {
       ++r.completed_hash_counts[r.results[i].second.Hash()];
     }
     for (uint32_t i = 0; i < num_results; ++i) {
-      if (closed[i]) r.order.Close(static_cast<int32_t>(i));
+      if (!closed[i]) continue;
+      r.order.Close(static_cast<int32_t>(i));
+      r.closed.push_back(static_cast<int32_t>(i));
     }
     uint32_t num_promoted;
     HT_RETURN_IF_ERROR(dec->GetU32(&num_promoted));
     for (uint32_t i = 0; i < num_promoted; ++i) {
       uint64_t hash;
       HT_RETURN_IF_ERROR(dec->GetU64(&hash));
-      r.promoted.insert(hash);
+      if (r.completed_hash_counts.count(hash) == 0 ||
+          !r.promoted.insert(hash).second) {
+        return Status::InvalidArgument(
+            "bracket: promoted hash repeated or never completed on its rung");
+      }
+      r.promotion_log.push_back(hash);
     }
+    in_flight_sum += static_cast<uint64_t>(r.issued - r.completed);
+  }
+  if (in_flight_sum != static_cast<uint64_t>(in_flight)) {
+    return Status::InvalidArgument(
+        "bracket: in-flight counter disagrees with its rungs");
   }
   uint32_t num_queued;
   HT_RETURN_IF_ERROR(dec->GetU32(&num_queued));
@@ -436,6 +446,160 @@ Status Bracket::Restore(WireDecoder* dec) {
   rungs_ = std::move(rungs);
   sync_promotions_ = std::move(queued);
   return Status::Ok();
+}
+
+std::vector<Bracket::RungCounts> Bracket::Counts() const {
+  std::vector<RungCounts> counts;
+  counts.reserve(rungs_.size());
+  for (const Rung& r : rungs_) {
+    counts.push_back({static_cast<uint32_t>(r.results.size()),
+                      static_cast<uint32_t>(r.closed.size()),
+                      static_cast<uint32_t>(r.promotion_log.size())});
+  }
+  return counts;
+}
+
+void Bracket::SnapshotDelta(const std::vector<RungCounts>& base,
+                            WireEncoder* enc) const {
+  HT_CHECK(!options_.synchronous && base.size() == rungs_.size())
+      << "bracket " << options_.index << ": deltas are for async brackets";
+  enc->PutI64(admitted_);
+  enc->PutI64(in_flight_);
+  for (size_t i = 0; i < rungs_.size(); ++i) {
+    const Rung& r = rungs_[i];
+    const RungCounts& from = base[i];
+    HT_CHECK(from.results <= r.results.size() &&
+             from.closed <= r.closed.size() &&
+             from.promoted <= r.promotion_log.size())
+        << "bracket " << options_.index << ": delta base is ahead of rung "
+        << r.level;
+    enc->PutI64(r.issued);
+    enc->PutU32(static_cast<uint32_t>(r.results.size() - from.results));
+    for (size_t j = from.results; j < r.results.size(); ++j) {
+      enc->PutF64(r.results[j].first);
+      EncodeConfiguration(r.results[j].second, enc);
+    }
+    enc->PutU32(static_cast<uint32_t>(r.closed.size() - from.closed));
+    for (size_t j = from.closed; j < r.closed.size(); ++j) {
+      enc->PutI32(r.closed[j]);
+    }
+    enc->PutU32(static_cast<uint32_t>(r.promotion_log.size() - from.promoted));
+    for (size_t j = from.promoted; j < r.promotion_log.size(); ++j) {
+      enc->PutU64(r.promotion_log[j]);
+    }
+  }
+}
+
+Status Bracket::DecodeDelta(WireDecoder* dec,
+                            const std::vector<RungCounts>& after,
+                            Delta* out) const {
+  if (options_.synchronous || after.size() != rungs_.size()) {
+    return Status::InvalidArgument(
+        "bracket: delta does not match this bracket's mode or ladder");
+  }
+  Delta delta;
+  HT_RETURN_IF_ERROR(dec->GetI64(&delta.admitted));
+  HT_RETURN_IF_ERROR(dec->GetI64(&delta.in_flight));
+  delta.rungs.resize(rungs_.size());
+  uint64_t in_flight_sum = 0;  // wraps, rather than overflows, on garbage
+  for (size_t i = 0; i < rungs_.size(); ++i) {
+    const Rung& r = rungs_[i];
+    Delta::RungDelta& d = delta.rungs[i];
+    uint32_t count;
+    HT_RETURN_IF_ERROR(dec->GetI64(&d.issued));
+    HT_RETURN_IF_ERROR(dec->GetU32(&count));
+    if (r.results.size() + count != after[i].results ||
+        static_cast<int64_t>(after[i].results) > d.issued) {
+      return Status::InvalidArgument(
+          "bracket: delta results do not extend the rung consistently");
+    }
+    in_flight_sum +=
+        static_cast<uint64_t>(d.issued - static_cast<int64_t>(after[i].results));
+    std::unordered_set<uint64_t> new_hashes;
+    for (uint32_t j = 0; j < count; ++j) {
+      double objective;
+      Configuration config;
+      HT_RETURN_IF_ERROR(dec->GetF64(&objective));
+      HT_RETURN_IF_ERROR(DecodeConfiguration(dec, &config));
+      new_hashes.insert(config.Hash());
+      d.results.emplace_back(objective, std::move(config));
+    }
+
+    HT_RETURN_IF_ERROR(dec->GetU32(&count));
+    if (r.closed.size() + count != after[i].closed) {
+      return Status::InvalidArgument(
+          "bracket: delta closes a different number of rung nodes");
+    }
+    std::unordered_set<int32_t> new_closed;
+    for (uint32_t j = 0; j < count; ++j) {
+      int32_t node;
+      HT_RETURN_IF_ERROR(dec->GetI32(&node));
+      // Each closed node exists once the delta's results are in, and is
+      // still open: before the delta, and earlier in it.
+      const bool open =
+          node >= 0 && node < static_cast<int64_t>(after[i].results) &&
+          (node >= r.order.size() || r.order.is_open(node)) &&
+          new_closed.insert(node).second;
+      if (!open) {
+        return Status::InvalidArgument(
+            "bracket: delta closes a missing or already closed node");
+      }
+      d.closed.push_back(node);
+    }
+
+    HT_RETURN_IF_ERROR(dec->GetU32(&count));
+    if (r.promotion_log.size() + count != after[i].promoted) {
+      return Status::InvalidArgument(
+          "bracket: delta promotes a different number of configurations");
+    }
+    std::unordered_set<uint64_t> new_promoted;
+    for (uint32_t j = 0; j < count; ++j) {
+      uint64_t hash;
+      HT_RETURN_IF_ERROR(dec->GetU64(&hash));
+      const bool completed = r.completed_hash_counts.count(hash) > 0 ||
+                             new_hashes.count(hash) > 0;
+      if (!completed || r.promoted.count(hash) > 0 ||
+          !new_promoted.insert(hash).second) {
+        return Status::InvalidArgument(
+            "bracket: delta promotion repeated or never completed on its "
+            "rung");
+      }
+      d.promoted.push_back(hash);
+    }
+  }
+  if (delta.admitted < 0 ||
+      static_cast<uint64_t>(delta.in_flight) != in_flight_sum) {
+    return Status::InvalidArgument(
+        "bracket: delta counters disagree with its rungs");
+  }
+  *out = std::move(delta);
+  return Status::Ok();
+}
+
+void Bracket::ApplyDelta(Delta delta) {
+  admitted_ = delta.admitted;
+  in_flight_ = delta.in_flight;
+  for (size_t i = 0; i < rungs_.size(); ++i) {
+    Rung& r = rungs_[i];
+    Delta::RungDelta& d = delta.rungs[i];
+    r.issued = d.issued;
+    for (auto& result : d.results) {
+      const int32_t node = r.order.Insert(result.first);
+      HT_CHECK(static_cast<size_t>(node) == r.results.size())
+          << "rung order tree out of sync with results";
+      ++r.completed_hash_counts[result.second.Hash()];
+      r.results.push_back(std::move(result));
+    }
+    r.completed = static_cast<int64_t>(r.results.size());
+    for (int32_t node : d.closed) {
+      r.order.Close(node);
+      r.closed.push_back(node);
+    }
+    for (uint64_t hash : d.promoted) {
+      r.promoted.insert(hash);
+      r.promotion_log.push_back(hash);
+    }
+  }
 }
 
 bool Bracket::Complete() const {

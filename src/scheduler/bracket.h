@@ -137,10 +137,9 @@ class Bracket {
 
   /// Serializes the bracket's complete mutable state (rung counters,
   /// completed results, consumed/promoted sets, queued sync promotions)
-  /// onto `enc`. Promoted hashes are written sorted so the bytes are
-  /// independent of unordered-container iteration order. Construction
-  /// parameters (BracketOptions) are NOT serialized: Restore() requires an
-  /// identically configured fresh bracket.
+  /// onto `enc`: its full image. Promoted hashes are written in promotion
+  /// order. Construction parameters (BracketOptions) are NOT serialized:
+  /// Restore() requires an identically configured fresh bracket.
   void Snapshot(WireEncoder* enc) const;
 
   /// Restores state produced by Snapshot() on a freshly constructed
@@ -148,8 +147,51 @@ class Bracket {
   /// re-inserting completions in their original order (order statistics —
   /// and therefore every future decision — are exact; only the internal
   /// step counter may differ). Rejects malformed or mismatched bytes with
-  /// a non-OK Status.
+  /// a non-OK Status and leaves the bracket unchanged.
   [[nodiscard]] Status Restore(WireDecoder* dec);
+
+  /// Sizes of one rung's append-only logs: completed results, rank-tree
+  /// nodes closed by promotion scans, and promotions. Only these grow
+  /// without bound; everything else about a bracket is a few counters.
+  struct RungCounts {
+    uint32_t results = 0;
+    uint32_t closed = 0;
+    uint32_t promoted = 0;
+    bool operator==(const RungCounts&) const = default;
+  };
+  std::vector<RungCounts> Counts() const;
+
+  /// Async brackets: writes what changed since a state whose rungs had
+  /// `base` counts (each at most the current one) — the results, closed
+  /// nodes and promotions appended since, plus the counters whole.
+  void SnapshotDelta(const std::vector<RungCounts>& base,
+                     WireEncoder* enc) const;
+
+  /// A decoded SnapshotDelta(), checked against this bracket and staged
+  /// for ApplyDelta().
+  struct Delta {
+    struct RungDelta {
+      int64_t issued = 0;
+      std::vector<std::pair<double, Configuration>> results;
+      std::vector<int32_t> closed;
+      std::vector<uint64_t> promoted;
+    };
+    int64_t admitted = 0;
+    int64_t in_flight = 0;
+    std::vector<RungDelta> rungs;
+  };
+
+  /// Decodes a SnapshotDelta() written against this bracket's current
+  /// counts that leaves the rungs at `after`. Rejects bytes that do not
+  /// extend the current state consistently; never mutates the bracket.
+  [[nodiscard]] Status DecodeDelta(WireDecoder* dec,
+                                   const std::vector<RungCounts>& after,
+                                   Delta* out) const;
+
+  /// Applies a delta that DecodeDelta() accepted against the current state.
+  void ApplyDelta(Delta delta);
+
+  const BracketOptions& options() const { return options_; }
 
  private:
   struct Rung {
@@ -165,15 +207,19 @@ class Bracket {
     /// un-promoted completion" is an O(log n) query instead of a fresh
     /// sort-and-scan per decision.
     RankTree order;
-    /// Hashes of configurations already promoted out of this rung.
+    /// Async mode: node ids in the order promotion scans closed them.
+    std::vector<int32_t> closed;
+    /// Hashes of configurations already promoted out of this rung, as a
+    /// set and in promotion order.
     std::unordered_set<uint64_t> promoted;
+    std::vector<uint64_t> promotion_log;
     /// Multiset of completed configuration hashes (a config admitted twice
     /// completes twice), for incremental promoted-subset-of-completed
     /// invariant checks.
     std::unordered_map<uint64_t, int64_t> completed_hash_counts;
-    /// Promotions not yet audited by CheckInvariants. Mutable: the audit
-    /// is observably const (it only verifies and forgets).
-    mutable std::vector<uint64_t> promoted_to_verify;
+    /// Prefix of promotion_log already audited by CheckInvariants.
+    /// Mutable: the audit is observably const (it only verifies).
+    mutable size_t audited = 0;
   };
 
   Rung& rung(int level);

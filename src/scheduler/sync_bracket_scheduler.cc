@@ -7,6 +7,22 @@
 
 namespace hypertune {
 
+Status RestoreSelectorAndSampler(WireDecoder* dec, BracketSelector* selector,
+                                 Sampler* sampler) {
+  // Each restore is all or nothing on its own; only a sampler rejection
+  // after the selector took its bytes needs undoing.
+  WireEncoder backup;
+  selector->Snapshot(&backup);
+  HT_RETURN_IF_ERROR(selector->Restore(dec));
+  Status status = sampler->RestoreState(dec);
+  if (!status.ok()) {
+    WireDecoder undo(backup.bytes());
+    HT_CHECK(selector->Restore(&undo).ok())
+        << "bracket selector cannot restore its own snapshot";
+  }
+  return status;
+}
+
 SyncBracketScheduler::SyncBracketScheduler(const ConfigurationSpace* space,
                                            MeasurementStore* store,
                                            Sampler* sampler,
@@ -108,14 +124,16 @@ void SyncBracketScheduler::SetObservability(Observability* sink) {
 }
 
 Status SyncBracketScheduler::Snapshot(WireEncoder* enc) const {
+  WireEncoder sampler_state;
+  HT_RETURN_IF_ERROR(sampler_->SnapshotState(&sampler_state));
   enc->PutI64(next_job_id_);
   enc->PutI64(brackets_completed_);
   enc->PutI64(trials_failed_);
   enc->PutI32(current_index_);
-  selector_.Snapshot(enc);
-  HT_RETURN_IF_ERROR(sampler_->SnapshotState(enc));
   enc->PutBool(bracket_ != nullptr);
   if (bracket_ != nullptr) bracket_->Snapshot(enc);
+  selector_.Snapshot(enc);
+  enc->PutRaw(sampler_state.bytes());
   return Status::Ok();
 }
 
@@ -131,8 +149,6 @@ Status SyncBracketScheduler::Restore(WireDecoder* dec) {
   if (next_job_id < 0 || brackets_completed < 0 || trials_failed < 0) {
     return Status::InvalidArgument("sync scheduler: negative counter");
   }
-  HT_RETURN_IF_ERROR(selector_.Restore(dec));
-  HT_RETURN_IF_ERROR(sampler_->RestoreState(dec));
   bool has_bracket = false;
   HT_RETURN_IF_ERROR(dec->GetBool(&has_bracket));
   std::unique_ptr<Bracket> bracket;
@@ -148,6 +164,7 @@ Status SyncBracketScheduler::Restore(WireDecoder* dec) {
     bracket = std::make_unique<Bracket>(bracket_options);
     HT_RETURN_IF_ERROR(bracket->Restore(dec));
   }
+  HT_RETURN_IF_ERROR(RestoreSelectorAndSampler(dec, &selector_, sampler_));
   next_job_id_ = next_job_id;
   brackets_completed_ = brackets_completed;
   trials_failed_ = trials_failed;

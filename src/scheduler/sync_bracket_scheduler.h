@@ -22,6 +22,15 @@ struct BracketSchedulerOptions {
   bool delayed_promotion = false;
 };
 
+/// Restores a BracketSelector::Snapshot() followed by a
+/// Sampler::SnapshotState() from `dec`, all or nothing: on failure both
+/// are as they were. The bracket schedulers write these two last and
+/// decode everything else first, so a rejected snapshot leaves them
+/// unchanged.
+[[nodiscard]] Status RestoreSelectorAndSampler(WireDecoder* dec,
+                                               BracketSelector* selector,
+                                               Sampler* sampler);
+
 /// Synchronous execution of SHA brackets (SHA, Hyperband, BOHB, MFES-HB).
 ///
 /// One bracket runs at a time. Within a rung, evaluations proceed in
@@ -54,14 +63,16 @@ class SyncBracketScheduler : public SchedulerInterface {
   /// sampler.
   void SetObservability(Observability* sink) override;
 
-  /// Serializes the scheduler's complete mutable state — counters, bracket
-  /// selector, sampler RNG, and the running bracket (if any) — for journal
-  /// checkpoints and warm starts. The measurement store is shared runtime
-  /// infrastructure and is persisted separately (store_io).
+  /// Serializes the scheduler's complete mutable state — counters, the
+  /// running bracket (if any), bracket selector and sampler RNG — for
+  /// journal checkpoints and warm starts. Always a full image: it is
+  /// bounded by one bracket, so a snapshot base is ignored. The measurement
+  /// store is shared runtime infrastructure and is persisted separately
+  /// (store_io).
   [[nodiscard]] Status Snapshot(WireEncoder* enc) const override;
   /// Restores a Snapshot() image onto a freshly constructed, identically
-  /// configured scheduler. On failure the scheduler may be partially
-  /// mutated and must be discarded.
+  /// configured scheduler. A rejected image leaves the scheduler
+  /// unchanged.
   [[nodiscard]] Status Restore(WireDecoder* dec) override;
 
   /// Trials abandoned by the fault runtime.

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "src/allocator/fidelity_weights.h"
+#include "src/common/thread_pool.h"
 #include "src/core/hyper_tune.h"
 #include "src/core/run_recovery.h"
 #include "src/core/tuner.h"
@@ -221,11 +222,11 @@ uint64_t Fnv1a(const std::string& bytes) {
 uint64_t PinnedJournalDigest(Sched which, bool with_faults) {
   switch (which) {
     case Sched::kSync:
-      return with_faults ? 1831188803759815618ULL : 3022614969459084868ULL;
+      return with_faults ? 8959165266671521262ULL : 9638779160372985806ULL;
     case Sched::kAsync:
-      return with_faults ? 10439777434921246008ULL : 11647327383090945691ULL;
+      return with_faults ? 8819803444016499337ULL : 5000752753591681128ULL;
     case Sched::kBatchBo:
-      return with_faults ? 10864744387289404340ULL : 13762200767566770011ULL;
+      return with_faults ? 5486460725790455230ULL : 4628028693573216539ULL;
     case Sched::kAsyncBo:
     case Sched::kLearnedBo:
       break;
@@ -344,6 +345,35 @@ std::vector<CheckpointSite> CheckpointSites(const std::string& journal_bytes) {
   return sites;
 }
 
+/// True when a kCheckpoint record restores on a freshly built scheduler:
+/// exactly the full images, since a delta applies only on top of the state
+/// it extends.
+bool IsFullImage(Sched which, const std::string& record) {
+  CheckpointRecord rec;
+  EXPECT_TRUE(DecodeCheckpointRecord(record, &rec).ok());
+  std::unique_ptr<RunSetup> fresh = MakeSetup(which);
+  WireDecoder dec(rec.snapshot);
+  return fresh->scheduler->Restore(&dec).ok();
+}
+
+/// Whether each checkpoint of a journal is a full image.
+std::vector<bool> FullImageFlags(Sched which, const std::string& journal_bytes) {
+  RecordScan scan = ScanRecords(journal_bytes);
+  std::vector<bool> full;
+  for (const CheckpointSite& site : CheckpointSites(journal_bytes)) {
+    full.push_back(IsFullImage(which, scan.records[site.record_index]));
+  }
+  return full;
+}
+
+/// Checkpoints every 2 completions, so short async runs write several full
+/// images and chains of deltas between them.
+JournalOptions ChainJournalOptions() {
+  JournalOptions options = TestJournalOptions();
+  options.checkpoint_interval = 2;
+  return options;
+}
+
 TEST(JournalRecoveryTest, CheckpointFastPathMatchesFullReplayAtEveryCrashPoint) {
   // The acceptance matrix for the fast path: kill the driver after every
   // journal record and resume twice — once forced onto full replay, once
@@ -362,16 +392,32 @@ TEST(JournalRecoveryTest, CheckpointFastPathMatchesFullReplayAtEveryCrashPoint) 
       const ClusterOptions options = MatrixCluster(with_faults);
       // Checkpoint every 2 completions so even the shortest configuration
       // (batch BO under faults) puts checkpoints in most kill prefixes.
-      JournalOptions journal_options = TestJournalOptions();
-      journal_options.checkpoint_interval = 2;
+      const JournalOptions journal_options = ChainJournalOptions();
       const JournaledRun golden =
           RunToCompletion(which, options, journal_options);
       const std::vector<size_t> ends = RecordBoundaries(golden.journal_bytes);
       ASSERT_GT(ends.size(), 2u);
       ASSERT_FALSE(CheckpointSites(golden.journal_bytes).empty())
           << "golden run wrote no checkpoints; shrink checkpoint_interval";
+      const bool async = which == Sched::kAsync || which == Sched::kAsyncBo ||
+                         which == Sched::kLearnedBo;
+      if (async) {
+        // The async scheduler writes deltas; without two full images and a
+        // chain of two deltas the matrix would not exercise chain restores.
+        int full_images = 0;
+        int chain = 0;
+        int longest_chain = 0;
+        for (bool full : FullImageFlags(which, golden.journal_bytes)) {
+          chain = full ? 0 : chain + 1;
+          full_images += full ? 1 : 0;
+          longest_chain = std::max(longest_chain, chain);
+        }
+        EXPECT_GE(full_images, 2);
+        EXPECT_GE(longest_chain, 2);
+      }
 
       int64_t engagements = 0;
+      int64_t deltas_applied = 0;
       for (size_t k = 1; k <= ends.size(); ++k) {
         const std::string prefix = golden.journal_bytes.substr(0, ends[k - 1]);
 
@@ -410,8 +456,12 @@ TEST(JournalRecoveryTest, CheckpointFastPathMatchesFullReplayAtEveryCrashPoint) 
             << "fast path, kill after record " << k;
         MetricsSnapshot metrics = sink.metrics.Snapshot();
         engagements += metrics.counters["journal.checkpoint_restored"];
+        deltas_applied += metrics.counters["journal.checkpoint_deltas_applied"];
       }
       EXPECT_GT(engagements, 0);
+      if (async) {
+        EXPECT_GT(deltas_applied, 0);
+      }
     }
   }
 }
@@ -545,6 +595,129 @@ TEST(JournalRecoveryTest, FastPathWalksBackPastCorruptNewestCheckpoint) {
   EXPECT_NE(resumed.status().message().find("diverged"), std::string::npos);
   MetricsSnapshot metrics = sink.metrics.Snapshot();
   EXPECT_EQ(metrics.counters["journal.checkpoint_restored"], 1);
+}
+
+/// A fast-path resume of `journal` on a fresh kAsync setup, with metrics.
+struct FastResume {
+  Result<RunResult> result = Status::Internal("unset");
+  std::string final_journal;
+  MetricsSnapshot metrics;
+};
+
+FastResume ResumeAsyncOnFastPath(const std::string& journal,
+                                 const ClusterOptions& options) {
+  Observability sink;
+  ClusterOptions observed = options;
+  observed.obs.sink = &sink;
+  std::unique_ptr<RunSetup> setup = MakeSetup(Sched::kAsync);
+  ResumeOptions resume;
+  resume.store = setup->store.get();
+  FastResume out;
+  out.result = ResumeRunFromBytes(journal, observed, setup->scheduler.get(),
+                                  setup->problem, ChainJournalOptions(),
+                                  &out.final_journal, resume);
+  out.metrics = sink.metrics.Snapshot();
+  return out;
+}
+
+/// Index into CheckpointSites() of the newest full image.
+size_t NewestFullImage(const std::vector<bool>& full) {
+  size_t newest = full.size();
+  for (size_t i = 0; i < full.size(); ++i) {
+    if (full[i]) newest = i;
+  }
+  return newest;
+}
+
+TEST(JournalRecoveryTest, FastPathResumesFromTheDeltaBeforeATornNewestDelta) {
+  // The driver died while writing a delta. The CRC scan drops it, and the
+  // chain ends at the delta before it.
+  const ClusterOptions options = MatrixCluster(/*with_faults=*/false);
+  const JournaledRun golden =
+      RunToCompletion(Sched::kAsync, options, ChainJournalOptions());
+  const std::vector<CheckpointSite> sites =
+      CheckpointSites(golden.journal_bytes);
+  const std::vector<bool> full =
+      FullImageFlags(Sched::kAsync, golden.journal_bytes);
+  ASSERT_GE(sites.size(), 3u);
+  ASSERT_FALSE(full[full.size() - 1]);
+  ASSERT_FALSE(full[full.size() - 2]) << "the predecessor must be a delta too";
+  const CheckpointSite& last = sites.back();
+  const std::string torn =
+      golden.journal_bytes.substr(0, last.begin + (last.end - last.begin) / 2);
+
+  FastResume resumed = ResumeAsyncOnFastPath(torn, options);
+  ASSERT_TRUE(resumed.result.ok()) << resumed.result.status().ToString();
+  EXPECT_EQ(RunResultDigest(*resumed.result), golden.digest);
+  EXPECT_EQ(resumed.final_journal, golden.journal_bytes);
+  EXPECT_EQ(resumed.metrics.counters["journal.torn_tail_records"], 1);
+  EXPECT_EQ(resumed.metrics.counters["journal.checkpoint_restored"], 1);
+  const size_t newest_full = NewestFullImage(full);
+  EXPECT_EQ(resumed.metrics.counters["journal.checkpoint_deltas_applied"],
+            static_cast<int64_t>(sites.size() - 2 - newest_full));
+  EXPECT_EQ(resumed.metrics.counters["journal.replayed_suffix_records"],
+            static_cast<int64_t>(last.record_index -
+                                 sites[sites.size() - 2].record_index - 1));
+}
+
+TEST(JournalRecoveryTest, FastPathFailsAtACorruptDeltaInTheNewestChain) {
+  // A CRC-valid delta that does not restore, inside the newest chain: the
+  // chain ends before it, and the run regenerates the true delta at that
+  // record, so the resume fails there, as full replay does.
+  const ClusterOptions options = MatrixCluster(/*with_faults=*/false);
+  const JournaledRun golden =
+      RunToCompletion(Sched::kAsync, options, ChainJournalOptions());
+  const std::vector<CheckpointSite> sites =
+      CheckpointSites(golden.journal_bytes);
+  const size_t newest_full =
+      NewestFullImage(FullImageFlags(Sched::kAsync, golden.journal_bytes));
+  ASSERT_LT(newest_full + 3, sites.size())
+      << "need a chain of three deltas after the newest full image";
+  const CheckpointSite& bad = sites[newest_full + 2];
+  const std::string corrupt = CorruptCheckpointSnapshot(golden.journal_bytes, bad);
+  const std::string where =
+      "diverged at record " + std::to_string(bad.record_index) + " ";
+
+  FastResume resumed = ResumeAsyncOnFastPath(corrupt, options);
+  ASSERT_FALSE(resumed.result.ok());
+  EXPECT_EQ(resumed.result.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(resumed.result.status().message().find(where), std::string::npos)
+      << resumed.result.status().ToString();
+  EXPECT_EQ(resumed.metrics.counters["journal.checkpoint_restored"], 1);
+  EXPECT_EQ(resumed.metrics.counters["journal.checkpoint_deltas_applied"], 1);
+
+  std::unique_ptr<RunSetup> setup = MakeSetup(Sched::kAsync);
+  ResumeOptions resume;
+  resume.use_checkpoint_fast_path = false;
+  Result<RunResult> replayed = ResumeRunFromBytes(
+      corrupt, options, setup->scheduler.get(), setup->problem,
+      ChainJournalOptions(), nullptr, resume);
+  ASSERT_FALSE(replayed.ok());
+  EXPECT_EQ(replayed.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(replayed.status().message().find(where), std::string::npos)
+      << replayed.status().ToString();
+}
+
+TEST(JournalRecoveryTest, FastPathEchoesACorruptCheckpointBeforeTheNewestFullImage) {
+  // The chain restored starts at the newest full image, so a rotten
+  // checkpoint before it is never decoded, only echoed.
+  const ClusterOptions options = MatrixCluster(/*with_faults=*/false);
+  const JournaledRun golden =
+      RunToCompletion(Sched::kAsync, options, ChainJournalOptions());
+  const std::vector<CheckpointSite> sites =
+      CheckpointSites(golden.journal_bytes);
+  const size_t newest_full =
+      NewestFullImage(FullImageFlags(Sched::kAsync, golden.journal_bytes));
+  ASSERT_GT(newest_full, 0u);
+  ASSERT_LT(newest_full, sites.size());
+  const std::string corrupt =
+      CorruptCheckpointSnapshot(golden.journal_bytes, sites[newest_full - 1]);
+
+  FastResume resumed = ResumeAsyncOnFastPath(corrupt, options);
+  ASSERT_TRUE(resumed.result.ok()) << resumed.result.status().ToString();
+  EXPECT_EQ(RunResultDigest(*resumed.result), golden.digest);
+  EXPECT_EQ(resumed.final_journal, corrupt);
+  EXPECT_EQ(resumed.metrics.counters["journal.checkpoint_restored"], 1);
 }
 
 TEST(JournalRecoveryTest, FsyncPolicyCountsBarriersAndSurvivesTruncation) {
@@ -734,11 +907,11 @@ TEST(JournalRecoveryTest, MalformedJournalsAreRejectedCleanly) {
     EXPECT_EQ(journal.status().code(), StatusCode::kInvalidArgument);
   }
   {
-    // A header from a future wire format version.
+    // A header from a future journal format version.
     std::string stream;
     WireEncoder enc;
     enc.PutU8(static_cast<uint8_t>(JournalRecord::kRunHeader));
-    enc.PutU32(kWireFormatVersion + 1);
+    enc.PutU32(kJournalFormatVersion + 1);
     enc.PutU64(ClusterFingerprint(options));
     AppendRecord(enc.Release(), &stream);
     Result<std::unique_ptr<RunJournal>> journal = RunJournal::ResumeFromBytes(
@@ -747,6 +920,24 @@ TEST(JournalRecoveryTest, MalformedJournalsAreRejectedCleanly) {
     EXPECT_EQ(journal.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(journal.status().message().find("newer wire format"),
               std::string::npos);
+  }
+  {
+    // A version 1 header, from before checkpoints had deltas.
+    ASSERT_EQ(kJournalFormatVersion, 2u);
+    std::string stream;
+    WireEncoder enc;
+    enc.PutU8(static_cast<uint8_t>(JournalRecord::kRunHeader));
+    enc.PutU32(1);
+    enc.PutU64(ClusterFingerprint(options));
+    AppendRecord(enc.Release(), &stream);
+    Result<RunResult> resumed =
+        ResumeRunFromBytes(stream, options, setup->scheduler.get(),
+                           setup->problem, TestJournalOptions());
+    ASSERT_FALSE(resumed.ok());
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
+    const std::string& message = resumed.status().message();
+    EXPECT_NE(message.find("version 1 "), std::string::npos) << message;
+    EXPECT_NE(message.find("version 2"), std::string::npos) << message;
   }
 }
 
@@ -791,6 +982,168 @@ TEST(JournalRecoveryTest, SchedulerSnapshotsRoundTripByteExactly) {
       }
     }
   }
+}
+
+std::string FullImage(const SchedulerInterface& scheduler) {
+  WireEncoder enc;
+  EXPECT_TRUE(scheduler.Snapshot(&enc).ok());
+  return enc.Release();
+}
+
+/// An async scheduler's full image mid-run, and its delta against that
+/// image after `steps` more jobs were issued and completed.
+struct FullAndDelta {
+  std::unique_ptr<RunSetup> original;
+  std::string full;
+  std::string delta;
+};
+
+FullAndDelta MakeFullAndDelta(int steps) {
+  FullAndDelta out;
+  out.original = MakeSetup(Sched::kAsync);
+  SchedulerInterface* scheduler = out.original->scheduler.get();
+  ClusterOptions options = MatrixCluster(/*with_faults=*/false);
+  options.max_trials = 30;
+  SimulatedCluster cluster(options);
+  (void)cluster.Run(scheduler, out.original->problem);
+  out.full = FullImage(*scheduler);
+  for (int i = 0; i < steps; ++i) {
+    std::optional<Job> job = scheduler->NextJob();
+    EXPECT_TRUE(job.has_value());
+    if (!job.has_value()) break;
+    EvalResult result;
+    result.objective =
+        out.original->problem.Evaluate(job->config, job->resource, 7).objective;
+    scheduler->OnJobComplete(*job, result);
+  }
+  WireEncoder delta;
+  delta.set_snapshot_base(&out.full);
+  EXPECT_TRUE(scheduler->Snapshot(&delta).ok());
+  out.delta = delta.Release();
+  return out;
+}
+
+TEST(JournalRecoveryTest, FullImagePlusDeltaRestoresTheSameScheduler) {
+  FullAndDelta images = MakeFullAndDelta(/*steps=*/40);
+  const RunSetup& original = *images.original;
+  EXPECT_FALSE(IsFullImage(Sched::kAsync,
+                           [&] {
+                             WireEncoder record;
+                             record.PutU8(static_cast<uint8_t>(
+                                 JournalRecord::kCheckpoint));
+                             record.PutF64(0.0);
+                             record.PutI64(0);
+                             record.PutString(images.delta);
+                             return record.Release();
+                           }()))
+      << "a delta must not restore on a fresh scheduler";
+
+  std::unique_ptr<RunSetup> restored = MakeSetup(Sched::kAsync);
+  for (int level = 1; level <= original.store->num_levels(); ++level) {
+    for (const Measurement& m : original.store->group(level)) {
+      restored->store->Add(level, m.config, m.objective);
+    }
+    for (const Configuration& config : original.store->PendingConfigs(level)) {
+      restored->store->AddPending(config, level);
+    }
+  }
+  WireDecoder full(images.full);
+  ASSERT_TRUE(restored->scheduler->Restore(&full).ok());
+  WireDecoder delta(images.delta);
+  ASSERT_TRUE(restored->scheduler->Restore(&delta).ok());
+  EXPECT_TRUE(delta.AtEnd());
+  // The delta extends the full image's state only once.
+  WireDecoder again(images.delta);
+  EXPECT_EQ(restored->scheduler->Restore(&again).code(),
+            StatusCode::kFailedPrecondition);
+
+  EXPECT_EQ(FullImage(*restored->scheduler), FullImage(*original.scheduler));
+  std::optional<Job> next_original = original.scheduler->NextJob();
+  std::optional<Job> next_restored = restored->scheduler->NextJob();
+  ASSERT_TRUE(next_original.has_value() && next_restored.has_value());
+  EXPECT_EQ(next_original->job_id, next_restored->job_id);
+  EXPECT_EQ(next_original->level, next_restored->level);
+  EXPECT_EQ(next_original->bracket, next_restored->bracket);
+  ASSERT_EQ(next_original->config.size(), next_restored->config.size());
+  for (size_t d = 0; d < next_original->config.size(); ++d) {
+    EXPECT_EQ(next_original->config[d], next_restored->config[d]);
+  }
+}
+
+TEST(JournalRecoveryTest, CorruptDeltasAreRejectedWithoutSideEffects) {
+  // Every truncation and every single-bit flip of one delta, applied to a
+  // scheduler restored to its base: nothing may crash (CI runs this under
+  // ASan+UBSan), and a rejected delta must leave the scheduler's full image
+  // exactly as it was. An accepted flip (a different but well-formed
+  // delta) is undone by restoring the base again. Most of the delta is the
+  // selector's and sampler's Rng texts, slow to parse, so the cases run on
+  // the shared pool with one scheduler per slot.
+  const FullAndDelta images = MakeFullAndDelta(/*steps=*/12);
+  const std::string& delta = images.delta;
+  struct Slot {
+    std::unique_ptr<RunSetup> setup;
+    int64_t rejected = 0;
+    int64_t accepted = 0;
+    std::vector<std::string> errors;
+  };
+  auto restore_base = [&](SchedulerInterface* scheduler) {
+    WireDecoder dec(images.full);
+    return scheduler->Restore(&dec).ok();
+  };
+  ThreadPool& pool = ThreadPool::Shared();
+  std::vector<Slot> slots(pool.num_slots());
+  for (Slot& slot : slots) {
+    slot.setup = MakeSetup(Sched::kAsync);
+    ASSERT_TRUE(restore_base(slot.setup->scheduler.get()));
+  }
+  const std::string image = FullImage(*slots[0].setup->scheduler);
+
+  // Items [0, n) truncate the delta to that many bytes; item n + b flips
+  // each bit of byte b in turn.
+  pool.ParallelFor(2 * delta.size(), [&](size_t s, size_t item) {
+    Slot& slot = slots[s];
+    SchedulerInterface* scheduler = slot.setup->scheduler.get();
+    // Returns whether the bytes were accepted.
+    auto apply = [&](const char* data, size_t size, const std::string& what) {
+      WireDecoder dec(data, size);
+      if (scheduler->Restore(&dec).ok()) {
+        ++slot.accepted;
+        if (!restore_base(scheduler)) slot.errors.push_back(what + ": reset");
+        return true;
+      }
+      ++slot.rejected;
+      WireEncoder after;
+      if (!scheduler->Snapshot(&after).ok() || after.bytes() != image) {
+        slot.errors.push_back(what + ": rejected, but the state changed");
+      }
+      return false;
+    };
+    if (item < delta.size()) {
+      // Every truncation cuts the sampler's length-prefixed state short.
+      const std::string what = "truncated to " + std::to_string(item);
+      if (apply(delta.data(), item, what)) {
+        slot.errors.push_back(what + ": accepted");
+      }
+      return;
+    }
+    const size_t byte = item - delta.size();
+    std::string flipped = delta;
+    for (int bit = 0; bit < 8; ++bit) {
+      flipped[byte] = static_cast<char>(delta[byte] ^ (1 << bit));
+      apply(flipped.data(), flipped.size(),
+            "bit " + std::to_string(8 * byte + static_cast<size_t>(bit)));
+    }
+  });
+
+  int64_t rejected = 0;
+  int64_t accepted = 0;
+  for (const Slot& slot : slots) {
+    rejected += slot.rejected;
+    accepted += slot.accepted;
+    for (const std::string& error : slot.errors) ADD_FAILURE() << error;
+  }
+  EXPECT_GT(rejected, static_cast<int64_t>(delta.size()));
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(JournalRecoveryTest, ContractCheckerRefusesRestoreButForwardsSnapshot) {

@@ -164,20 +164,6 @@ TEST_F(SimulatedClusterTest, BarriersCreateIdleTime) {
   EXPECT_GT(result.idle_seconds, 0.0);
 }
 
-TEST_F(SimulatedClusterTest, DispatchOverheadExtendsRuntime) {
-  auto elapsed_with_overhead = [&](double overhead) {
-    FixedJobScheduler scheduler(problem_.space(), 20, 10.0);
-    ClusterOptions options;
-    options.num_workers = 1;
-    options.time_budget_seconds = 1e6;
-    options.dispatch_overhead_seconds = overhead;
-    SimulatedCluster cluster(options);
-    return cluster.Run(&scheduler, problem_).elapsed_seconds;
-  };
-  EXPECT_NEAR(elapsed_with_overhead(0.0), 200.0, 1e-9);
-  EXPECT_NEAR(elapsed_with_overhead(1.0), 220.0, 1e-9);
-}
-
 TEST_F(SimulatedClusterTest, ZeroTrialRunHasZeroUtilization) {
   // A scheduler with no work at all must yield utilization 0, not NaN
   // (busy + idle is 0 when nothing ever ran).
