@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <utility>
 
+#include "src/common/logging.h"
+
 namespace hypertune {
 
 namespace {
@@ -189,7 +191,8 @@ Status DecodeCompleteRecord(const std::string& payload, CompleteRecord* out) {
 
 Result<std::unique_ptr<RunJournal>> RunJournal::Create(
     const std::string& path, uint64_t fingerprint, JournalOptions options) {
-  std::unique_ptr<RunJournal> journal(new RunJournal(options));
+  std::unique_ptr<RunJournal> journal(
+      new RunJournal(options, /*in_memory=*/false));
   {
     MutexLock lock(journal->mu_);
     journal->file_.open(path, std::ios::binary | std::ios::trunc);
@@ -205,7 +208,8 @@ Result<std::unique_ptr<RunJournal>> RunJournal::Create(
 
 std::unique_ptr<RunJournal> RunJournal::CreateInMemory(
     uint64_t fingerprint, JournalOptions options) {
-  std::unique_ptr<RunJournal> journal(new RunJournal(options));
+  std::unique_ptr<RunJournal> journal(
+      new RunJournal(options, /*in_memory=*/true));
   journal->WriteHeader(fingerprint);
   return journal;
 }
@@ -221,7 +225,7 @@ Result<std::unique_ptr<RunJournal>> RunJournal::OpenForResume(
                  std::istreambuf_iterator<char>());
   }
   Result<std::unique_ptr<RunJournal>> journal =
-      ResumeCommon(bytes, fingerprint, obs, options);
+      ResumeCommon(bytes, fingerprint, obs, options, /*in_memory=*/false);
   if (!journal.ok()) return journal;
   // Drop the torn tail from the file itself so the resumed run appends from
   // the last clean byte. Safe under a double crash: only bytes the CRC scan
@@ -251,12 +255,12 @@ Result<std::unique_ptr<RunJournal>> RunJournal::OpenForResume(
 Result<std::unique_ptr<RunJournal>> RunJournal::ResumeFromBytes(
     const std::string& bytes, uint64_t fingerprint,
     const ObservabilityOptions& obs, JournalOptions options) {
-  return ResumeCommon(bytes, fingerprint, obs, options);
+  return ResumeCommon(bytes, fingerprint, obs, options, /*in_memory=*/true);
 }
 
 Result<std::unique_ptr<RunJournal>> RunJournal::ResumeCommon(
     const std::string& bytes, uint64_t fingerprint,
-    const ObservabilityOptions& obs, JournalOptions options) {
+    const ObservabilityOptions& obs, JournalOptions options, bool in_memory) {
   RecordScan scan = ScanRecords(bytes);
   if (scan.records.empty()) {
     return Status::DataLoss("journal: no intact records (" +
@@ -298,7 +302,7 @@ Result<std::unique_ptr<RunJournal>> RunJournal::ResumeCommon(
     }
   }
 
-  std::unique_ptr<RunJournal> journal(new RunJournal(options));
+  std::unique_ptr<RunJournal> journal(new RunJournal(options, in_memory));
   journal->obs_ = obs;
   journal->loaded_ = std::move(scan.records);
   journal->bytes_dropped_ =
@@ -323,7 +327,7 @@ Result<std::unique_ptr<RunJournal>> RunJournal::ResumeCommon(
     }
   }
   MutexLock lock(journal->mu_);
-  journal->buffer_ = bytes.substr(0, scan.clean_bytes);
+  if (in_memory) journal->buffer_ = bytes.substr(0, scan.clean_bytes);
   journal->replay_cursor_ = 1;  // header verified above
   journal->verified_ = 1;
   return journal;
@@ -424,8 +428,9 @@ void RunJournal::CommitLocked(std::string payload) {
   }
   std::string frame;
   AppendRecord(payload, &frame);
-  buffer_.append(frame);
-  if (file_.is_open()) {
+  if (in_memory_) {
+    buffer_.append(frame);
+  } else {
     file_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
     file_.flush();
     if (!file_) {
@@ -656,6 +661,9 @@ size_t RunJournal::replay_position() const {
 }
 
 std::string RunJournal::bytes() const {
+  HT_CHECK(in_memory_)
+      << "RunJournal::bytes() serves in-memory journals; read the file of a "
+         "file-backed one";
   MutexLock lock(mu_);
   return buffer_;
 }

@@ -141,8 +141,10 @@ struct JournalOptions {
 /// (Create / CreateInMemory) or from the bytes of a killed run's journal
 /// (OpenForResume / ResumeFromBytes), then handed to the backend via
 /// ClusterOptions::journal. Methods are internally synchronized so the
-/// thread backend's workers may append concurrently. It keeps the last
-/// checkpoint's snapshot, the base of the next delta.
+/// thread backend's workers may append concurrently. A file-backed journal
+/// writes every record straight to its file and keeps no copy of the
+/// stream; only an in-memory journal holds it, in bytes(). Both keep the
+/// last checkpoint's snapshot, the base of the next delta.
 class RunJournal {
  public:
   /// Fresh file-backed journal; truncates `path` and writes the run header.
@@ -236,9 +238,9 @@ class RunJournal {
   /// prefix-vs-suffix switch off this cursor.
   size_t replay_position() const EXCLUDES(mu_);
 
-  /// Full serialized stream: the verified prefix plus everything appended.
-  /// For in-memory journals this is the complete journal; for file-backed
-  /// journals it mirrors what was written to disk.
+  /// Full serialized stream of an in-memory journal: the verified prefix
+  /// plus everything appended. Aborts on a file-backed journal, whose
+  /// stream is its file.
   std::string bytes() const EXCLUDES(mu_);
 
   /// Records loaded at resume (payloads, framing stripped), run header
@@ -251,11 +253,13 @@ class RunJournal {
   const JournalOptions& options() const { return options_; }
 
  private:
-  explicit RunJournal(JournalOptions options) : options_(options) {}
+  RunJournal(JournalOptions options, bool in_memory)
+      : options_(options), in_memory_(in_memory) {}
 
   [[nodiscard]] static Result<std::unique_ptr<RunJournal>> ResumeCommon(
       const std::string& bytes, uint64_t fingerprint,
-      const ObservabilityOptions& obs, JournalOptions options);
+      const ObservabilityOptions& obs, JournalOptions options,
+      bool in_memory);
 
   void WriteHeader(uint64_t fingerprint) EXCLUDES(mu_);
   /// Appends or replay-verifies one encoded payload.
@@ -269,6 +273,7 @@ class RunJournal {
   void OpenSyncFd(const std::string& path) EXCLUDES(mu_);
 
   const JournalOptions options_;
+  const bool in_memory_;
   ObservabilityOptions obs_;  // set for resumed journals; null otherwise
   int64_t records_dropped_ = 0;
   int64_t bytes_dropped_ = 0;
@@ -277,7 +282,7 @@ class RunJournal {
   Status status_ GUARDED_BY(mu_);
   std::vector<std::string> loaded_;  // written once before the run
   size_t replay_cursor_ GUARDED_BY(mu_) = 0;
-  std::string buffer_ GUARDED_BY(mu_);  // full stream (header included)
+  std::string buffer_ GUARDED_BY(mu_);  // in-memory stream, header included
   std::ofstream file_ GUARDED_BY(mu_);  // open for file-backed journals
   int sync_fd_ GUARDED_BY(mu_) = -1;    // fsync handle for file-backed
   int64_t appended_ GUARDED_BY(mu_) = 0;
