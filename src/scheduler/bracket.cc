@@ -382,8 +382,9 @@ Status Bracket::Restore(WireDecoder* dec) {
         r.completed > r.issued || r.completed < 0) {
       return Status::InvalidArgument("bracket: inconsistent rung counters");
     }
-    r.results.reserve(num_results);
-    std::vector<bool> closed(num_results);
+    // No reserve: the count comes from the bytes, so storage grows only as
+    // results actually decode.
+    std::vector<bool> closed;
     for (uint32_t i = 0; i < num_results; ++i) {
       double objective;
       Configuration config;
@@ -392,7 +393,7 @@ Status Bracket::Restore(WireDecoder* dec) {
       HT_RETURN_IF_ERROR(DecodeConfiguration(dec, &config));
       HT_RETURN_IF_ERROR(dec->GetBool(&was_closed));
       r.results.emplace_back(objective, std::move(config));
-      closed[i] = was_closed;
+      closed.push_back(was_closed);
     }
     // Rebuild the order tree by re-inserting completions in completion
     // order (node id == results index, as OnJobComplete guarantees), then
