@@ -142,7 +142,7 @@ class JournalPrefixScheduler : public SchedulerInterface {
 
 struct FastPathPlan {
   bool engaged = false;
-  size_t switch_index = 0;  // loaded-record index of the last applied checkpoint
+  size_t switch_index = 0;  // loaded-record index of the last one applied
   int64_t deltas_applied = 0;
 };
 

@@ -509,13 +509,12 @@ Status Bracket::DecodeDelta(WireDecoder* dec,
     uint32_t count;
     HT_RETURN_IF_ERROR(dec->GetI64(&d.issued));
     HT_RETURN_IF_ERROR(dec->GetU32(&count));
-    if (r.results.size() + count != after[i].results ||
-        static_cast<int64_t>(after[i].results) > d.issued) {
+    const int64_t completed = after[i].results;
+    if (r.results.size() + count != after[i].results || completed > d.issued) {
       return Status::InvalidArgument(
           "bracket: delta results do not extend the rung consistently");
     }
-    in_flight_sum +=
-        static_cast<uint64_t>(d.issued - static_cast<int64_t>(after[i].results));
+    in_flight_sum += static_cast<uint64_t>(d.issued - completed);
     std::unordered_set<uint64_t> new_hashes;
     for (uint32_t j = 0; j < count; ++j) {
       double objective;

@@ -194,8 +194,14 @@ class Bracket {
   const BracketOptions& options() const { return options_; }
 
  private:
+  /// At most 256 bytes, so a 4-level ladder's rungs take 1 KiB, which
+  /// glibc still serves from its per-thread allocation cache.
   struct Rung {
     int level = 0;
+    /// Prefix of promotion_log already audited by CheckInvariants (beside
+    /// `level`, in its padding). Mutable: the audit is observably const
+    /// (it only verifies).
+    mutable uint32_t audited = 0;
     /// Sync mode: number of configurations this rung should evaluate.
     int64_t target = 0;
     int64_t issued = 0;
@@ -217,10 +223,8 @@ class Bracket {
     /// completes twice), for incremental promoted-subset-of-completed
     /// invariant checks.
     std::unordered_map<uint64_t, int64_t> completed_hash_counts;
-    /// Prefix of promotion_log already audited by CheckInvariants.
-    /// Mutable: the audit is observably const (it only verifies).
-    mutable size_t audited = 0;
   };
+  static_assert(sizeof(Rung) <= 256, "see Rung");
 
   Rung& rung(int level);
   const Rung& rung(int level) const;
