@@ -16,7 +16,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <queue>
 #include <string>
 #include <vector>
@@ -604,6 +606,89 @@ void BM_SimCoreEvents(benchmark::State& state) {
 }
 BENCHMARK(BM_SimCoreEvents)->Unit(benchmark::kMillisecond)->Iterations(3);
 
+/// A-Hyperband on journal-resume's shape (counting-ones 4+4, 256 workers,
+/// crashes, worker deaths and quarantine) after 15k completions, and the
+/// full image it had 64 completions (the default checkpoint interval)
+/// earlier. Built once.
+class LateAsyncRun {
+ public:
+  static const LateAsyncRun& Get() {
+    static const LateAsyncRun run;
+    return run;
+  }
+  const SchedulerInterface& scheduler() const { return *scheduler_; }
+  const std::string& base() const { return base_; }
+
+ private:
+  LateAsyncRun() : problem_(ProblemOptions()) {
+    TunerFactoryOptions factory;
+    factory.method = Method::kAHyperband;
+    factory.seed = 3131;
+    tuner_ = CreateTuner(problem_, factory);
+    scheduler_ = tuner_->scheduler();
+    ClusterOptions cluster;
+    cluster.num_workers = 256;
+    cluster.time_budget_seconds = 1e12;
+    cluster.seed = 3131;
+    cluster.max_trials = 15000 - 64;
+    cluster.straggler_sigma = 0.5;
+    cluster.faults.crash_probability = 0.05;
+    cluster.faults.max_retries = 20;
+    cluster.faults.retry_backoff_seconds = 10.0;
+    cluster.worker_faults.mttf_seconds = 20000.0;
+    cluster.worker_faults.mttr_seconds = 600.0;
+    cluster.worker_faults.quarantine_failures = 3;
+    cluster.worker_faults.quarantine_seconds = 600.0;
+    (void)tuner_->Run(problem_, cluster);
+    WireEncoder base;
+    if (!scheduler_->Snapshot(&base).ok()) std::abort();
+    base_ = base.Release();
+    for (uint64_t i = 0; i < 64; ++i) {
+      std::optional<Job> job = scheduler_->NextJob();
+      if (!job.has_value()) std::abort();
+      EvalResult result;
+      result.objective =
+          problem_.Evaluate(job->config, job->resource, i).objective;
+      scheduler_->OnJobComplete(*job, result);
+    }
+  }
+
+  static CountingOnesOptions ProblemOptions() {
+    CountingOnesOptions options;
+    options.num_categorical = 4;
+    options.num_continuous = 4;
+    return options;
+  }
+
+  CountingOnes problem_;
+  std::unique_ptr<Tuner> tuner_;
+  SchedulerInterface* scheduler_ = nullptr;
+  std::string base_;
+};
+
+/// One journal checkpoint of that run's scheduler: arg 0 snapshots the
+/// full image, arg 1 the delta against the earlier full image. The
+/// "bytes" counter is the snapshot's size.
+void BM_AsyncCheckpoint(benchmark::State& state) {
+  const LateAsyncRun& run = LateAsyncRun::Get();
+  const bool delta = state.range(0) == 1;
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    WireEncoder enc;
+    if (delta) enc.set_snapshot_base(&run.base());
+    if (!run.scheduler().Snapshot(&enc).ok()) {
+      state.SkipWithError("snapshot declined");
+      return;
+    }
+    bytes = static_cast<int64_t>(enc.size());
+    benchmark::DoNotOptimize(enc.bytes().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AsyncCheckpoint)->Arg(0)->Arg(1);
+
 /// One Rng::Uniform() draw: the engine's tempered output and the exact
 /// branch-free conversion to [0, 1).
 void BM_RngUniform(benchmark::State& state) {
@@ -640,12 +725,12 @@ void BM_RngFreshDraws(benchmark::State& state) {
 }
 BENCHMARK(BM_RngFreshDraws);
 
-/// Benchmarks `--quick` keeps: the allocation-bounded data-structure kernels
-/// and the Rng draws every layer makes.
+/// Benchmarks `--quick` keeps: the allocation-bounded data-structure kernels,
+/// the Rng draws every layer makes, and the async scheduler's checkpoint.
 constexpr char kQuickFilter[] =
     "BM_(CalendarQueue|BinaryHeap|RankTree|StoreIndexedAdd|StorePendingChurn|"
     "TrialHistoryRecord|JournalAppend|RngUniform|RngUniformInt|"
-    "RngFreshDraws)";
+    "RngFreshDraws|AsyncCheckpoint)";
 
 /// Console output as usual, plus BENCH_micro.json: schema_version 1, one
 /// entry per benchmark run with name / iterations / ns_per_op and, for

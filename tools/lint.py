@@ -80,9 +80,9 @@ only in the baseline are reported but tolerated, so `--quick` subsets
 ratchet the kernels they cover; names only in CURRENT are new benchmarks
 and pass (they join the ratchet when the baseline is regenerated). An
 empty intersection fails: a ratchet that compares nothing guards nothing.
-The baseline must also cover the surrogate hot-path kernels and the fresh
-Rng stream (REQUIRED_RATCHET_KERNELS) — a baseline regenerated without them
-would silently stop guarding those speedups.
+The baseline must also cover the surrogate hot-path kernels, the fresh
+Rng stream and the async checkpoint (REQUIRED_RATCHET_KERNELS) — a baseline
+regenerated without them would silently stop guarding those speedups.
 
 Usage: python3 tools/lint.py [--root DIR]   (exit 1 on any violation)
        python3 tools/lint.py --validate-trace PATH
@@ -433,17 +433,20 @@ def validate_bench(path):
 
 
 # Kernels the committed baseline must cover for the ratchet to mean
-# anything: the surrogate hot path (DESIGN.md §13) and a fresh Rng's short
-# stream (DESIGN.md "Random streams"). A baseline missing one of these (or a
-# parameterized variant, "NAME/64") silently un-guards the batched-prediction
-# and lazy-seeding speedup claims, so their absence is an error rather than
-# a skip. Checked against the BASELINE only — CI's --quick run intentionally
-# executes a subset, so CURRENT may omit them.
+# anything: the surrogate hot path (DESIGN.md §13), a fresh Rng's short
+# stream (DESIGN.md "Random streams") and an async scheduler's checkpoint,
+# full image and delta (DESIGN.md §10). A baseline missing one of these (or
+# a parameterized variant, "NAME/64") silently un-guards the
+# batched-prediction, lazy-seeding and delta-checkpoint speedup claims, so
+# their absence is an error rather than a skip. Checked against the
+# BASELINE only — CI's --quick run intentionally executes a subset, so
+# CURRENT may omit them.
 REQUIRED_RATCHET_KERNELS = (
     "BM_GpPredictBatch",
     "BM_CholUpdateAppend",
     "BM_AcqSweep",
     "BM_RngFreshDraws",
+    "BM_AsyncCheckpoint",
 )
 
 
