@@ -172,7 +172,20 @@ Status Rng::DeserializeState(const std::string& state) {
   Rng fresh(0);
   double unit_lo = 0.0;
   double unit_hi = 0.0;
-  in >> fresh.engine_ >> unit_lo >> unit_hi >> fresh.normal_;
+  in >> fresh.engine_ >> unit_lo >> unit_hi;
+  // The normal distribution's text starts with its mean and deviation.
+  // Only N(0, 1) is ever written (Gaussian(mean, stddev) scales the
+  // standard draw), and std's reader asserts a positive deviation before
+  // anything could reject it, so check both first.
+  const std::streampos normal_text = in.tellg();
+  double mean = 0.0;
+  double stddev = 0.0;
+  in >> mean >> stddev;
+  if (in && (mean != 0.0 || stddev != 1.0)) {
+    return Status::InvalidArgument("rng: normal distribution is not 0 1");
+  }
+  in.seekg(normal_text);
+  in >> fresh.normal_;
   if (!in) return Status::InvalidArgument("rng: malformed serialized state");
   // Reject trailing garbage: a truncated-then-padded token stream must not
   // silently restore.

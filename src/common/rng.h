@@ -170,8 +170,9 @@ class Rng {
   std::string SerializeState() const;
 
   /// Restores state produced by SerializeState(). Rejects malformed input
-  /// (including a unit-distribution range other than 0 1) with
-  /// InvalidArgument and leaves the generator unchanged on failure.
+  /// (including a unit-distribution range or normal distribution other
+  /// than 0 1) with InvalidArgument and leaves the generator unchanged on
+  /// failure.
   [[nodiscard]] Status DeserializeState(const std::string& state);
 
  private:

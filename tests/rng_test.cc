@@ -471,6 +471,29 @@ TEST(RngTest, DeserializeRejectsUnitRangeOtherThanZeroOne) {
   }
 }
 
+TEST(RngTest, DeserializeRejectsNormalOtherThanZeroOne) {
+  // Rng only ever holds N(0, 1), so any other normal distribution in a
+  // snapshot would change Gaussian() silently. A non-positive deviation is
+  // rejected before std's reader, which asserts on it in debug builds.
+  StdReference ref(22);
+  ref.Gaussian();
+  std::ostringstream prefix;
+  prefix << ref.engine << ' ' << ref.unit << ' ';
+  Rng rng(22);
+  rng.Gaussian();
+  const std::string before = rng.SerializeState();
+  ASSERT_EQ(before, ref.Text());
+  for (const char* normal :
+       {"0 0 0", "0 -1 0", "1 1 0", "0 2 0", "0 1e-300 0"}) {
+    EXPECT_EQ(rng.DeserializeState(prefix.str() + normal).code(),
+              StatusCode::kInvalidArgument)
+        << normal;
+    EXPECT_EQ(rng.SerializeState(), before) << normal;
+  }
+  Rng plain(5);
+  ASSERT_TRUE(plain.DeserializeState(prefix.str() + "0 1 0").ok());
+}
+
 TEST(RngDeathTest, UniformIntRejectsAnEmptyRange) {
   Rng rng(1);
   EXPECT_DEATH(rng.UniformInt(3, 2), "UniformInt\\(lo=3, hi=2\\)");
