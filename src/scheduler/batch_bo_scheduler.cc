@@ -104,9 +104,10 @@ Status BatchBoScheduler::Restore(WireDecoder* dec) {
     return Status::InvalidArgument("batch scheduler: inconsistent counters");
   }
   if (issued_in_batch < 0 ||
-      (options_.synchronous && issued_in_batch > options_.batch_size)) {
+      (options_.synchronous && (issued_in_batch > options_.batch_size ||
+                                outstanding > issued_in_batch))) {
     return Status::InvalidArgument(
-        "batch scheduler: batch issue counter outside the configured batch");
+        "batch scheduler: batch counters outside the configured batch");
   }
   HT_RETURN_IF_ERROR(sampler_->RestoreState(dec));
   next_job_id_ = next_job_id;
