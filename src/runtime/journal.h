@@ -43,9 +43,10 @@ namespace hypertune {
 
 /// Journal format version, written into the run header. Version 2 made
 /// checkpoints a full image or a delta against the previous checkpoint
-/// (see RunJournal::MaybeCheckpoint). A resume rejects any other version
-/// with a Status that names both.
-inline constexpr uint32_t kJournalFormatVersion = 2;
+/// (see RunJournal::MaybeCheckpoint); version 3 gave both one encoding, a
+/// full image being the change since empty rung logs. A resume rejects any
+/// other version with a Status that names both.
+inline constexpr uint32_t kJournalFormatVersion = 3;
 
 /// Tag byte identifying each journal record (first payload byte).
 enum class JournalRecord : uint8_t {

@@ -15,10 +15,6 @@ bool UsesSingleBracket(const BracketSchedulerOptions& options) {
   return options.selector.policy == BracketPolicy::kFixed;
 }
 
-/// First byte of a snapshot: a full image, or a delta against a base.
-constexpr uint8_t kFullImage = 0;
-constexpr uint8_t kDelta = 1;
-
 /// Rung log sizes of every bracket, [bracket][rung]. Every snapshot leads
 /// with the shape it leaves the scheduler in, so the next checkpoint reads
 /// its base's counts without decoding the rest.
@@ -29,6 +25,14 @@ Shape ShapeOf(const std::vector<std::unique_ptr<Bracket>>& brackets) {
   shape.reserve(brackets.size());
   for (const auto& bracket : brackets) shape.push_back(bracket->Counts());
   return shape;
+}
+
+/// The shape of empty rung logs: a snapshot against it is a full image.
+Shape EmptyLike(const Shape& shape) {
+  Shape empty;
+  empty.reserve(shape.size());
+  for (const auto& rungs : shape) empty.emplace_back(rungs.size());
+  return empty;
 }
 
 void EncodeShape(const Shape& shape, WireEncoder* enc) {
@@ -226,31 +230,27 @@ Status AsyncBracketScheduler::Snapshot(WireEncoder* enc) const {
   WireEncoder sampler_state;
   HT_RETURN_IF_ERROR(sampler_->SnapshotState(&sampler_state));
 
-  // Write a delta when the encoder offers a base this state extends: an
-  // earlier snapshot of this scheduler, whose rung logs are all no longer
-  // than now. Otherwise write the full image.
+  // Write the change since the encoder's snapshot base when this state
+  // extends it: an earlier snapshot of this scheduler, whose rung logs are
+  // all no longer than now. Otherwise write the change since empty rungs,
+  // the full image.
   const Shape shape = ShapeOf(brackets_);
-  Shape base;
-  bool delta = false;
+  Shape base = EmptyLike(shape);
   if (enc->snapshot_base() != nullptr) {
     WireDecoder dec(*enc->snapshot_base());
-    uint8_t kind = 0;
-    delta = dec.GetU8(&kind).ok() && (kind == kFullImage || kind == kDelta) &&
-            DecodeShape(&dec, shape, &base).ok() && Extends(shape, base);
+    Shape earlier;
+    if (DecodeShape(&dec, shape, &earlier).ok() && Extends(shape, earlier)) {
+      base = std::move(earlier);
+    }
   }
-  enc->PutU8(delta ? kDelta : kFullImage);
   EncodeShape(shape, enc);
-  if (delta) EncodeShape(base, enc);
+  EncodeShape(base, enc);
   enc->PutI64(next_job_id_);
   enc->PutI64(promotions_issued_);
   enc->PutI64(trials_failed_);
   std::unordered_map<const Bracket*, uint32_t> bracket_index;
   for (uint32_t i = 0; i < brackets_.size(); ++i) {
-    if (delta) {
-      brackets_[i]->SnapshotDelta(base[i], enc);
-    } else {
-      brackets_[i]->Snapshot(enc);
-    }
+    brackets_[i]->Snapshot(base[i], enc);
     bracket_index[brackets_[i].get()] = i;
   }
 
@@ -279,21 +279,14 @@ Status AsyncBracketScheduler::Restore(WireDecoder* dec) {
   // Decode and check everything first, staged; mutate only once all of it
   // is accepted, so a rejected snapshot leaves the scheduler unchanged.
   const Shape current = ShapeOf(brackets_);
-  uint8_t kind = 0;
   Shape after;
-  HT_RETURN_IF_ERROR(dec->GetU8(&kind));
-  if (kind != kFullImage && kind != kDelta) {
-    return Status::InvalidArgument("async scheduler: unknown snapshot kind");
-  }
+  Shape base;
   HT_RETURN_IF_ERROR(DecodeShape(dec, current, &after));
-  if (kind == kDelta) {
-    Shape base;
-    HT_RETURN_IF_ERROR(DecodeShape(dec, current, &base));
-    if (base != current) {
-      return Status::FailedPrecondition(
-          "async scheduler: delta extends a different state than this "
-          "scheduler's");
-    }
+  HT_RETURN_IF_ERROR(DecodeShape(dec, current, &base));
+  if (base != current) {
+    return Status::FailedPrecondition(
+        "async scheduler: snapshot extends a different state than this "
+        "scheduler's");
   }
   int64_t next_job_id = 0;
   int64_t promotions_issued = 0;
@@ -305,26 +298,16 @@ Status AsyncBracketScheduler::Restore(WireDecoder* dec) {
     return Status::InvalidArgument("async scheduler: negative counter");
   }
 
-  std::vector<std::unique_ptr<Bracket>> images;  // full image
-  std::vector<Bracket::Delta> deltas;            // delta
-  std::vector<int64_t> bracket_in_flight;
+  std::vector<Bracket::Delta> deltas(brackets_.size());
+  std::vector<int64_t> unrouted;  // per bracket, in flight minus routed
   for (size_t i = 0; i < brackets_.size(); ++i) {
-    if (kind == kFullImage) {
-      auto bracket = std::make_unique<Bracket>(brackets_[i]->options());
-      HT_RETURN_IF_ERROR(bracket->Restore(dec));
-      if (bracket->Counts() != after[i]) {
-        return Status::InvalidArgument(
-            "async scheduler: bracket image disagrees with the snapshot's "
-            "rung counts");
-      }
-      bracket_in_flight.push_back(bracket->InFlight());
-      images.push_back(std::move(bracket));
-    } else {
-      deltas.emplace_back();
-      HT_RETURN_IF_ERROR(brackets_[i]->DecodeDelta(dec, after[i],
-                                                   &deltas.back()));
-      bracket_in_flight.push_back(deltas.back().in_flight);
+    HT_RETURN_IF_ERROR(brackets_[i]->Decode(dec, &deltas[i]));
+    if (deltas[i].counts != after[i]) {
+      return Status::InvalidArgument(
+          "async scheduler: bracket state disagrees with the snapshot's "
+          "rung counts");
     }
+    unrouted.push_back(deltas[i].in_flight);
   }
 
   uint32_t num_inflight = 0;
@@ -344,23 +327,19 @@ Status AsyncBracketScheduler::Restore(WireDecoder* dec) {
       return Status::InvalidArgument(
           "async scheduler: in-flight job ids not strictly ascending");
     }
-    --bracket_in_flight[index];
+    --unrouted[index];
     inflight.emplace_back(job_id, index);
   }
-  for (int64_t unrouted : bracket_in_flight) {
-    if (unrouted != 0) {
+  for (int64_t jobs : unrouted) {
+    if (jobs != 0) {
       return Status::InvalidArgument(
           "async scheduler: in-flight map disagrees with the brackets");
     }
   }
   HT_RETURN_IF_ERROR(RestoreSelectorAndSampler(dec, &selector_, sampler_));
 
-  if (kind == kFullImage) {
-    brackets_ = std::move(images);
-  } else {
-    for (size_t i = 0; i < brackets_.size(); ++i) {
-      brackets_[i]->ApplyDelta(std::move(deltas[i]));
-    }
+  for (size_t i = 0; i < brackets_.size(); ++i) {
+    brackets_[i]->Apply(std::move(deltas[i]));
   }
   inflight_.clear();
   inflight_.reserve(inflight.size());

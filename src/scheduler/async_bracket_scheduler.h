@@ -58,16 +58,17 @@ class AsyncBracketScheduler : public SchedulerInterface {
   /// bracket, the in-flight routing map (sorted by job id so the bytes are
   /// deterministic), bracket selector and sampler RNG — for journal
   /// checkpoints and warm starts. Every snapshot leads with its rung log
-  /// sizes. Into a plain encoder it writes the full image; given a snapshot
-  /// base whose rung logs this state extends, it writes a delta: the rung
-  /// results, closed nodes and promotions appended since the base, and the
-  /// bounded rest whole. The measurement store is shared runtime
-  /// infrastructure and is persisted separately (store_io).
+  /// sizes and those of the state it extends: given a snapshot base whose
+  /// rung logs this state extends, that base (a delta: the rung results,
+  /// closed nodes and promotions appended since, and the bounded rest
+  /// whole); otherwise empty rung logs, which makes the full image. The
+  /// measurement store is shared runtime infrastructure and is persisted
+  /// separately (store_io).
   [[nodiscard]] Status Snapshot(WireEncoder* enc) const override;
-  /// Restores a full image onto a freshly constructed, identically
-  /// configured scheduler, or applies a delta on top of exactly the rung
-  /// counts its base left. Anything else is rejected, and a rejected
-  /// snapshot leaves the scheduler unchanged.
+  /// Applies a snapshot on top of exactly the rung counts it extends: a
+  /// full image onto a freshly constructed, identically configured
+  /// scheduler, a delta onto the state its base restored to. Anything else
+  /// is rejected, and a rejected snapshot leaves the scheduler unchanged.
   [[nodiscard]] Status Restore(WireDecoder* dec) override;
 
   /// Number of promotions issued so far (for sample-efficiency studies).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -330,125 +331,6 @@ int64_t Bracket::decision_work() const {
   return total;
 }
 
-void Bracket::Snapshot(WireEncoder* enc) const {
-  enc->PutI64(admitted_);
-  enc->PutI64(in_flight_);
-  enc->PutU32(static_cast<uint32_t>(rungs_.size()));
-  for (const Rung& r : rungs_) {
-    enc->PutI64(r.target);
-    enc->PutI64(r.issued);
-    enc->PutI64(r.completed);
-    enc->PutU32(static_cast<uint32_t>(r.results.size()));
-    for (size_t i = 0; i < r.results.size(); ++i) {
-      enc->PutF64(r.results[i].first);
-      EncodeConfiguration(r.results[i].second, enc);
-      enc->PutBool(!r.order.is_open(static_cast<int32_t>(i)));
-    }
-    enc->PutU32(static_cast<uint32_t>(r.promotion_log.size()));
-    for (uint64_t hash : r.promotion_log) enc->PutU64(hash);
-  }
-  enc->PutU32(static_cast<uint32_t>(sync_promotions_.size()));
-  for (const auto& [config, from_level] : sync_promotions_) {
-    EncodeConfiguration(config, enc);
-    enc->PutI32(from_level);
-  }
-}
-
-Status Bracket::Restore(WireDecoder* dec) {
-  int64_t admitted;
-  int64_t in_flight;
-  uint32_t num_rungs;
-  HT_RETURN_IF_ERROR(dec->GetI64(&admitted));
-  HT_RETURN_IF_ERROR(dec->GetI64(&in_flight));
-  HT_RETURN_IF_ERROR(dec->GetU32(&num_rungs));
-  if (admitted < 0 || in_flight < 0) {
-    return Status::InvalidArgument("bracket: negative counter in snapshot");
-  }
-  if (num_rungs != rungs_.size()) {
-    return Status::InvalidArgument(
-        "bracket: snapshot rung count does not match this bracket's ladder");
-  }
-  std::vector<Rung> rungs(rungs_.size());
-  uint64_t in_flight_sum = 0;  // wraps, rather than overflows, on garbage
-  for (size_t ri = 0; ri < rungs.size(); ++ri) {
-    Rung& r = rungs[ri];
-    r.level = rungs_[ri].level;
-    uint32_t num_results;
-    HT_RETURN_IF_ERROR(dec->GetI64(&r.target));
-    HT_RETURN_IF_ERROR(dec->GetI64(&r.issued));
-    HT_RETURN_IF_ERROR(dec->GetI64(&r.completed));
-    HT_RETURN_IF_ERROR(dec->GetU32(&num_results));
-    if (static_cast<int64_t>(num_results) != r.completed ||
-        r.completed > r.issued || r.completed < 0) {
-      return Status::InvalidArgument("bracket: inconsistent rung counters");
-    }
-    // No reserve: the count comes from the bytes, so storage grows only as
-    // results actually decode.
-    std::vector<bool> closed;
-    for (uint32_t i = 0; i < num_results; ++i) {
-      double objective;
-      Configuration config;
-      bool was_closed;
-      HT_RETURN_IF_ERROR(dec->GetF64(&objective));
-      HT_RETURN_IF_ERROR(DecodeConfiguration(dec, &config));
-      HT_RETURN_IF_ERROR(dec->GetBool(&was_closed));
-      r.results.emplace_back(objective, std::move(config));
-      closed.push_back(was_closed);
-    }
-    // Rebuild the order tree by re-inserting completions in completion
-    // order (node id == results index, as OnJobComplete guarantees), then
-    // re-close the consumed nodes.
-    for (uint32_t i = 0; i < num_results; ++i) {
-      const int32_t node = r.order.Insert(r.results[i].first);
-      if (static_cast<uint32_t>(node) != i) {
-        return Status::Internal("bracket: order tree rebuild out of sync");
-      }
-      ++r.completed_hash_counts[r.results[i].second.Hash()];
-    }
-    for (uint32_t i = 0; i < num_results; ++i) {
-      if (!closed[i]) continue;
-      r.order.Close(static_cast<int32_t>(i));
-      r.closed.push_back(static_cast<int32_t>(i));
-    }
-    uint32_t num_promoted;
-    HT_RETURN_IF_ERROR(dec->GetU32(&num_promoted));
-    for (uint32_t i = 0; i < num_promoted; ++i) {
-      uint64_t hash;
-      HT_RETURN_IF_ERROR(dec->GetU64(&hash));
-      if (r.completed_hash_counts.count(hash) == 0 ||
-          !r.promoted.insert(hash).second) {
-        return Status::InvalidArgument(
-            "bracket: promoted hash repeated or never completed on its rung");
-      }
-      r.promotion_log.push_back(hash);
-    }
-    in_flight_sum += static_cast<uint64_t>(r.issued - r.completed);
-  }
-  if (in_flight_sum != static_cast<uint64_t>(in_flight)) {
-    return Status::InvalidArgument(
-        "bracket: in-flight counter disagrees with its rungs");
-  }
-  uint32_t num_queued;
-  HT_RETURN_IF_ERROR(dec->GetU32(&num_queued));
-  std::deque<std::pair<Configuration, int>> queued;
-  for (uint32_t i = 0; i < num_queued; ++i) {
-    Configuration config;
-    int32_t from_level;
-    HT_RETURN_IF_ERROR(DecodeConfiguration(dec, &config));
-    HT_RETURN_IF_ERROR(dec->GetI32(&from_level));
-    if (from_level < base_level() || from_level >= top_level()) {
-      return Status::InvalidArgument(
-          "bracket: queued promotion from invalid rung");
-    }
-    queued.emplace_back(std::move(config), from_level);
-  }
-  admitted_ = admitted;
-  in_flight_ = in_flight;
-  rungs_ = std::move(rungs);
-  sync_promotions_ = std::move(queued);
-  return Status::Ok();
-}
-
 std::vector<Bracket::RungCounts> Bracket::Counts() const {
   std::vector<RungCounts> counts;
   counts.reserve(rungs_.size());
@@ -460,10 +342,11 @@ std::vector<Bracket::RungCounts> Bracket::Counts() const {
   return counts;
 }
 
-void Bracket::SnapshotDelta(const std::vector<RungCounts>& base,
-                            WireEncoder* enc) const {
-  HT_CHECK(!options_.synchronous && base.size() == rungs_.size())
-      << "bracket " << options_.index << ": deltas are for async brackets";
+void Bracket::Snapshot(const std::vector<RungCounts>& base,
+                       WireEncoder* enc) const {
+  HT_CHECK(base.size() == rungs_.size())
+      << "bracket " << options_.index << ": snapshot base has "
+      << base.size() << " rungs";
   enc->PutI64(admitted_);
   enc->PutI64(in_flight_);
   for (size_t i = 0; i < rungs_.size(); ++i) {
@@ -472,9 +355,10 @@ void Bracket::SnapshotDelta(const std::vector<RungCounts>& base,
     HT_CHECK(from.results <= r.results.size() &&
              from.closed <= r.closed.size() &&
              from.promoted <= r.promotion_log.size())
-        << "bracket " << options_.index << ": delta base is ahead of rung "
+        << "bracket " << options_.index << ": snapshot base is ahead of rung "
         << r.level;
     enc->PutI64(r.issued);
+    if (options_.synchronous) enc->PutI64(r.target);
     enc->PutU32(static_cast<uint32_t>(r.results.size() - from.results));
     for (size_t j = from.results; j < r.results.size(); ++j) {
       enc->PutF64(r.results[j].first);
@@ -489,15 +373,14 @@ void Bracket::SnapshotDelta(const std::vector<RungCounts>& base,
       enc->PutU64(r.promotion_log[j]);
     }
   }
+  enc->PutU32(static_cast<uint32_t>(sync_promotions_.size()));
+  for (const auto& [config, from_level] : sync_promotions_) {
+    EncodeConfiguration(config, enc);
+    enc->PutI32(from_level);
+  }
 }
 
-Status Bracket::DecodeDelta(WireDecoder* dec,
-                            const std::vector<RungCounts>& after,
-                            Delta* out) const {
-  if (options_.synchronous || after.size() != rungs_.size()) {
-    return Status::InvalidArgument(
-        "bracket: delta does not match this bracket's mode or ladder");
-  }
+Status Bracket::Decode(WireDecoder* dec, Delta* out) const {
   Delta delta;
   HT_RETURN_IF_ERROR(dec->GetI64(&delta.admitted));
   HT_RETURN_IF_ERROR(dec->GetI64(&delta.in_flight));
@@ -508,13 +391,20 @@ Status Bracket::DecodeDelta(WireDecoder* dec,
     Delta::RungDelta& d = delta.rungs[i];
     uint32_t count;
     HT_RETURN_IF_ERROR(dec->GetI64(&d.issued));
+    d.target = r.target;
+    if (options_.synchronous) HT_RETURN_IF_ERROR(dec->GetI64(&d.target));
     HT_RETURN_IF_ERROR(dec->GetU32(&count));
-    const int64_t completed = after[i].results;
-    if (r.results.size() + count != after[i].results || completed > d.issued) {
+    // Resolved members never outnumber issued ones, nor, in a sync rung,
+    // issued ones the rung's target.
+    const int64_t completed = static_cast<int64_t>(r.results.size()) + count;
+    if (completed > d.issued ||
+        (options_.synchronous && d.issued > d.target)) {
       return Status::InvalidArgument(
-          "bracket: delta results do not extend the rung consistently");
+          "bracket: rung counters disagree with its results");
     }
     in_flight_sum += static_cast<uint64_t>(d.issued - completed);
+    // No reserve: the count comes from the bytes, so storage grows only as
+    // results actually decode.
     std::unordered_set<uint64_t> new_hashes;
     for (uint32_t j = 0; j < count; ++j) {
       double objective;
@@ -526,80 +416,104 @@ Status Bracket::DecodeDelta(WireDecoder* dec,
     }
 
     HT_RETURN_IF_ERROR(dec->GetU32(&count));
-    if (r.closed.size() + count != after[i].closed) {
-      return Status::InvalidArgument(
-          "bracket: delta closes a different number of rung nodes");
-    }
-    std::unordered_set<int32_t> new_closed;
+    // Each closed node exists once the new results are in, and is still
+    // open: before the snapshot, and earlier in it.
+    std::vector<bool> closing(static_cast<size_t>(completed));
     for (uint32_t j = 0; j < count; ++j) {
       int32_t node;
       HT_RETURN_IF_ERROR(dec->GetI32(&node));
-      // Each closed node exists once the delta's results are in, and is
-      // still open: before the delta, and earlier in it.
-      const bool open =
-          node >= 0 && node < static_cast<int64_t>(after[i].results) &&
-          (node >= r.order.size() || r.order.is_open(node)) &&
-          new_closed.insert(node).second;
+      const bool open = node >= 0 && node < completed &&
+                        !closing[static_cast<size_t>(node)] &&
+                        (node >= r.order.size() || r.order.is_open(node));
       if (!open) {
         return Status::InvalidArgument(
-            "bracket: delta closes a missing or already closed node");
+            "bracket: snapshot closes a missing or already closed node");
       }
+      closing[static_cast<size_t>(node)] = true;
       d.closed.push_back(node);
     }
 
     HT_RETURN_IF_ERROR(dec->GetU32(&count));
-    if (r.promotion_log.size() + count != after[i].promoted) {
-      return Status::InvalidArgument(
-          "bracket: delta promotes a different number of configurations");
-    }
     std::unordered_set<uint64_t> new_promoted;
     for (uint32_t j = 0; j < count; ++j) {
       uint64_t hash;
       HT_RETURN_IF_ERROR(dec->GetU64(&hash));
-      const bool completed = r.completed_hash_counts.count(hash) > 0 ||
-                             new_hashes.count(hash) > 0;
-      if (!completed || r.promoted.count(hash) > 0 ||
+      const bool completed_here = r.completed_hash_counts.count(hash) > 0 ||
+                                  new_hashes.count(hash) > 0;
+      if (!completed_here || r.promoted.count(hash) > 0 ||
           !new_promoted.insert(hash).second) {
         return Status::InvalidArgument(
-            "bracket: delta promotion repeated or never completed on its "
-            "rung");
+            "bracket: promotion repeated or never completed on its rung");
       }
       d.promoted.push_back(hash);
     }
+    delta.counts.push_back(
+        {static_cast<uint32_t>(completed),
+         static_cast<uint32_t>(r.closed.size() + d.closed.size()),
+         static_cast<uint32_t>(r.promotion_log.size() + d.promoted.size())});
   }
   if (delta.admitted < 0 ||
       static_cast<uint64_t>(delta.in_flight) != in_flight_sum) {
     return Status::InvalidArgument(
-        "bracket: delta counters disagree with its rungs");
+        "bracket: counters disagree with its rungs");
+  }
+
+  uint32_t num_queued;
+  HT_RETURN_IF_ERROR(dec->GetU32(&num_queued));
+  for (uint32_t i = 0; i < num_queued; ++i) {
+    Configuration config;
+    int32_t from_level;
+    HT_RETURN_IF_ERROR(DecodeConfiguration(dec, &config));
+    HT_RETURN_IF_ERROR(dec->GetI32(&from_level));
+    if (!options_.synchronous || from_level < base_level() ||
+        from_level >= top_level()) {
+      return Status::InvalidArgument(
+          "bracket: queued promotion from invalid rung");
+    }
+    delta.sync_promotions.emplace_back(std::move(config), from_level);
   }
   *out = std::move(delta);
   return Status::Ok();
 }
 
-void Bracket::ApplyDelta(Delta delta) {
+namespace {
+
+/// Appends `from` to `to`, taking its storage whole when `to` is empty (a
+/// full image), so applying one holds each result once.
+template <typename T>
+void AppendAll(std::vector<T> from, std::vector<T>* to) {
+  if (to->empty()) {
+    to->swap(from);
+    return;
+  }
+  to->insert(to->end(), std::make_move_iterator(from.begin()),
+             std::make_move_iterator(from.end()));
+}
+
+}  // namespace
+
+void Bracket::Apply(Delta delta) {
   admitted_ = delta.admitted;
   in_flight_ = delta.in_flight;
   for (size_t i = 0; i < rungs_.size(); ++i) {
     Rung& r = rungs_[i];
     Delta::RungDelta& d = delta.rungs[i];
     r.issued = d.issued;
-    for (auto& result : d.results) {
-      const int32_t node = r.order.Insert(result.first);
-      HT_CHECK(static_cast<size_t>(node) == r.results.size())
-          << "rung order tree out of sync with results";
-      ++r.completed_hash_counts[result.second.Hash()];
-      r.results.push_back(std::move(result));
+    r.target = d.target;
+    for (const auto& [objective, config] : d.results) {
+      r.order.Insert(objective);
+      ++r.completed_hash_counts[config.Hash()];
     }
+    AppendAll(std::move(d.results), &r.results);
     r.completed = static_cast<int64_t>(r.results.size());
-    for (int32_t node : d.closed) {
-      r.order.Close(node);
-      r.closed.push_back(node);
-    }
-    for (uint64_t hash : d.promoted) {
-      r.promoted.insert(hash);
-      r.promotion_log.push_back(hash);
-    }
+    HT_CHECK(r.order.size() == r.completed)
+        << "rung order tree out of sync with results";
+    for (int32_t node : d.closed) r.order.Close(node);
+    AppendAll(std::move(d.closed), &r.closed);
+    r.promoted.insert(d.promoted.begin(), d.promoted.end());
+    AppendAll(std::move(d.promoted), &r.promotion_log);
   }
+  sync_promotions_ = std::move(delta.sync_promotions);
 }
 
 bool Bracket::Complete() const {

@@ -135,21 +135,6 @@ class Bracket {
   /// indexed; complexity regression tests assert against this.
   int64_t decision_work() const;
 
-  /// Serializes the bracket's complete mutable state (rung counters,
-  /// completed results, consumed/promoted sets, queued sync promotions)
-  /// onto `enc`: its full image. Promoted hashes are written in promotion
-  /// order. Construction parameters (BracketOptions) are NOT serialized:
-  /// Restore() requires an identically configured fresh bracket.
-  void Snapshot(WireEncoder* enc) const;
-
-  /// Restores state produced by Snapshot() on a freshly constructed
-  /// bracket with identical BracketOptions. The rank trees are rebuilt by
-  /// re-inserting completions in their original order (order statistics —
-  /// and therefore every future decision — are exact; only the internal
-  /// step counter may differ). Rejects malformed or mismatched bytes with
-  /// a non-OK Status and leaves the bracket unchanged.
-  [[nodiscard]] Status Restore(WireDecoder* dec);
-
   /// Sizes of one rung's append-only logs: completed results, rank-tree
   /// nodes closed by promotion scans, and promotions. Only these grow
   /// without bound; everything else about a bracket is a few counters.
@@ -161,35 +146,42 @@ class Bracket {
   };
   std::vector<RungCounts> Counts() const;
 
-  /// Async brackets: writes what changed since a state whose rungs had
-  /// `base` counts (each at most the current one) — the results, closed
-  /// nodes and promotions appended since, plus the counters whole.
-  void SnapshotDelta(const std::vector<RungCounts>& base,
-                     WireEncoder* enc) const;
+  /// Serializes the bracket's state as a change from an earlier state of it
+  /// whose rungs had `base` counts (each at most the current one): the rung
+  /// results, closed nodes and promotions appended since, in order, and the
+  /// rest whole (admitted and in-flight counters, each rung's issued count
+  /// and sync target, the queued sync promotions). All-zero base counts
+  /// make a full image. Construction parameters (BracketOptions) are not
+  /// serialized.
+  void Snapshot(const std::vector<RungCounts>& base, WireEncoder* enc) const;
 
-  /// A decoded SnapshotDelta(), checked against this bracket and staged
-  /// for ApplyDelta().
+  /// A decoded Snapshot(), checked against this bracket and staged for
+  /// Apply().
   struct Delta {
     struct RungDelta {
       int64_t issued = 0;
+      int64_t target = 0;
       std::vector<std::pair<double, Configuration>> results;
       std::vector<int32_t> closed;
-      std::vector<uint64_t> promoted;
+      std::vector<uint64_t> promoted;  // in promotion order
     };
     int64_t admitted = 0;
     int64_t in_flight = 0;
     std::vector<RungDelta> rungs;
+    std::deque<std::pair<Configuration, int>> sync_promotions;
+    /// The rungs' counts once applied.
+    std::vector<RungCounts> counts;
   };
 
-  /// Decodes a SnapshotDelta() written against this bracket's current
-  /// counts that leaves the rungs at `after`. Rejects bytes that do not
-  /// extend the current state consistently; never mutates the bracket.
-  [[nodiscard]] Status DecodeDelta(WireDecoder* dec,
-                                   const std::vector<RungCounts>& after,
-                                   Delta* out) const;
+  /// Decodes a Snapshot() written against this bracket's current counts (a
+  /// full image, on a fresh bracket). Rejects bytes that do not extend the
+  /// current state consistently; never mutates the bracket.
+  [[nodiscard]] Status Decode(WireDecoder* dec, Delta* out) const;
 
-  /// Applies a delta that DecodeDelta() accepted against the current state.
-  void ApplyDelta(Delta delta);
+  /// Applies a Delta that Decode() accepted against the current state. The
+  /// rank trees grow by inserting the new results in completion order, so
+  /// order statistics, and every later decision, are exact.
+  void Apply(Delta delta);
 
   const BracketOptions& options() const { return options_; }
 

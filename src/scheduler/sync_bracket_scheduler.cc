@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "src/common/logging.h"
 
@@ -131,7 +132,11 @@ Status SyncBracketScheduler::Snapshot(WireEncoder* enc) const {
   enc->PutI64(trials_failed_);
   enc->PutI32(current_index_);
   enc->PutBool(bracket_ != nullptr);
-  if (bracket_ != nullptr) bracket_->Snapshot(enc);
+  if (bracket_ != nullptr) {
+    // The full image: the running bracket's change since empty rungs.
+    const size_t rungs = bracket_->Counts().size();
+    bracket_->Snapshot(std::vector<Bracket::RungCounts>(rungs), enc);
+  }
   selector_.Snapshot(enc);
   enc->PutRaw(sampler_state.bytes());
   return Status::Ok();
@@ -162,7 +167,9 @@ Status SyncBracketScheduler::Restore(WireDecoder* dec) {
     bracket_options.ladder = options_.ladder;
     bracket_options.synchronous = true;
     bracket = std::make_unique<Bracket>(bracket_options);
-    HT_RETURN_IF_ERROR(bracket->Restore(dec));
+    Bracket::Delta image;
+    HT_RETURN_IF_ERROR(bracket->Decode(dec, &image));
+    bracket->Apply(std::move(image));
   }
   HT_RETURN_IF_ERROR(RestoreSelectorAndSampler(dec, &selector_, sampler_));
   next_job_id_ = next_job_id;

@@ -65,10 +65,10 @@ class SyncBracketScheduler : public SchedulerInterface {
 
   /// Serializes the scheduler's complete mutable state — counters, the
   /// running bracket (if any), bracket selector and sampler RNG — for
-  /// journal checkpoints and warm starts. Always a full image: it is
-  /// bounded by one bracket, so a snapshot base is ignored. The measurement
-  /// store is shared runtime infrastructure and is persisted separately
-  /// (store_io).
+  /// journal checkpoints and warm starts. Always a full image, the running
+  /// bracket encoded against empty rungs: it is bounded by one bracket, so
+  /// a snapshot base is ignored. The measurement store is shared runtime
+  /// infrastructure and is persisted separately (store_io).
   [[nodiscard]] Status Snapshot(WireEncoder* enc) const override;
   /// Restores a Snapshot() image onto a freshly constructed, identically
   /// configured scheduler. A rejected image leaves the scheduler

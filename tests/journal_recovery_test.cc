@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "src/allocator/fidelity_weights.h"
+#include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/core/hyper_tune.h"
 #include "src/core/run_recovery.h"
@@ -222,11 +223,11 @@ uint64_t Fnv1a(const std::string& bytes) {
 uint64_t PinnedJournalDigest(Sched which, bool with_faults) {
   switch (which) {
     case Sched::kSync:
-      return with_faults ? 8959165266671521262ULL : 9638779160372985806ULL;
+      return with_faults ? 11121205654989041660ULL : 17899181586539986145ULL;
     case Sched::kAsync:
-      return with_faults ? 8819803444016499337ULL : 5000752753591681128ULL;
+      return with_faults ? 1028627089531689928ULL : 13580604862169451524ULL;
     case Sched::kBatchBo:
-      return with_faults ? 5486460725790455230ULL : 4628028693573216539ULL;
+      return with_faults ? 1245740921674041886ULL : 15345556683591108483ULL;
     case Sched::kAsyncBo:
     case Sched::kLearnedBo:
       break;
@@ -923,13 +924,13 @@ TEST(JournalRecoveryTest, MalformedJournalsAreRejectedCleanly) {
     EXPECT_NE(journal.status().message().find("newer wire format"),
               std::string::npos);
   }
-  {
-    // A version 1 header, from before checkpoints had deltas.
-    ASSERT_EQ(kJournalFormatVersion, 2u);
+  for (uint32_t version : {1u, 2u}) {
+    // An older header: version 1 checkpoints predate deltas, and version 2
+    // ones encode full images apart from deltas.
     std::string stream;
     WireEncoder enc;
     enc.PutU8(static_cast<uint8_t>(JournalRecord::kRunHeader));
-    enc.PutU32(1);
+    enc.PutU32(version);
     enc.PutU64(ClusterFingerprint(options));
     AppendRecord(enc.Release(), &stream);
     Result<RunResult> resumed =
@@ -938,8 +939,12 @@ TEST(JournalRecoveryTest, MalformedJournalsAreRejectedCleanly) {
     ASSERT_FALSE(resumed.ok());
     EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
     const std::string& message = resumed.status().message();
-    EXPECT_NE(message.find("version 1 "), std::string::npos) << message;
-    EXPECT_NE(message.find("version 2"), std::string::npos) << message;
+    EXPECT_NE(message.find("version " + std::to_string(version) + " "),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("version " + std::to_string(kJournalFormatVersion)),
+              std::string::npos)
+        << message;
   }
 }
 
@@ -1000,14 +1005,20 @@ struct FullAndDelta {
   std::string delta;
 };
 
+/// A `which` setup after a run cut at `max_trials`.
+std::unique_ptr<RunSetup> ShortRun(Sched which, int64_t max_trials) {
+  std::unique_ptr<RunSetup> setup = MakeSetup(which);
+  ClusterOptions options = MatrixCluster(/*with_faults=*/false);
+  options.max_trials = max_trials;
+  SimulatedCluster cluster(options);
+  (void)cluster.Run(setup->scheduler.get(), setup->problem);
+  return setup;
+}
+
 FullAndDelta MakeFullAndDelta(int steps) {
   FullAndDelta out;
-  out.original = MakeSetup(Sched::kAsync);
+  out.original = ShortRun(Sched::kAsync, /*max_trials=*/30);
   SchedulerInterface* scheduler = out.original->scheduler.get();
-  ClusterOptions options = MatrixCluster(/*with_faults=*/false);
-  options.max_trials = 30;
-  SimulatedCluster cluster(options);
-  (void)cluster.Run(scheduler, out.original->problem);
   out.full = FullImage(*scheduler);
   for (int i = 0; i < steps; ++i) {
     std::optional<Job> job = scheduler->NextJob();
@@ -1065,66 +1076,80 @@ TEST(JournalRecoveryTest, FullImagePlusDeltaRestoresTheSameScheduler) {
   }
 }
 
-TEST(JournalRecoveryTest, CorruptDeltasAreRejectedWithoutSideEffects) {
-  // Every truncation and every single-bit flip of one delta, applied to a
-  // scheduler restored to its base: nothing may crash (CI runs this under
-  // ASan+UBSan), and a rejected delta must leave the scheduler's full image
-  // exactly as it was. An accepted flip (a different but well-formed
-  // delta) is undone by restoring the base again. Most of the delta is the
-  // selector's and sampler's Rng texts, slow to parse, so the cases run on
-  // the shared pool with one scheduler per slot.
-  const FullAndDelta images = MakeFullAndDelta(/*steps=*/12);
-  const std::string& delta = images.delta;
+/// Length of a snapshot's scheduler-owned bytes: everything before the
+/// selector's state (the sampler's, for batch BO), which starts with the
+/// first length-prefixed string that parses as Rng state text.
+size_t OwnedPrefix(const std::string& snapshot) {
+  for (size_t at = 0; at < snapshot.size(); ++at) {
+    WireDecoder dec(snapshot.data() + at, snapshot.size() - at);
+    std::string text;
+    Rng rng(0);
+    if (dec.GetString(&text).ok() && rng.DeserializeState(text).ok()) {
+      return at;
+    }
+  }
+  ADD_FAILURE() << "no Rng state text in the snapshot";
+  return 0;
+}
+
+/// Restores every truncation and every single-bit flip of the first
+/// `fuzzed` bytes of `input` onto a `which` scheduler in the state `base`
+/// restores to on a fresh setup (a fresh one, when `base` is empty).
+/// Nothing may crash (CI runs this under ASan+UBSan), a rejected input must
+/// leave the scheduler's full image exactly as it was, and an accepted one
+/// must pass CheckInvariants(); the slot then starts over from a fresh
+/// setup. Most restores that get past the scheduler's own bytes parse the
+/// selector's and sampler's Rng texts, which is slow, so the cases run on
+/// the shared pool with one scheduler per slot.
+void FuzzRestore(Sched which, const std::string& base,
+                 const std::string& input, size_t fuzzed) {
   struct Slot {
     std::unique_ptr<RunSetup> setup;
     int64_t rejected = 0;
     int64_t accepted = 0;
     std::vector<std::string> errors;
   };
-  auto restore_base = [&](SchedulerInterface* scheduler) {
-    WireDecoder dec(images.full);
-    return scheduler->Restore(&dec).ok();
+  auto reset = [&](Slot* slot) {
+    slot->setup = MakeSetup(which);
+    WireDecoder dec(base);
+    return base.empty() || slot->setup->scheduler->Restore(&dec).ok();
   };
   ThreadPool& pool = ThreadPool::Shared();
   std::vector<Slot> slots(pool.num_slots());
-  for (Slot& slot : slots) {
-    slot.setup = MakeSetup(Sched::kAsync);
-    ASSERT_TRUE(restore_base(slot.setup->scheduler.get()));
-  }
+  for (Slot& slot : slots) ASSERT_TRUE(reset(&slot));
   const std::string image = FullImage(*slots[0].setup->scheduler);
 
-  // Items [0, n) truncate the delta to that many bytes; item n + b flips
+  // Items [0, n) truncate the input to that many bytes; item n + b flips
   // each bit of byte b in turn.
-  pool.ParallelFor(2 * delta.size(), [&](size_t s, size_t item) {
+  pool.ParallelFor(2 * fuzzed, [&](size_t s, size_t item) {
     Slot& slot = slots[s];
-    SchedulerInterface* scheduler = slot.setup->scheduler.get();
     // Returns whether the bytes were accepted.
     auto apply = [&](const char* data, size_t size, const std::string& what) {
       WireDecoder dec(data, size);
-      if (scheduler->Restore(&dec).ok()) {
+      if (slot.setup->scheduler->Restore(&dec).ok()) {
         ++slot.accepted;
-        if (!restore_base(scheduler)) slot.errors.push_back(what + ": reset");
+        slot.setup->scheduler->CheckInvariants();
+        if (!reset(&slot)) slot.errors.push_back(what + ": reset");
         return true;
       }
       ++slot.rejected;
-      WireEncoder after;
-      if (!scheduler->Snapshot(&after).ok() || after.bytes() != image) {
+      if (FullImage(*slot.setup->scheduler) != image) {
         slot.errors.push_back(what + ": rejected, but the state changed");
       }
       return false;
     };
-    if (item < delta.size()) {
+    if (item < fuzzed) {
       // Every truncation cuts the sampler's length-prefixed state short.
       const std::string what = "truncated to " + std::to_string(item);
-      if (apply(delta.data(), item, what)) {
+      if (apply(input.data(), item, what)) {
         slot.errors.push_back(what + ": accepted");
       }
       return;
     }
-    const size_t byte = item - delta.size();
-    std::string flipped = delta;
+    const size_t byte = item - fuzzed;
+    std::string flipped = input;
     for (int bit = 0; bit < 8; ++bit) {
-      flipped[byte] = static_cast<char>(delta[byte] ^ (1 << bit));
+      flipped[byte] = static_cast<char>(input[byte] ^ (1 << bit));
       apply(flipped.data(), flipped.size(),
             "bit " + std::to_string(8 * byte + static_cast<size_t>(bit)));
     }
@@ -1137,8 +1162,25 @@ TEST(JournalRecoveryTest, CorruptDeltasAreRejectedWithoutSideEffects) {
     accepted += slot.accepted;
     for (const std::string& error : slot.errors) ADD_FAILURE() << error;
   }
-  EXPECT_GT(rejected, static_cast<int64_t>(delta.size()));
+  EXPECT_GT(rejected, static_cast<int64_t>(fuzzed));
   EXPECT_GT(accepted, 0);
+}
+
+TEST(JournalRecoveryTest, CorruptDeltasAreRejectedWithoutSideEffects) {
+  // One decoder serves both entries: a delta onto its base, and a full
+  // image onto a fresh scheduler. The delta is fuzzed whole; the full
+  // image up to its selector and sampler state, the Rng texts the delta
+  // already covers.
+  const FullAndDelta images = MakeFullAndDelta(/*steps=*/12);
+  {
+    SCOPED_TRACE("async delta");
+    FuzzRestore(Sched::kAsync, images.full, images.delta,
+                images.delta.size());
+  }
+  {
+    SCOPED_TRACE("async full image");
+    FuzzRestore(Sched::kAsync, "", images.full, OwnedPrefix(images.full));
+  }
 }
 
 TEST(JournalRecoveryTest, ContractCheckerRefusesRestoreButForwardsSnapshot) {
