@@ -1167,10 +1167,10 @@ void FuzzRestore(Sched which, const std::string& base,
 }
 
 TEST(JournalRecoveryTest, CorruptDeltasAreRejectedWithoutSideEffects) {
-  // One decoder serves both entries: a delta onto its base, and a full
-  // image onto a fresh scheduler. The delta is fuzzed whole; the full
-  // image up to its selector and sampler state, the Rng texts the delta
-  // already covers.
+  // One decoder serves every entry: a delta onto its base, and a full
+  // image (async, sync, batch BO) onto a fresh scheduler. The delta is
+  // fuzzed whole; the full images up to their selector and sampler state,
+  // the Rng texts the delta already covers.
   const FullAndDelta images = MakeFullAndDelta(/*steps=*/12);
   {
     SCOPED_TRACE("async delta");
@@ -1180,6 +1180,20 @@ TEST(JournalRecoveryTest, CorruptDeltasAreRejectedWithoutSideEffects) {
   {
     SCOPED_TRACE("async full image");
     FuzzRestore(Sched::kAsync, "", images.full, OwnedPrefix(images.full));
+  }
+  {
+    // Twelve trials complete bracket 1's first two rungs; the promotion to
+    // its top rung waits in the sync queue.
+    SCOPED_TRACE("sync image");
+    const std::string image =
+        FullImage(*ShortRun(Sched::kSync, /*max_trials=*/12)->scheduler);
+    FuzzRestore(Sched::kSync, "", image, OwnedPrefix(image));
+  }
+  {
+    SCOPED_TRACE("batch BO image");
+    const std::string image =
+        FullImage(*ShortRun(Sched::kBatchBo, /*max_trials=*/10)->scheduler);
+    FuzzRestore(Sched::kBatchBo, "", image, OwnedPrefix(image));
   }
 }
 
