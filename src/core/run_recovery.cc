@@ -199,7 +199,7 @@ Result<RunResult> RunWithJournal(std::unique_ptr<RunJournal> journal,
                                  std::string* final_journal) {
   SchedulerInterface* driver = scheduler;
   std::unique_ptr<JournalPrefixScheduler> facade;
-  if (resume.use_checkpoint_fast_path && resume.store != nullptr) {
+  if (resume.store != nullptr) {
     FastPathPlan plan = PlanFastPath(*journal, scheduler);
     if (plan.engaged) {
       facade = std::make_unique<JournalPrefixScheduler>(

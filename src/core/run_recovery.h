@@ -56,10 +56,6 @@ struct ResumeOptions {
   /// scheduler sees the store state its snapshot was taken against. When
   /// null, resume always uses full replay.
   MeasurementStore* store = nullptr;
-
-  /// Disable to force full replay even when a restorable checkpoint and a
-  /// store are available (tests compare both paths).
-  bool use_checkpoint_fast_path = true;
 };
 
 /// Resumes a killed run from its journal file. `options` and `scheduler`

@@ -423,14 +423,12 @@ TEST(JournalRecoveryTest, CheckpointFastPathMatchesFullReplayAtEveryCrashPoint) 
       for (size_t k = 1; k <= ends.size(); ++k) {
         const std::string prefix = golden.journal_bytes.substr(0, ends[k - 1]);
 
+        // Without a store, resume takes full replay.
         std::unique_ptr<RunSetup> slow_setup = MakeSetup(which);
-        ResumeOptions slow;
-        slow.store = slow_setup->store.get();
-        slow.use_checkpoint_fast_path = false;
         std::string slow_journal;
         Result<RunResult> replayed = ResumeRunFromBytes(
             prefix, options, slow_setup->scheduler.get(), slow_setup->problem,
-            journal_options, &slow_journal, slow);
+            journal_options, &slow_journal);
         ASSERT_TRUE(replayed.ok())
             << "kill after record " << k << ": "
             << replayed.status().ToString();
@@ -558,11 +556,9 @@ TEST(JournalRecoveryTest, FastPathEchoesCorruptPrefixCheckpointVerbatim) {
   }
   {
     std::unique_ptr<RunSetup> setup = MakeSetup(Sched::kSync);
-    ResumeOptions resume;
-    resume.use_checkpoint_fast_path = false;
     Result<RunResult> replayed = ResumeRunFromBytes(
         corrupt, options, setup->scheduler.get(), setup->problem,
-        TestJournalOptions(), nullptr, resume);
+        TestJournalOptions());
     ASSERT_FALSE(replayed.ok());
     EXPECT_EQ(replayed.status().code(), StatusCode::kDataLoss);
   }
@@ -690,11 +686,9 @@ TEST(JournalRecoveryTest, FastPathFailsAtACorruptDeltaInTheNewestChain) {
   EXPECT_EQ(resumed.metrics.counters["journal.checkpoint_deltas_applied"], 1);
 
   std::unique_ptr<RunSetup> setup = MakeSetup(Sched::kAsync);
-  ResumeOptions resume;
-  resume.use_checkpoint_fast_path = false;
   Result<RunResult> replayed = ResumeRunFromBytes(
       corrupt, options, setup->scheduler.get(), setup->problem,
-      ChainJournalOptions(), nullptr, resume);
+      ChainJournalOptions());
   ASSERT_FALSE(replayed.ok());
   EXPECT_EQ(replayed.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(replayed.status().message().find(where), std::string::npos)
