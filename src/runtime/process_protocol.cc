@@ -168,12 +168,9 @@ ssize_t ReadAll(int fd, char* out, size_t size) {
 }  // namespace
 
 Status WriteFrame(int fd, const std::string& payload) {
-  WireEncoder header;
-  header.PutU32(static_cast<uint32_t>(payload.size()));
-  header.PutU32(Crc32(payload.data(), payload.size()));
-  HT_RETURN_IF_ERROR(WriteAll(fd, header.bytes().data(),
-                              header.bytes().size()));
-  return WriteAll(fd, payload.data(), payload.size());
+  std::string frame;
+  AppendRecord(payload, &frame);
+  return WriteAll(fd, frame.data(), frame.size());
 }
 
 Status ReadFrame(int fd, std::string* out) {

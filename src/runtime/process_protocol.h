@@ -106,10 +106,11 @@ std::string EncodeJobMessage(const JobMessage& msg);
 
 std::string EncodeShutdown();
 
-/// Writes one framed payload to `fd`, restarting on EINTR and never
-/// raising SIGPIPE (a dead peer returns a Status instead). Not internally
-/// synchronized: callers writing from multiple threads hold their own
-/// lock (the worker's io mutex; the supervisor writes single-threaded).
+/// Writes one payload to `fd`, framed by AppendRecord and sent as one
+/// buffer, restarting on EINTR and never raising SIGPIPE (a dead peer
+/// returns a Status instead). Not internally synchronized: callers writing
+/// from multiple threads hold their own lock (the worker's io mutex; the
+/// supervisor writes single-threaded).
 [[nodiscard]] Status WriteFrame(int fd, const std::string& payload);
 
 /// Blocking-reads one framed payload from `fd` into `out`. Returns
