@@ -299,7 +299,7 @@ Status AsyncBracketScheduler::Restore(WireDecoder* dec) {
   }
 
   std::vector<Bracket::Delta> deltas(brackets_.size());
-  std::vector<int64_t> unrouted;  // per bracket, in flight minus routed
+  std::vector<int64_t> bracket_in_flight;
   for (size_t i = 0; i < brackets_.size(); ++i) {
     HT_RETURN_IF_ERROR(brackets_[i]->Decode(dec, &deltas[i]));
     if (deltas[i].counts != after[i]) {
@@ -307,7 +307,7 @@ Status AsyncBracketScheduler::Restore(WireDecoder* dec) {
           "async scheduler: bracket state disagrees with the snapshot's "
           "rung counts");
     }
-    unrouted.push_back(deltas[i].in_flight);
+    bracket_in_flight.push_back(deltas[i].in_flight);
   }
 
   uint32_t num_inflight = 0;
@@ -327,11 +327,11 @@ Status AsyncBracketScheduler::Restore(WireDecoder* dec) {
       return Status::InvalidArgument(
           "async scheduler: in-flight job ids not strictly ascending");
     }
-    --unrouted[index];
+    --bracket_in_flight[index];
     inflight.emplace_back(job_id, index);
   }
-  for (int64_t jobs : unrouted) {
-    if (jobs != 0) {
+  for (int64_t unrouted : bracket_in_flight) {
+    if (unrouted != 0) {
       return Status::InvalidArgument(
           "async scheduler: in-flight map disagrees with the brackets");
     }

@@ -183,8 +183,6 @@ class Bracket {
   /// order statistics, and every later decision, are exact.
   void Apply(Delta delta);
 
-  const BracketOptions& options() const { return options_; }
-
  private:
   /// At most 256 bytes, so a 4-level ladder's rungs take 1 KiB, which
   /// glibc still serves from its per-thread allocation cache.
