@@ -405,13 +405,12 @@ Status Bracket::Decode(WireDecoder* dec, Delta* out) const {
     in_flight_sum += static_cast<uint64_t>(d.issued - completed);
     // No reserve: the count comes from the bytes, so storage grows only as
     // results actually decode.
-    std::unordered_set<uint64_t> new_hashes;
     for (uint32_t j = 0; j < count; ++j) {
       double objective;
       Configuration config;
       HT_RETURN_IF_ERROR(dec->GetF64(&objective));
       HT_RETURN_IF_ERROR(DecodeConfiguration(dec, &config));
-      new_hashes.insert(config.Hash());
+      ++d.hash_counts[config.Hash()];
       d.results.emplace_back(objective, std::move(config));
     }
 
@@ -434,14 +433,13 @@ Status Bracket::Decode(WireDecoder* dec, Delta* out) const {
     }
 
     HT_RETURN_IF_ERROR(dec->GetU32(&count));
-    std::unordered_set<uint64_t> new_promoted;
     for (uint32_t j = 0; j < count; ++j) {
       uint64_t hash;
       HT_RETURN_IF_ERROR(dec->GetU64(&hash));
       const bool completed_here = r.completed_hash_counts.count(hash) > 0 ||
-                                  new_hashes.count(hash) > 0;
+                                  d.hash_counts.count(hash) > 0;
       if (!completed_here || r.promoted.count(hash) > 0 ||
-          !new_promoted.insert(hash).second) {
+          !d.promoted_set.insert(hash).second) {
         return Status::InvalidArgument(
             "bracket: promotion repeated or never completed on its rung");
       }
@@ -490,6 +488,14 @@ void AppendAll(std::vector<T> from, std::vector<T>* to) {
              std::make_move_iterator(from.end()));
 }
 
+/// Moves the nodes of `from` into `to`, keeping the larger one's storage
+/// (all of a full image's); keys already in `to` stay behind in `from`.
+template <typename HashContainer>
+void MergeInto(HashContainer& from, HashContainer* to) {
+  if (from.size() > to->size()) to->swap(from);
+  to->merge(from);
+}
+
 }  // namespace
 
 void Bracket::Apply(Delta delta) {
@@ -500,17 +506,18 @@ void Bracket::Apply(Delta delta) {
     Delta::RungDelta& d = delta.rungs[i];
     r.issued = d.issued;
     r.target = d.target;
-    for (const auto& [objective, config] : d.results) {
-      r.order.Insert(objective);
-      ++r.completed_hash_counts[config.Hash()];
-    }
+    for (const auto& result : d.results) r.order.Insert(result.first);
     AppendAll(std::move(d.results), &r.results);
     r.completed = static_cast<int64_t>(r.results.size());
     HT_CHECK(r.order.size() == r.completed)
         << "rung order tree out of sync with results";
+    MergeInto(d.hash_counts, &r.completed_hash_counts);
+    for (const auto& [hash, n] : d.hash_counts) {
+      r.completed_hash_counts[hash] += n;
+    }
     for (int32_t node : d.closed) r.order.Close(node);
     AppendAll(std::move(d.closed), &r.closed);
-    r.promoted.insert(d.promoted.begin(), d.promoted.end());
+    MergeInto(d.promoted_set, &r.promoted);
     AppendAll(std::move(d.promoted), &r.promotion_log);
   }
   sync_promotions_ = std::move(delta.sync_promotions);

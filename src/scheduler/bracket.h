@@ -162,8 +162,11 @@ class Bracket {
       int64_t issued = 0;
       int64_t target = 0;
       std::vector<std::pair<double, Configuration>> results;
+      /// Multiset of the configuration hashes of `results`.
+      std::unordered_map<uint64_t, int64_t> hash_counts;
       std::vector<int32_t> closed;
       std::vector<uint64_t> promoted;  // in promotion order
+      std::unordered_set<uint64_t> promoted_set;
     };
     int64_t admitted = 0;
     int64_t in_flight = 0;
