@@ -20,9 +20,11 @@ struct Crc32Table {
 };
 
 void PutLE(uint64_t v, int bytes, std::string* out) {
+  char le[8] = {};
   for (int i = 0; i < bytes; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    le[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+  out->append(le, static_cast<size_t>(bytes));
 }
 
 }  // namespace
