@@ -385,7 +385,7 @@ Status Bracket::Decode(WireDecoder* dec, Delta* out) const {
   HT_RETURN_IF_ERROR(dec->GetI64(&delta.admitted));
   HT_RETURN_IF_ERROR(dec->GetI64(&delta.in_flight));
   delta.rungs.resize(rungs_.size());
-  uint64_t in_flight_sum = 0;  // wraps, rather than overflows, on garbage
+  int64_t unclaimed = delta.in_flight;  // in flight, not yet in a rung
   for (size_t i = 0; i < rungs_.size(); ++i) {
     const Rung& r = rungs_[i];
     Delta::RungDelta& d = delta.rungs[i];
@@ -395,14 +395,16 @@ Status Bracket::Decode(WireDecoder* dec, Delta* out) const {
     if (options_.synchronous) HT_RETURN_IF_ERROR(dec->GetI64(&d.target));
     HT_RETURN_IF_ERROR(dec->GetU32(&count));
     // Resolved members never outnumber issued ones, nor, in a sync rung,
-    // issued ones the rung's target.
+    // issued ones the rung's target; the rest of the issued ones are among
+    // the bracket's in-flight jobs.
     const int64_t completed = static_cast<int64_t>(r.results.size()) + count;
-    if (completed > d.issued ||
+    if (completed > d.issued || d.issued - completed > unclaimed ||
         (options_.synchronous && d.issued > d.target)) {
       return Status::InvalidArgument(
-          "bracket: rung counters disagree with its results");
+          "bracket: rung counters disagree with its results or in-flight "
+          "count");
     }
-    in_flight_sum += static_cast<uint64_t>(d.issued - completed);
+    unclaimed -= d.issued - completed;
     // No reserve: the count comes from the bytes, so storage grows only as
     // results actually decode.
     for (uint32_t j = 0; j < count; ++j) {
@@ -450,8 +452,7 @@ Status Bracket::Decode(WireDecoder* dec, Delta* out) const {
          static_cast<uint32_t>(r.closed.size() + d.closed.size()),
          static_cast<uint32_t>(r.promotion_log.size() + d.promoted.size())});
   }
-  if (delta.admitted < 0 ||
-      static_cast<uint64_t>(delta.in_flight) != in_flight_sum) {
+  if (delta.admitted < 0 || unclaimed != 0) {
     return Status::InvalidArgument(
         "bracket: counters disagree with its rungs");
   }
