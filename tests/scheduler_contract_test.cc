@@ -230,6 +230,162 @@ TEST(SchedulerContractCheckerTest, EventTraceRetainsRecentEvents) {
   EXPECT_NE(trace.find("OnJobComplete(job 11"), std::string::npos) << trace;
 }
 
+/// Pins the dump text byte for byte: every event kind, the stream's default
+/// six-digit objective formatting, the header count before and after the
+/// 64-event window wraps, oldest-first order, and the kContract trace
+/// mirror carrying the same text for every event.
+TEST(SchedulerContractCheckerTest, EventTraceTextIsPinned) {
+  ScriptedScheduler inner;
+  SchedulerContractChecker checker(&inner, Collecting());
+  Observability sink;
+  checker.SetObservability(&sink);
+  auto issue = [&](int64_t id, int level, int bracket) {
+    Job job = MakeJob(id);
+    job.level = level;
+    job.bracket = bracket;
+    inner.Push(job);
+    std::optional<Job> issued = checker.NextJob();
+    EXPECT_TRUE(issued.has_value());
+    return issued.value_or(job);
+  };
+  auto complete = [&](const Job& job, double objective) {
+    EvalResult result;
+    result.objective = objective;
+    checker.OnJobComplete(job, result);
+  };
+  auto fail = [&](Job job, int attempt, FailureKind kind, int retries,
+                  bool requeue) {
+    job.attempt = attempt;
+    FailureInfo info;
+    info.kind = kind;
+    info.attempt = attempt;
+    info.retries_remaining = retries;
+    inner.requeue = requeue;
+    EXPECT_EQ(checker.OnJobFailed(job, info), requeue);
+  };
+
+  EXPECT_FALSE(checker.NextJob().has_value());
+  complete(issue(0, 1, 0), 0.123456789);
+  complete(issue(1, 2, 1), -1e-07);
+  complete(issue(2, 3, -1), 3.0);
+  EXPECT_EQ(checker.EventTrace(),
+            "last 7 contract events (newest last):\n"
+            "  NextJob -> nullopt (barrier or exhausted)\n"
+            "  NextJob -> job 0 (level 1, bracket 0, attempt 1)\n"
+            "  OnJobComplete(job 0, attempt 1, objective 0.123457)\n"
+            "  NextJob -> job 1 (level 2, bracket 1, attempt 1)\n"
+            "  OnJobComplete(job 1, attempt 1, objective -1e-07)\n"
+            "  NextJob -> job 2 (level 3, bracket -1, attempt 1)\n"
+            "  OnJobComplete(job 2, attempt 1, objective 3)\n");
+
+  // Filler with objectives across the stream's fixed/exponent switch.
+  for (int i = 0; i < 24; ++i) {
+    const double sign = i % 2 == 0 ? 1.0 : -1.0;
+    complete(issue(3 + i, 1 + i % 4, i % 3 - 1),
+             sign * std::ldexp(1.0 + i / 7.0, 3 * i - 36));
+  }
+  int64_t id = 40;  // a gap in the ids
+  for (FailureKind kind : {FailureKind::kCrash, FailureKind::kTimeout,
+                           FailureKind::kWorkerLost}) {
+    Job job = issue(id++, 2, 1);
+    fail(job, 1, kind, 2, /*requeue=*/true);
+    fail(job, 2, kind, 0, /*requeue=*/false);
+  }
+  Job speculated = issue(id, 4, 2);
+  checker.NoteSpeculativeLaunch(speculated);
+  checker.NoteSpeculativeCopyLost(speculated);
+  complete(speculated, 0.5);
+  EXPECT_FALSE(checker.NextJob().has_value());
+
+  EXPECT_TRUE(checker.violations().empty()) << checker.violations().front();
+  const std::string expected =
+      "last 64 contract events (newest last):\n"
+      "  NextJob -> job 2 (level 3, bracket -1, attempt 1)\n"
+      "  OnJobComplete(job 2, attempt 1, objective 3)\n"
+      "  NextJob -> job 3 (level 1, bracket -1, attempt 1)\n"
+      "  OnJobComplete(job 3, attempt 1, objective 1.45519e-11)\n"
+      "  NextJob -> job 4 (level 2, bracket 0, attempt 1)\n"
+      "  OnJobComplete(job 4, attempt 1, objective -1.33046e-10)\n"
+      "  NextJob -> job 5 (level 3, bracket 1, attempt 1)\n"
+      "  OnJobComplete(job 5, attempt 1, objective 1.19741e-09)\n"
+      "  NextJob -> job 6 (level 4, bracket -1, attempt 1)\n"
+      "  OnJobComplete(job 6, attempt 1, objective -1.06437e-08)\n"
+      "  NextJob -> job 7 (level 1, bracket 0, attempt 1)\n"
+      "  OnJobComplete(job 7, attempt 1, objective 9.36644e-08)\n"
+      "  NextJob -> job 8 (level 2, bracket 1, attempt 1)\n"
+      "  OnJobComplete(job 8, attempt 1, objective -8.17435e-07)\n"
+      "  NextJob -> job 9 (level 3, bracket -1, attempt 1)\n"
+      "  OnJobComplete(job 9, attempt 1, objective 7.08444e-06)\n"
+      "  NextJob -> job 10 (level 4, bracket 0, attempt 1)\n"
+      "  OnJobComplete(job 10, attempt 1, objective -6.10352e-05)\n"
+      "  NextJob -> job 11 (level 1, bracket 1, attempt 1)\n"
+      "  OnJobComplete(job 11, attempt 1, objective 0.000523158)\n"
+      "  NextJob -> job 12 (level 2, bracket -1, attempt 1)\n"
+      "  OnJobComplete(job 12, attempt 1, objective -0.00446429)\n"
+      "  NextJob -> job 13 (level 3, bracket 0, attempt 1)\n"
+      "  OnJobComplete(job 13, attempt 1, objective 0.0379464)\n"
+      "  NextJob -> job 14 (level 4, bracket 1, attempt 1)\n"
+      "  OnJobComplete(job 14, attempt 1, objective -0.321429)\n"
+      "  NextJob -> job 15 (level 1, bracket -1, attempt 1)\n"
+      "  OnJobComplete(job 15, attempt 1, objective 2.71429)\n"
+      "  NextJob -> job 16 (level 2, bracket 0, attempt 1)\n"
+      "  OnJobComplete(job 16, attempt 1, objective -22.8571)\n"
+      "  NextJob -> job 17 (level 3, bracket 1, attempt 1)\n"
+      "  OnJobComplete(job 17, attempt 1, objective 192)\n"
+      "  NextJob -> job 18 (level 4, bracket -1, attempt 1)\n"
+      "  OnJobComplete(job 18, attempt 1, objective -1609.14)\n"
+      "  NextJob -> job 19 (level 1, bracket 0, attempt 1)\n"
+      "  OnJobComplete(job 19, attempt 1, objective 13458.3)\n"
+      "  NextJob -> job 20 (level 2, bracket 1, attempt 1)\n"
+      "  OnJobComplete(job 20, attempt 1, objective -112347)\n"
+      "  NextJob -> job 21 (level 3, bracket -1, attempt 1)\n"
+      "  OnJobComplete(job 21, attempt 1, objective 936229)\n"
+      "  NextJob -> job 22 (level 4, bracket 0, attempt 1)\n"
+      "  OnJobComplete(job 22, attempt 1, objective -7.78942e+06)\n"
+      "  NextJob -> job 23 (level 1, bracket 1, attempt 1)\n"
+      "  OnJobComplete(job 23, attempt 1, objective 6.47121e+07)\n"
+      "  NextJob -> job 24 (level 2, bracket -1, attempt 1)\n"
+      "  OnJobComplete(job 24, attempt 1, objective -5.36871e+08)\n"
+      "  NextJob -> job 25 (level 3, bracket 0, attempt 1)\n"
+      "  OnJobComplete(job 25, attempt 1, objective 4.44836e+09)\n"
+      "  NextJob -> job 26 (level 4, bracket 1, attempt 1)\n"
+      "  OnJobComplete(job 26, attempt 1, objective -3.6814e+10)\n"
+      "  NextJob -> job 40 (level 2, bracket 1, attempt 1)\n"
+      "  OnJobFailed(job 40, attempt 1, crash, retries_remaining 2)"
+      " -> requeue\n"
+      "  OnJobFailed(job 40, attempt 2, crash, retries_remaining 0)"
+      " -> abandon\n"
+      "  NextJob -> job 41 (level 2, bracket 1, attempt 1)\n"
+      "  OnJobFailed(job 41, attempt 1, timeout, retries_remaining 2)"
+      " -> requeue\n"
+      "  OnJobFailed(job 41, attempt 2, timeout, retries_remaining 0)"
+      " -> abandon\n"
+      "  NextJob -> job 42 (level 2, bracket 1, attempt 1)\n"
+      "  OnJobFailed(job 42, attempt 1, worker-lost, retries_remaining 2)"
+      " -> requeue\n"
+      "  OnJobFailed(job 42, attempt 2, worker-lost, retries_remaining 0)"
+      " -> abandon\n"
+      "  NextJob -> job 43 (level 4, bracket 2, attempt 1)\n"
+      "  SpeculativeLaunch(job 43, attempt 1)\n"
+      "  SpeculativeCopyLost(job 43, attempt 1)\n"
+      "  OnJobComplete(job 43, attempt 1, objective 0.5)\n"
+      "  NextJob -> nullopt (barrier or exhausted)\n";
+  EXPECT_EQ(checker.EventTrace(), expected);
+
+  // The mirror holds every event, oldest first; its last 64 names are the
+  // dump's lines.
+  std::vector<std::string> names;
+  for (const TraceEvent& event : sink.trace.Snapshot()) {
+    if (event.kind == TraceKind::kContract) names.push_back(event.name);
+  }
+  ASSERT_EQ(names.size(), 69u);
+  std::string mirrored = "last 64 contract events (newest last):\n";
+  for (size_t i = names.size() - 64; i < names.size(); ++i) {
+    mirrored += "  " + names[i] + "\n";
+  }
+  EXPECT_EQ(mirrored, expected);
+}
+
 TEST(SchedulerContractCheckerDeathTest, AbortModeDumpsEventSequence) {
   ScriptedScheduler inner;
   inner.Push(MakeJob(7));
