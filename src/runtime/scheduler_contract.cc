@@ -1,5 +1,8 @@
 #include "src/runtime/scheduler_contract.h"
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -25,24 +28,87 @@ const char* SchedulerContractChecker::StateName(TrialState state) {
   return "?";
 }
 
-void SchedulerContractChecker::RecordEvent(std::string event) {
+void SchedulerContractChecker::RecordEvent(const Event& event) {
+  trace_[events_recorded_++ % kTraceCapacity] = event;
   // Mirror every contract event into the run trace: a contract abort then
   // dumps a full timeline next to the textual event list.
   if (obs_ != nullptr) {
     TraceEvent e;
     e.kind = TraceKind::kContract;
-    e.name = event;
+    e.name = FormatEvent(event);
     obs_->trace.Record(std::move(e));
   }
-  trace_.push_back(std::move(event));
-  while (trace_.size() > options_.event_trace_capacity) trace_.pop_front();
+}
+
+std::string SchedulerContractChecker::FormatEvent(const Event& event) {
+  // %g is an ostream's default float format: six significant digits.
+  char text[128] = "";
+  switch (event.kind) {
+    case EventKind::kNoJob:
+      return "NextJob -> nullopt (barrier or exhausted)";
+    case EventKind::kIssued:
+      std::snprintf(text, sizeof(text),
+                    "NextJob -> job %" PRId64
+                    " (level %d, bracket %d, attempt %d)",
+                    event.job_id, event.level, event.bracket, event.attempt);
+      break;
+    case EventKind::kCompleted:
+      std::snprintf(text, sizeof(text),
+                    "OnJobComplete(job %" PRId64 ", attempt %d, objective %g)",
+                    event.job_id, event.attempt, event.objective);
+      break;
+    case EventKind::kFailed:
+      std::snprintf(text, sizeof(text),
+                    "OnJobFailed(job %" PRId64
+                    ", attempt %d, %s, retries_remaining %d) -> %s",
+                    event.job_id, event.attempt,
+                    FailureKindName(event.failure), event.retries_remaining,
+                    event.requeue ? "requeue" : "abandon");
+      break;
+    case EventKind::kSpeculativeLaunch:
+      std::snprintf(text, sizeof(text),
+                    "SpeculativeLaunch(job %" PRId64 ", attempt %d)",
+                    event.job_id, event.attempt);
+      break;
+    case EventKind::kSpeculativeCopyLost:
+      std::snprintf(text, sizeof(text),
+                    "SpeculativeCopyLost(job %" PRId64 ", attempt %d)",
+                    event.job_id, event.attempt);
+      break;
+  }
+  return text;
 }
 
 std::string SchedulerContractChecker::EventTrace() const {
-  std::ostringstream out;
-  out << "last " << trace_.size() << " contract events (newest last):\n";
-  for (const std::string& event : trace_) out << "  " << event << "\n";
-  return out.str();
+  const uint64_t kept =
+      std::min<uint64_t>(events_recorded_, kTraceCapacity);
+  std::string out = "last " + std::to_string(kept) +
+                    " contract events (newest last):\n";
+  for (uint64_t n = events_recorded_ - kept; n < events_recorded_; ++n) {
+    out += "  " + FormatEvent(trace_[n % kTraceCapacity]) + "\n";
+  }
+  return out;
+}
+
+SchedulerContractChecker::TrackedJob* SchedulerContractChecker::FindJob(
+    int64_t job_id) {
+  if (jobs_.empty() || job_id < jobs_.front().job_id) return nullptr;
+  // Ids ascend, so until they skip one a job sits at its id's offset from
+  // the first. (The unsigned difference of ids in order cannot overflow.)
+  const uint64_t offset = static_cast<uint64_t>(job_id) -
+                          static_cast<uint64_t>(jobs_.front().job_id);
+  if (offset < jobs_.size() && jobs_[offset].job_id == job_id) {
+    return &jobs_[offset];
+  }
+  auto it = LowerBound(job_id);
+  return it != jobs_.end() && it->job_id == job_id ? &*it : nullptr;
+}
+
+std::vector<SchedulerContractChecker::TrackedJob>::iterator
+SchedulerContractChecker::LowerBound(int64_t job_id) {
+  return std::lower_bound(
+      jobs_.begin(), jobs_.end(), job_id,
+      [](const TrackedJob& tracked, int64_t id) { return tracked.job_id < id; });
 }
 
 void SchedulerContractChecker::Violation(const std::string& message) {
@@ -56,17 +122,10 @@ void SchedulerContractChecker::Violation(const std::string& message) {
 std::optional<Job> SchedulerContractChecker::NextJob() {
   std::optional<Job> job = inner_->NextJob();
   if (!job.has_value()) {
-    RecordEvent("NextJob -> nullopt (barrier or exhausted)");
+    RecordEvent(Event());
     return job;
   }
-
-  {
-    std::ostringstream event;
-    event << "NextJob -> job " << job->job_id << " (level " << job->level
-          << ", bracket " << job->bracket << ", attempt " << job->attempt
-          << ")";
-    RecordEvent(event.str());
-  }
+  RecordEvent(Event(EventKind::kIssued, *job));
 
   if (exhausted_observed_) {
     std::ostringstream msg;
@@ -86,17 +145,22 @@ std::optional<Job> SchedulerContractChecker::NextJob() {
         << "owns retry attempts)";
     Violation(msg.str());
   }
-  auto [it, inserted] = jobs_.emplace(job->job_id, TrackedJob{});
-  if (!inserted) {
+  if (jobs_.empty() || job->job_id > jobs_.back().job_id) {
+    jobs_.push_back(TrackedJob{job->job_id});
+    ++outstanding_;
+  } else if (const TrackedJob* previous = FindJob(job->job_id)) {
     std::ostringstream msg;
     msg << "NextJob reused job id " << job->job_id << " (previous trial is "
-        << StateName(it->second.state) << ")";
+        << StateName(previous->state) << ")";
     Violation(msg.str());
   } else {
-    it->second.current_attempt = 1;
-    it->second.level = job->level;
-    it->second.bracket = job->bracket;
-    ++issued_;
+    std::ostringstream msg;
+    msg << "NextJob issued job " << job->job_id
+        << " below the last issued job id " << jobs_.back().job_id
+        << " (job ids must ascend)";
+    Violation(msg.str());
+    // Tracked all the same, so its later events are checked as usual.
+    jobs_.insert(LowerBound(job->job_id), TrackedJob{job->job_id});
     ++outstanding_;
   }
 
@@ -106,39 +170,33 @@ std::optional<Job> SchedulerContractChecker::NextJob() {
 
 void SchedulerContractChecker::OnJobComplete(const Job& job,
                                              const EvalResult& result) {
-  {
-    std::ostringstream event;
-    event << "OnJobComplete(job " << job.job_id << ", attempt " << job.attempt
-          << ", objective " << result.objective << ")";
-    RecordEvent(event.str());
-  }
+  Event event(EventKind::kCompleted, job);
+  event.objective = result.objective;
+  RecordEvent(event);
 
-  auto it = jobs_.find(job.job_id);
-  if (it == jobs_.end()) {
+  TrackedJob* tracked = FindJob(job.job_id);
+  if (tracked == nullptr) {
     std::ostringstream msg;
     msg << "OnJobComplete for job " << job.job_id
         << " which was never issued by NextJob";
     Violation(msg.str());
+  } else if (tracked->state != TrialState::kOutstanding) {
+    std::ostringstream msg;
+    msg << "OnJobComplete for job " << job.job_id
+        << " which is already resolved (" << StateName(tracked->state)
+        << (tracked->state == TrialState::kCompleted ? "): double completion"
+                                                     : ")");
+    Violation(msg.str());
   } else {
-    TrackedJob& tracked = it->second;
-    if (tracked.state != TrialState::kOutstanding) {
+    if (job.attempt != tracked->current_attempt) {
       std::ostringstream msg;
-      msg << "OnJobComplete for job " << job.job_id
-          << " which is already resolved (" << StateName(tracked.state)
-          << (tracked.state == TrialState::kCompleted ? "): double completion"
-                                                      : ")");
+      msg << "OnJobComplete for job " << job.job_id << " at attempt "
+          << job.attempt << " but the runtime is executing attempt "
+          << tracked->current_attempt << " (stale attempt number)";
       Violation(msg.str());
-    } else {
-      if (job.attempt != tracked.current_attempt) {
-        std::ostringstream msg;
-        msg << "OnJobComplete for job " << job.job_id << " at attempt "
-            << job.attempt << " but the runtime is executing attempt "
-            << tracked.current_attempt << " (stale attempt number)";
-        Violation(msg.str());
-      }
-      tracked.state = TrialState::kCompleted;
-      --outstanding_;
     }
+    tracked->state = TrialState::kCompleted;
+    --outstanding_;
   }
 
   inner_->OnJobComplete(job, result);
@@ -147,27 +205,26 @@ void SchedulerContractChecker::OnJobComplete(const Job& job,
 
 bool SchedulerContractChecker::OnJobFailed(const Job& job,
                                            const FailureInfo& info) {
-  auto it = jobs_.find(job.job_id);
-  if (it == jobs_.end()) {
+  TrackedJob* tracked = FindJob(job.job_id);
+  if (tracked == nullptr) {
     std::ostringstream msg;
     msg << "OnJobFailed for job " << job.job_id
         << " which was never issued by NextJob";
     Violation(msg.str());
-  } else if (it->second.state != TrialState::kOutstanding) {
+  } else if (tracked->state != TrialState::kOutstanding) {
     std::ostringstream msg;
     msg << "OnJobFailed for job " << job.job_id
-        << " which is already resolved (" << StateName(it->second.state)
-        << ")";
+        << " which is already resolved (" << StateName(tracked->state) << ")";
     Violation(msg.str());
-  } else if (job.attempt != it->second.current_attempt) {
+  } else if (job.attempt != tracked->current_attempt) {
     std::ostringstream msg;
     msg << "OnJobFailed for job " << job.job_id << " at attempt "
         << job.attempt << " but the runtime is executing attempt "
-        << it->second.current_attempt << " (stale attempt number)";
+        << tracked->current_attempt << " (stale attempt number)";
     Violation(msg.str());
   }
 
-  if (it != jobs_.end() && it->second.duplicated) {
+  if (tracked != nullptr && tracked->duplicated) {
     std::ostringstream msg;
     msg << "OnJobFailed for job " << job.job_id
         << " while a speculative duplicate is still live (the backend must "
@@ -177,21 +234,17 @@ bool SchedulerContractChecker::OnJobFailed(const Job& job,
 
   bool requeue = inner_->OnJobFailed(job, info);
 
-  {
-    std::ostringstream event;
-    event << "OnJobFailed(job " << job.job_id << ", attempt " << job.attempt
-          << ", " << FailureKindName(info.kind) << ", retries_remaining "
-          << info.retries_remaining << ") -> "
-          << (requeue ? "requeue" : "abandon");
-    RecordEvent(event.str());
-  }
+  Event event(EventKind::kFailed, job);
+  event.failure = info.kind;
+  event.retries_remaining = info.retries_remaining;
+  event.requeue = requeue;
+  RecordEvent(event);
 
-  it = jobs_.find(job.job_id);
-  if (it != jobs_.end() && it->second.state == TrialState::kOutstanding) {
+  if (tracked != nullptr && tracked->state == TrialState::kOutstanding) {
     if (requeue) {
-      it->second.current_attempt = job.attempt + 1;
+      tracked->current_attempt = job.attempt + 1;
     } else {
-      it->second.state = TrialState::kAbandoned;
+      tracked->state = TrialState::kAbandoned;
       --outstanding_;
     }
   }
@@ -201,59 +254,46 @@ bool SchedulerContractChecker::OnJobFailed(const Job& job,
 }
 
 void SchedulerContractChecker::NoteSpeculativeLaunch(const Job& job) {
-  {
-    std::ostringstream event;
-    event << "SpeculativeLaunch(job " << job.job_id << ", attempt "
-          << job.attempt << ")";
-    RecordEvent(event.str());
-  }
-  auto it = jobs_.find(job.job_id);
-  if (it == jobs_.end()) {
+  RecordEvent(Event(EventKind::kSpeculativeLaunch, job));
+  TrackedJob* tracked = FindJob(job.job_id);
+  if (tracked == nullptr) {
     std::ostringstream msg;
     msg << "speculative duplicate of job " << job.job_id
         << " which was never issued by NextJob";
     Violation(msg.str());
-    return;
-  }
-  TrackedJob& tracked = it->second;
-  if (tracked.state != TrialState::kOutstanding) {
+  } else if (tracked->state != TrialState::kOutstanding) {
     std::ostringstream msg;
     msg << "speculative duplicate of job " << job.job_id
-        << " which is already resolved (" << StateName(tracked.state) << ")";
+        << " which is already resolved (" << StateName(tracked->state) << ")";
     Violation(msg.str());
-  } else if (job.attempt != tracked.current_attempt) {
+  } else if (job.attempt != tracked->current_attempt) {
     std::ostringstream msg;
     msg << "speculative duplicate of job " << job.job_id << " at attempt "
         << job.attempt << " but the runtime is executing attempt "
-        << tracked.current_attempt;
+        << tracked->current_attempt;
     Violation(msg.str());
-  } else if (tracked.duplicated) {
+  } else if (tracked->duplicated) {
     std::ostringstream msg;
     msg << "second speculative duplicate of job " << job.job_id
         << " (at most one duplicate per job)";
     Violation(msg.str());
   } else {
-    tracked.duplicated = true;
+    tracked->duplicated = true;
     ++speculative_launches_;
   }
 }
 
 void SchedulerContractChecker::NoteSpeculativeCopyLost(const Job& job) {
-  {
-    std::ostringstream event;
-    event << "SpeculativeCopyLost(job " << job.job_id << ", attempt "
-          << job.attempt << ")";
-    RecordEvent(event.str());
-  }
-  auto it = jobs_.find(job.job_id);
-  if (it == jobs_.end() || !it->second.duplicated) {
+  RecordEvent(Event(EventKind::kSpeculativeCopyLost, job));
+  TrackedJob* tracked = FindJob(job.job_id);
+  if (tracked == nullptr || !tracked->duplicated) {
     std::ostringstream msg;
     msg << "speculative copy of job " << job.job_id
         << " retired, but no duplicate was ever announced for it";
     Violation(msg.str());
     return;
   }
-  it->second.duplicated = false;
+  tracked->duplicated = false;
 }
 
 bool SchedulerContractChecker::Exhausted() const {

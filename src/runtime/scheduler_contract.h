@@ -1,10 +1,9 @@
 #ifndef HYPERTUNE_RUNTIME_SCHEDULER_CONTRACT_H_
 #define HYPERTUNE_RUNTIME_SCHEDULER_CONTRACT_H_
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/runtime/scheduler_interface.h"
@@ -17,14 +16,14 @@ struct ContractCheckerOptions {
   /// first violation. When false, violations are collected and readable
   /// via violations() — used by the checker's own negative-path tests.
   bool abort_on_violation = true;
-  /// How many recent contract events the dump keeps.
-  size_t event_trace_capacity = 64;
 };
 
 /// Decorator that audits the pull-based SchedulerInterface contract on
 /// every call before forwarding to the wrapped scheduler:
 ///
-///   * NextJob() must mint a fresh, never-before-seen job id at attempt 1;
+///   * NextJob() must mint a fresh job id at attempt 1, and ids ascend:
+///     each is above every id issued before it (a reused id and an id below
+///     the last issued one are separate violations);
 ///   * no job may be issued after Exhausted() was observed true, and
 ///     Exhausted() itself must be monotone (never flips back to false);
 ///   * OnJobComplete / OnJobFailed must reference a job that was issued
@@ -50,7 +49,11 @@ struct ContractCheckerOptions {
 /// ledger does it; see BackendOptions::check_contract), which turns the
 /// whole test suite into a contract-conformance suite. The
 /// checker keeps no RNG and perturbs no decision, so checked runs are
-/// bit-identical to unchecked ones.
+/// bit-identical to unchecked ones. It is cheap enough to leave on: an
+/// event is a fixed-size record in a ring of the last 64, turned into text
+/// only when EventTrace() (the abort dump) reads it or a trace sink mirrors
+/// it, and the jobs sit in a table in issue order, found at their id's
+/// offset from the first id (by binary search once ids have gaps).
 ///
 /// Thread-compatibility matches the schedulers themselves: not internally
 /// synchronized; ThreadCluster serializes calls under its run mutex.
@@ -97,40 +100,81 @@ class SchedulerContractChecker : public SchedulerInterface {
   int64_t outstanding_jobs() const { return outstanding_; }
 
   /// Jobs issued over the whole run.
-  int64_t jobs_issued() const { return issued_; }
+  int64_t jobs_issued() const { return static_cast<int64_t>(jobs_.size()); }
 
   /// The recent event sequence, newest last (what the abort path dumps).
   std::string EventTrace() const;
 
  private:
-  enum class TrialState { kOutstanding, kCompleted, kAbandoned };
+  enum class TrialState : uint8_t { kOutstanding, kCompleted, kAbandoned };
 
+  /// One issued job; jobs_ keeps them sorted by id.
   struct TrackedJob {
-    TrialState state = TrialState::kOutstanding;
+    int64_t job_id = -1;
     /// Attempt number the runtime is currently executing (bumped when the
     /// scheduler grants a requeue).
     int current_attempt = 1;
-    int level = 0;
-    int bracket = -1;
+    TrialState state = TrialState::kOutstanding;
     /// True while a speculative duplicate of the current attempt is live
     /// (set by NoteSpeculativeLaunch, cleared by NoteSpeculativeCopyLost).
     bool duplicated = false;
   };
 
-  void RecordEvent(std::string event);
+  enum class EventKind : uint8_t {
+    kNoJob,
+    kIssued,
+    kCompleted,
+    kFailed,
+    kSpeculativeLaunch,
+    kSpeculativeCopyLost,
+  };
+
+  /// A contract event as recorded; FormatEvent() renders its text. The
+  /// fields marked with a kind are read for that kind only.
+  struct Event {
+    Event() = default;
+    Event(EventKind event_kind, const Job& job)
+        : job_id(job.job_id),
+          attempt(job.attempt),
+          level(job.level),
+          bracket(job.bracket),
+          kind(event_kind) {}
+
+    int64_t job_id = -1;
+    double objective = 0.0;  // kCompleted
+    int attempt = 0;
+    int level = 0;    // kIssued
+    int bracket = 0;  // kIssued
+    int retries_remaining = 0;                  // kFailed
+    FailureKind failure = FailureKind::kCrash;  // kFailed
+    EventKind kind = EventKind::kNoJob;
+    bool requeue = false;  // kFailed
+  };
+
+  /// How many recent events the dump keeps.
+  static constexpr size_t kTraceCapacity = 64;
+
+  void RecordEvent(const Event& event);
+  static std::string FormatEvent(const Event& event);
+  /// The tracked job with this id, or null when it was never issued.
+  TrackedJob* FindJob(int64_t job_id);
+  /// The first tracked job whose id is not below `job_id`.
+  std::vector<TrackedJob>::iterator LowerBound(int64_t job_id);
   void Violation(const std::string& message);
   static const char* StateName(TrialState state);
 
   SchedulerInterface* inner_;
   ContractCheckerOptions options_;
-  std::unordered_map<int64_t, TrackedJob> jobs_;
-  int64_t issued_ = 0;
+  std::vector<TrackedJob> jobs_;
   int64_t outstanding_ = 0;
   int64_t speculative_launches_ = 0;
   /// Latched once Exhausted() returns true (mutable: latching happens in
   /// the const Exhausted() override).
   mutable bool exhausted_observed_ = false;
-  std::deque<std::string> trace_;
+  /// The last kTraceCapacity events; event number n (from 0) sits in slot
+  /// n % kTraceCapacity.
+  std::array<Event, kTraceCapacity> trace_{};
+  uint64_t events_recorded_ = 0;
   std::vector<std::string> violations_;
   Observability* obs_ = nullptr;  // null = observability off
 };

@@ -28,7 +28,9 @@ class SchedulerInterface {
   virtual ~SchedulerInterface() = default;
 
   /// Next evaluation job, or nullopt when no job can be issued yet (barrier)
-  /// or the method is exhausted (see Exhausted()).
+  /// or the method is exhausted (see Exhausted()). Job ids ascend: each
+  /// issued id is above every id issued before it (minting `next_id++`
+  /// meets this), and a job is issued at attempt 1.
   virtual std::optional<Job> NextJob() = 0;
 
   /// Reports a finished evaluation of a job previously issued by NextJob().

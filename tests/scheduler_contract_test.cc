@@ -206,6 +206,50 @@ TEST(SchedulerContractCheckerTest, DetectsReusedJobId) {
   EXPECT_TRUE(HasViolation(checker, "reused job id"));
 }
 
+TEST(SchedulerContractCheckerTest, DetectsJobIdBelowLastIssued) {
+  const int64_t far = int64_t{1} << 40;
+  ScriptedScheduler inner;
+  for (int64_t id : {int64_t{0}, int64_t{5}, far}) inner.Push(MakeJob(id));
+  SchedulerContractChecker checker(&inner, Collecting());
+
+  // Ascending ids with gaps pass every hook: the job table grows with the
+  // jobs issued, not with the largest id.
+  std::vector<Job> jobs;
+  for (int i = 0; i < 3; ++i) {
+    std::optional<Job> job = checker.NextJob();
+    ASSERT_TRUE(job.has_value());
+    jobs.push_back(*job);
+  }
+  inner.requeue = true;
+  for (Job& job : jobs) {
+    FailureInfo failure;
+    failure.retries_remaining = 1;
+    EXPECT_TRUE(checker.OnJobFailed(job, failure));
+    job.attempt = 2;
+    checker.NoteSpeculativeLaunch(job);
+    checker.NoteSpeculativeCopyLost(job);
+    checker.OnJobComplete(job, EvalResult{});
+  }
+  EXPECT_TRUE(checker.violations().empty()) << checker.violations().front();
+  EXPECT_EQ(checker.outstanding_jobs(), 0);
+
+  inner.Push(MakeJob(3));
+  EXPECT_TRUE(checker.NextJob().has_value());
+  ASSERT_EQ(checker.violations().size(), 1u);
+  EXPECT_TRUE(
+      HasViolation(checker, "job 3 below the last issued job id 1099511627776"))
+      << checker.violations().front();
+  // The out-of-order job is still tracked, so it completes cleanly.
+  checker.OnJobComplete(MakeJob(3), EvalResult{});
+  EXPECT_EQ(checker.violations().size(), 1u);
+  EXPECT_EQ(checker.jobs_issued(), 4);
+
+  inner.Push(MakeJob(5));
+  EXPECT_TRUE(checker.NextJob().has_value());
+  EXPECT_TRUE(
+      HasViolation(checker, "reused job id 5 (previous trial is completed)"));
+}
+
 TEST(SchedulerContractCheckerTest, DetectsSchedulerMintingRetryAttempt) {
   ScriptedScheduler inner;
   inner.Push(MakeJob(2, /*attempt=*/3));
