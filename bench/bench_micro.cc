@@ -8,7 +8,7 @@
 // Output: besides the usual console table, every run writes BENCH_micro.json
 // (schema_version 1; see tools/lint.py --validate-bench). Flags handled here
 // before google-benchmark sees the rest:
-//   --quick            run only the cheap data-structure kernels (CI smoke)
+//   --quick            run only the cheap kernels the CI smoke job ratchets
 //   --bench_json=PATH  where to write the JSON report (default
 //                      BENCH_micro.json in the working directory)
 
@@ -35,6 +35,7 @@
 #include "src/problems/nas_bench.h"
 #include "src/runtime/journal.h"
 #include "src/runtime/measurement_store.h"
+#include "src/runtime/scheduler_contract.h"
 #include "src/runtime/trial_history.h"
 #include "src/surrogate/gaussian_process.h"
 #include "src/surrogate/random_forest.h"
@@ -725,12 +726,63 @@ void BM_RngFreshDraws(benchmark::State& state) {
 }
 BENCHMARK(BM_RngFreshDraws);
 
+/// A scheduler that mints ascending ids and decides nothing else, so
+/// BM_ContractChecker times the checker around it.
+class MintingScheduler : public SchedulerInterface {
+ public:
+  std::optional<Job> NextJob() override {
+    Job job;
+    job.job_id = next_id_++;
+    return job;
+  }
+  void OnJobComplete(const Job& job, const EvalResult& result) override {
+    benchmark::DoNotOptimize(job.job_id);
+    benchmark::DoNotOptimize(result.objective);
+  }
+  bool OnJobFailed(const Job& job, const FailureInfo& info) override {
+    (void)job;
+    (void)info;
+    return true;
+  }
+
+ private:
+  int64_t next_id_ = 0;
+};
+
+/// One job through the default (aborting) contract checker: NextJob plus
+/// OnJobComplete, with every 16th job failing once and being requeued
+/// first. No trace sink is installed, as on an untraced run.
+void BM_ContractChecker(benchmark::State& state) {
+  MintingScheduler inner;
+  std::optional<SchedulerContractChecker> checker;
+  checker.emplace(&inner);
+  FailureInfo failure;
+  failure.retries_remaining = 1;
+  EvalResult result;
+  int64_t jobs = 0;
+  for (auto _ : state) {
+    std::optional<Job> job = checker->NextJob();
+    if (++jobs % 16 == 0) {
+      failure.attempt = job->attempt;
+      checker->OnJobFailed(*job, failure);
+      ++job->attempt;
+    }
+    result.objective = static_cast<double>(jobs);
+    checker->OnJobComplete(*job, result);
+    if (jobs % 65536 == 0) checker.emplace(&inner);  // bound memory
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ContractChecker);
+
 /// Benchmarks `--quick` keeps: the allocation-bounded data-structure kernels,
-/// the Rng draws every layer makes, and the async scheduler's checkpoint.
+/// the Rng draws every layer makes, the async scheduler's checkpoint, the
+/// contract checker, and the surrogate kernels the ratchet requires.
 constexpr char kQuickFilter[] =
     "BM_(CalendarQueue|BinaryHeap|RankTree|StoreIndexedAdd|StorePendingChurn|"
     "TrialHistoryRecord|JournalAppend|RngUniform|RngUniformInt|"
-    "RngFreshDraws|AsyncCheckpoint)";
+    "RngFreshDraws|AsyncCheckpoint|ContractChecker|GpPredictBatch|"
+    "CholUpdateAppend|AcqSweep)";
 
 /// Console output as usual, plus BENCH_micro.json: schema_version 1, one
 /// entry per benchmark run with name / iterations / ns_per_op and, for

@@ -80,9 +80,11 @@ only in the baseline are reported but tolerated, so `--quick` subsets
 ratchet the kernels they cover; names only in CURRENT are new benchmarks
 and pass (they join the ratchet when the baseline is regenerated). An
 empty intersection fails: a ratchet that compares nothing guards nothing.
-The baseline must also cover the surrogate hot-path kernels, the fresh
-Rng stream and the async checkpoint (REQUIRED_RATCHET_KERNELS) — a baseline
-regenerated without them would silently stop guarding those speedups.
+Both reports must also cover the surrogate hot-path kernels, the fresh
+Rng stream, the async checkpoint and the contract checker
+(REQUIRED_RATCHET_KERNELS) — a baseline regenerated without them, or a
+`--quick` filter that stops running one, would silently stop guarding
+those speedups.
 
 Usage: python3 tools/lint.py [--root DIR]   (exit 1 on any violation)
        python3 tools/lint.py --validate-trace PATH
@@ -432,21 +434,21 @@ def validate_bench(path):
     return errors
 
 
-# Kernels the committed baseline must cover for the ratchet to mean
-# anything: the surrogate hot path (DESIGN.md §13), a fresh Rng's short
-# stream (DESIGN.md "Random streams") and an async scheduler's checkpoint,
-# full image and delta (DESIGN.md §10). A baseline missing one of these (or
-# a parameterized variant, "NAME/64") silently un-guards the
-# batched-prediction, lazy-seeding and delta-checkpoint speedup claims, so
-# their absence is an error rather than a skip. Checked against the
-# BASELINE only — CI's --quick run intentionally executes a subset, so
-# CURRENT may omit them.
+# Kernels both reports must cover for the ratchet to mean anything: the
+# surrogate hot path (DESIGN.md §13), a fresh Rng's short stream (DESIGN.md
+# "Random streams"), an async scheduler's checkpoint, full image and delta
+# (DESIGN.md §10), and the contract checker (DESIGN.md §7). A report
+# missing one of these (or a parameterized variant, "NAME/64") silently
+# un-guards the batched-prediction, lazy-seeding, delta-checkpoint and
+# checker speedup claims, so their absence is an error rather than a skip.
+# bench_micro --quick runs every one of them.
 REQUIRED_RATCHET_KERNELS = (
     "BM_GpPredictBatch",
     "BM_CholUpdateAppend",
     "BM_AcqSweep",
     "BM_RngFreshDraws",
     "BM_AsyncCheckpoint",
+    "BM_ContractChecker",
 )
 
 
@@ -467,13 +469,16 @@ def ratchet_bench(current_path, baseline_path, tolerance):
     current = entries(current_path)
     baseline = entries(baseline_path)
 
-    for kernel in REQUIRED_RATCHET_KERNELS:
-        if not any(name == kernel or name.startswith(kernel + "/")
-                   for name in baseline):
-            errors.append(
-                "%s: required kernel %s missing from the ratchet baseline "
-                "(regenerate BENCH_micro.json with a full bench_micro run)"
-                % (baseline_path, kernel))
+    for path, report, remedy in (
+            (baseline_path, baseline,
+             "regenerate BENCH_micro.json with a full bench_micro run"),
+            (current_path, current,
+             "bench_micro --quick must run it; see kQuickFilter")):
+        for kernel in REQUIRED_RATCHET_KERNELS:
+            if not any(name == kernel or name.startswith(kernel + "/")
+                       for name in report):
+                errors.append("%s: required kernel %s missing (%s)"
+                              % (path, kernel, remedy))
     if errors:
         return errors
 
