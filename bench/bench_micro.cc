@@ -763,7 +763,6 @@ void BM_ContractChecker(benchmark::State& state) {
   for (auto _ : state) {
     std::optional<Job> job = checker->NextJob();
     if (++jobs % 16 == 0) {
-      failure.attempt = job->attempt;
       checker->OnJobFailed(*job, failure);
       ++job->attempt;
     }

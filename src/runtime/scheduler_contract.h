@@ -143,8 +143,8 @@ class SchedulerContractChecker : public SchedulerInterface {
     int64_t job_id = -1;
     double objective = 0.0;  // kCompleted
     int attempt = 0;
-    int level = 0;    // kIssued
-    int bracket = 0;  // kIssued
+    int level = 0;                              // kIssued
+    int bracket = 0;                            // kIssued
     int retries_remaining = 0;                  // kFailed
     FailureKind failure = FailureKind::kCrash;  // kFailed
     EventKind kind = EventKind::kNoJob;
