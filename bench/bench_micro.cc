@@ -545,7 +545,8 @@ BENCHMARK(BM_JournalAppend)->Iterations(200000);
 /// Same append stream against a real file under each fsync policy
 /// (arg 0 = kNone, 1 = kOnCheckpoint, 2 = kEveryRecord). The spread
 /// between arg 0 and arg 2 is the price of a durability barrier per
-/// record — the number that justifies kOnCheckpoint as the default.
+/// record, which is why kNone is the default and kOnCheckpoint the opt-in.
+/// Arg 2 waits on the disk, so it stays out of --quick and the ratchet.
 void BM_JournalAppendFsync(benchmark::State& state) {
   ConfigurationSpace space = MakeSpace(8);
   Rng rng(13);
@@ -775,13 +776,14 @@ void BM_ContractChecker(benchmark::State& state) {
 BENCHMARK(BM_ContractChecker);
 
 /// Benchmarks `--quick` keeps: the allocation-bounded data-structure kernels,
-/// the Rng draws every layer makes, the async scheduler's checkpoint, the
-/// contract checker, and the surrogate kernels the ratchet requires.
+/// the journal appends that do not wait on the disk, the Rng draws every
+/// layer makes, the async scheduler's checkpoint, the contract checker, and
+/// the surrogate kernels the ratchet requires.
 constexpr char kQuickFilter[] =
     "BM_(CalendarQueue|BinaryHeap|RankTree|StoreIndexedAdd|StorePendingChurn|"
-    "TrialHistoryRecord|JournalAppend|RngUniform|RngUniformInt|"
-    "RngFreshDraws|AsyncCheckpoint|ContractChecker|GpPredictBatch|"
-    "CholUpdateAppend|AcqSweep)";
+    "TrialHistoryRecord|JournalAppend/|JournalAppendFsync/[01]/|RngUniform|"
+    "RngUniformInt|RngFreshDraws|AsyncCheckpoint|ContractChecker|"
+    "GpPredictBatch|CholUpdateAppend|AcqSweep)";
 
 /// Console output as usual, plus BENCH_micro.json: schema_version 1, one
 /// entry per benchmark run with name / iterations / ns_per_op and, for
