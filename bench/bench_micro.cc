@@ -777,13 +777,15 @@ BENCHMARK(BM_ContractChecker);
 
 /// Benchmarks `--quick` keeps: the allocation-bounded data-structure kernels,
 /// the journal appends that do not wait on the disk, the Rng draws every
-/// layer makes, the async scheduler's checkpoint, the contract checker, and
-/// the surrogate kernels the ratchet requires.
+/// layer makes, the async scheduler's checkpoint, the contract checker, the
+/// GP kernels, and the flagship's forest fit, θ and MFES sample, which the
+/// ratchet requires.
 constexpr char kQuickFilter[] =
     "BM_(CalendarQueue|BinaryHeap|RankTree|StoreIndexedAdd|StorePendingChurn|"
     "TrialHistoryRecord|JournalAppend/|JournalAppendFsync/[01]/|RngUniform|"
     "RngUniformInt|RngFreshDraws|AsyncCheckpoint|ContractChecker|"
-    "GpPredictBatch|CholUpdateAppend|AcqSweep)";
+    "GpPredictBatch|CholUpdateAppend|AcqSweep|RfFit|FidelityWeights|"
+    "MfesSample)";
 
 /// Console output as usual, plus BENCH_micro.json: schema_version 1, one
 /// entry per benchmark run with name / iterations / ns_per_op and, for

@@ -80,8 +80,8 @@ only in the baseline are reported but tolerated, so `--quick` subsets
 ratchet the kernels they cover; names only in CURRENT are new benchmarks
 and pass (they join the ratchet when the baseline is regenerated). An
 empty intersection fails: a ratchet that compares nothing guards nothing.
-Both reports must also cover the surrogate hot-path kernels, the fresh
-Rng stream, the async checkpoint and the contract checker
+Both reports must also cover the GP and flagship surrogate kernels, the
+fresh Rng stream, the async checkpoint and the contract checker
 (REQUIRED_RATCHET_KERNELS) — a baseline regenerated without them, or a
 `--quick` filter that stops running one, would silently stop guarding
 those speedups.
@@ -435,17 +435,21 @@ def validate_bench(path):
 
 
 # Kernels both reports must cover for the ratchet to mean anything: the
-# surrogate hot path (DESIGN.md §13), a fresh Rng's short stream (DESIGN.md
-# "Random streams"), an async scheduler's checkpoint, full image and delta
-# (DESIGN.md §10), and the contract checker (DESIGN.md §7). A report
-# missing one of these (or a parameterized variant, "NAME/64") silently
-# un-guards the batched-prediction, lazy-seeding, delta-checkpoint and
+# GP's batched prediction, update and acquisition sweep (DESIGN.md §13),
+# the flagship's forest fit, θ and MFES sample, a fresh Rng's short stream
+# (DESIGN.md "Random streams"), an async scheduler's checkpoint, full image
+# and delta (DESIGN.md §10), and the contract checker (DESIGN.md §7). A
+# report missing one of these (or a parameterized variant, "NAME/64")
+# silently un-guards the surrogate, lazy-seeding, delta-checkpoint and
 # checker speedup claims, so their absence is an error rather than a skip.
 # bench_micro --quick runs every one of them.
 REQUIRED_RATCHET_KERNELS = (
     "BM_GpPredictBatch",
     "BM_CholUpdateAppend",
     "BM_AcqSweep",
+    "BM_RfFit",
+    "BM_FidelityWeights",
+    "BM_MfesSample",
     "BM_RngFreshDraws",
     "BM_AsyncCheckpoint",
     "BM_ContractChecker",
