@@ -6,18 +6,35 @@ namespace hypertune {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+// Slicing-by-8 tables, built at compile time: entry [0][b] is the CRC
+// register after feeding byte b, and entry [k][b] that register advanced
+// through k more zero bytes.
+struct Crc32Tables {
+  uint32_t entries[8][256] = {};
+  constexpr Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      entries[0][i] = c;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        const uint32_t c = entries[k - 1][i];
+        entries[k][i] = entries[0][c & 0xFF] ^ (c >> 8);
+      }
     }
   }
 };
+
+constexpr Crc32Tables kCrc32;
+
+// Reads bytes [0, 4) as a little-endian word on any host.
+inline uint32_t LoadLE32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 void PutLE(uint64_t v, int bytes, std::string* out) {
   char le[8] = {};
@@ -30,11 +47,20 @@ void PutLE(uint64_t v, int bytes, std::string* out) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size) {
-  static const Crc32Table table;
+  const auto& t = kCrc32.entries;
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table.entries[(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
+  // Eight bytes per step: each byte looks up the table that advances it
+  // past the bytes after it in the step, so the lookups are independent.
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t lo = crc ^ LoadLE32(bytes);
+    const uint32_t hi = LoadLE32(bytes + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = t[0][(crc ^ *bytes) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

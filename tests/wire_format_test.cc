@@ -327,5 +327,31 @@ TEST(WireFormatTest, Crc32MatchesKnownVector) {
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
 }
 
+// The bit-at-a-time definition of CRC-32 (IEEE 802.3, reflected).
+uint32_t BitwiseCrc32(const uint8_t* bytes, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(WireFormatTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every length up to well past the 8-byte step, at every alignment.
+  std::mt19937_64 rng(325);
+  std::vector<uint8_t> bytes(8 + 1031);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 1031; ++size) {
+      ASSERT_EQ(Crc32(bytes.data() + offset, size),
+                BitwiseCrc32(bytes.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hypertune
