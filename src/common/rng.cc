@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <sstream>
 
 #include "src/common/logging.h"
@@ -23,6 +21,19 @@ constexpr uint64_t kInitMultiplier = 6364136223846793005ULL;
 inline uint64_t TwistBits(uint64_t upper, uint64_t lower) {
   const uint64_t y = (upper & kUpperMask) | (lower & kLowerMask);
   return (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+}
+
+// Little-endian on any host; compilers merge the byte moves into one.
+inline void StoreLE(uint64_t v, int bytes, char* out) {
+  for (int i = 0; i < bytes; ++i) out[i] = static_cast<char>(v >> (8 * i));
+}
+
+inline uint64_t LoadLE(const char* in, int bytes) {
+  uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(in[i])) << (8 * i);
+  }
+  return v;
 }
 
 }  // namespace
@@ -96,36 +107,28 @@ void MersenneTwister64::Materialize() {
   ready_ = kN;
 }
 
-std::ostream& operator<<(std::ostream& os, const MersenneTwister64& engine) {
-  MersenneTwister64 full = engine;
-  full.Materialize();
-  // The standard engine's formatting, flags restored afterwards.
-  const std::ios_base::fmtflags flags = os.flags();
-  const char fill = os.fill();
-  os.flags(std::ios_base::dec | std::ios_base::fixed | std::ios_base::left);
-  os.fill(' ');
-  for (uint64_t word : full.x_) os << word << ' ';
-  os << full.pos_;
-  os.flags(flags);
-  os.fill(fill);
-  return os;
+void MersenneTwister64::AppendState(std::string* out) const {
+  static_assert(kStateBytes == 8 * kN + 4);
+  if (ready_ < kN) {
+    MersenneTwister64 full = *this;
+    full.Materialize();
+    full.AppendState(out);
+    return;
+  }
+  const size_t at = out->size();
+  out->resize(at + kStateBytes);
+  char* bytes = out->data() + at;
+  for (uint32_t k = 0; k < kN; ++k) StoreLE(x_[k], 8, bytes + 8 * k);
+  StoreLE(pos_, 4, bytes + 8 * kN);
 }
 
-std::istream& operator>>(std::istream& is, MersenneTwister64& engine) {
-  const std::ios_base::fmtflags flags = is.flags();
-  is.flags(std::ios_base::dec | std::ios_base::skipws);
-  uint64_t words[MersenneTwister64::kN];
-  for (uint64_t& word : words) is >> word;
-  uint64_t pos = 0;
-  is >> pos;
-  if (pos > MersenneTwister64::kN) is.setstate(std::ios_base::failbit);
-  if (is) {
-    std::copy_n(words, MersenneTwister64::kN, engine.x_);
-    engine.pos_ = static_cast<uint32_t>(pos);
-    engine.ready_ = engine.seeded_ = MersenneTwister64::kN;
-  }
-  is.flags(flags);
-  return is;
+bool MersenneTwister64::ReadState(const char* bytes) {
+  const uint64_t pos = LoadLE(bytes + 8 * kN, 4);
+  if (pos > kN) return false;
+  for (uint32_t k = 0; k < kN; ++k) x_[k] = LoadLE(bytes + 8 * k, 8);
+  pos_ = static_cast<uint32_t>(pos);
+  ready_ = seeded_ = kN;
+  return true;
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
@@ -156,50 +159,49 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
 }
 
 std::string Rng::SerializeState() const {
-  // The standard guarantees operator<</>> round-trip engines and
-  // distributions exactly (the normal distribution's cached second draw
-  // included), using only digits and spaces. Uniform() draws without a
-  // distribution object; the `0 1` range tokens of one stay in the text so
-  // that it is the text of std::mt19937_64 plus both std distributions.
-  std::ostringstream out;
-  out << engine_ << ' ' << std::uniform_real_distribution<double>(0.0, 1.0)
-      << ' ' << normal_;
-  return out.str();
+  // The standard guarantees that operator<</>> round-trip a distribution
+  // exactly, its cached second draw included.
+  std::string state;
+  engine_.AppendState(&state);
+  std::ostringstream normal;
+  normal << normal_;
+  state += normal.str();
+  return state;
 }
 
 Status Rng::DeserializeState(const std::string& state) {
-  std::istringstream in(state);
-  Rng fresh(0);
-  double unit_lo = 0.0;
-  double unit_hi = 0.0;
-  in >> fresh.engine_ >> unit_lo >> unit_hi;
+  constexpr size_t kEngineBytes = MersenneTwister64::kStateBytes;
+  if (state.size() < kEngineBytes) {
+    return Status::InvalidArgument("rng: serialized state is too short");
+  }
+  MersenneTwister64 engine(0);
+  if (!engine.ReadState(state.data())) {
+    return Status::InvalidArgument("rng: engine position above 312");
+  }
   // The normal distribution's text starts with its mean and deviation.
   // Only N(0, 1) is ever written (Gaussian(mean, stddev) scales the
   // standard draw), and std's reader asserts a positive deviation before
   // anything could reject it, so check both first.
-  const std::streampos normal_text = in.tellg();
+  const std::string text = state.substr(kEngineBytes);
+  std::istringstream in(text);
   double mean = 0.0;
   double stddev = 0.0;
   in >> mean >> stddev;
   if (in && (mean != 0.0 || stddev != 1.0)) {
     return Status::InvalidArgument("rng: normal distribution is not 0 1");
   }
-  in.seekg(normal_text);
-  in >> fresh.normal_;
-  if (!in) return Status::InvalidArgument("rng: malformed serialized state");
-  // Reject trailing garbage: a truncated-then-padded token stream must not
-  // silently restore.
-  std::string extra;
-  if (in >> extra) {
-    return Status::InvalidArgument("rng: trailing bytes in serialized state");
+  in.seekg(0);
+  std::normal_distribution<double> normal;
+  in >> normal;
+  // Only the exact text SerializeState writes restores: trailing bytes, or
+  // a padded or shortened number, must not restore silently.
+  std::ostringstream written;
+  written << normal;
+  if (!in || written.str() != text) {
+    return Status::InvalidArgument("rng: malformed serialized state");
   }
-  // Nothing reads the unit range any more, so a different one would be
-  // ignored silently.
-  if (unit_lo != 0.0 || unit_hi != 1.0) {
-    return Status::InvalidArgument("rng: unit distribution range is not 0 1");
-  }
-  engine_ = fresh.engine_;
-  normal_ = fresh.normal_;
+  engine_ = engine;
+  normal_ = normal;
   return Status::Ok();
 }
 

@@ -3,8 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <random>
 #include <string>
 #include <vector>
@@ -22,9 +22,10 @@ uint64_t MixSeed(uint64_t x);
 /// Combines two seed components into one (order-sensitive).
 uint64_t CombineSeeds(uint64_t a, uint64_t b);
 
-/// MT19937-64 with the seeding, recurrence, tempering and stream text of
-/// std::mt19937_64: equal seeds give equal outputs, and operator<< writes
-/// the bytes the standard engine would. It differs only in cost:
+/// MT19937-64 with the seeding, recurrence, tempering and state of
+/// std::mt19937_64: equal seeds give equal outputs, and AppendState writes
+/// the state words and position the standard engine would hold. It differs
+/// only in cost:
 ///
 ///  - the twist is branch-free: `(0 - (y & 1)) & a` replaces `y & 1 ? a : 0`;
 ///  - seeding is lazy. A fresh engine holds only its seed. Draw k of the
@@ -35,6 +36,9 @@ uint64_t CombineSeeds(uint64_t a, uint64_t b);
 class MersenneTwister64 {
  public:
   using result_type = uint64_t;
+
+  /// Size of AppendState's output: 312 words, then the position.
+  static constexpr size_t kStateBytes = 8 * 312 + 4;
 
   explicit MersenneTwister64(uint64_t seed) { x_[0] = seed; }
 
@@ -54,13 +58,14 @@ class MersenneTwister64 {
     return Temper(x_[pos_++]);
   }
 
-  /// Writes what std::mt19937_64 would hold: the seed words and position
-  /// 312 before the first draw, the whole twisted generation after it.
-  friend std::ostream& operator<<(std::ostream& os,
-                                  const MersenneTwister64& engine);
-  /// Reads the standard engine's text. A position above 312 sets failbit;
-  /// on failure the engine is left unchanged.
-  friend std::istream& operator>>(std::istream& is, MersenneTwister64& engine);
+  /// Appends what std::mt19937_64 would hold as kStateBytes little-endian
+  /// bytes: its 312 state words, then its position as a u32. That is the
+  /// seed words and position 312 before the first draw, the whole twisted
+  /// generation after it.
+  void AppendState(std::string* out) const;
+  /// Reads kStateBytes bytes in AppendState's layout. A position above 312
+  /// returns false and leaves the engine unchanged.
+  [[nodiscard]] bool ReadState(const char* bytes);
 
  private:
   static constexpr uint32_t kN = 312;
@@ -162,17 +167,17 @@ class Rng {
   /// One raw 64-bit engine output, e.g. to seed a derived stream.
   uint64_t Next64() { return engine_(); }
 
-  /// Serializes the complete generator state (engine plus the cached state
-  /// of the normal distribution) as a portable text token stream: the text
-  /// `std::mt19937_64`, a uniform_real_distribution(0, 1) and a
-  /// normal_distribution would write. A restored Rng continues the exact
-  /// draw sequence — the contract scheduler snapshots rely on.
+  /// Serializes the complete generator state: the engine's
+  /// (MersenneTwister64::AppendState, little-endian on any host), then the
+  /// text std::normal_distribution writes, which carries its cached second
+  /// draw. A restored Rng continues the exact draw sequence — the contract
+  /// scheduler snapshots rely on.
   std::string SerializeState() const;
 
   /// Restores state produced by SerializeState(). Rejects malformed input
-  /// (including a unit-distribution range or normal distribution other
-  /// than 0 1) with InvalidArgument and leaves the generator unchanged on
-  /// failure.
+  /// (short, with trailing bytes, an engine position above 312, or a normal
+  /// distribution other than N(0, 1)) with InvalidArgument and leaves the
+  /// generator unchanged on failure.
   [[nodiscard]] Status DeserializeState(const std::string& state);
 
  private:

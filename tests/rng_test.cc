@@ -68,11 +68,8 @@ struct StdReference {
     }
   }
 
-  std::string Text() const {
-    std::ostringstream out;
-    out << engine << ' ' << unit << ' ' << normal;
-    return out.str();
-  }
+  // The state Rng::SerializeState must write for this reference.
+  std::string State() const;
 
   std::mt19937_64 engine;
   std::uniform_real_distribution<double> unit{0.0, 1.0};
@@ -82,13 +79,54 @@ struct StdReference {
 // Draw counts around the lazy first generation's edges: before any draw,
 // the last word computed from the seed alone, the generation boundary, and
 // a later generation.
-constexpr size_t kTextDrawCounts[] = {0, 1, 155, 156, 157, 311, 312, 313, 1000};
+constexpr size_t kStateDrawCounts[] = {0,   1,   155, 156, 157,
+                                       311, 312, 313, 1000};
 
-template <typename Engine>
-std::string EngineText(const Engine& engine) {
+void PutLE(uint64_t value, int bytes, std::string* out) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>(value >> (8 * i)));
+  }
+}
+
+// The standard engine's 312 state words and position, read from its text,
+// in MersenneTwister64::AppendState's little-endian layout.
+std::string StdEngineState(const std::mt19937_64& engine) {
+  std::stringstream text;
+  text << engine;
+  std::string state;
+  uint64_t value = 0;
+  for (int k = 0; k < 312; ++k) {
+    text >> value;
+    PutLE(value, 8, &state);
+  }
+  text >> value;
+  PutLE(value, 4, &state);
+  std::string extra;
+  EXPECT_TRUE(text && !(text >> extra)) << "unexpected std engine text";
+  return state;
+}
+
+std::string NormalText(const std::normal_distribution<double>& normal) {
   std::ostringstream out;
-  out << engine;
+  out << normal;
   return out.str();
+}
+
+std::string StdReference::State() const {
+  return StdEngineState(engine) + NormalText(normal);
+}
+
+std::string EngineState(const MersenneTwister64& engine) {
+  std::string state;
+  engine.AppendState(&state);
+  return state;
+}
+
+// Overwrites the engine position at the end of a state's engine bytes.
+void SetPosition(uint32_t position, std::string* state) {
+  std::string bytes;
+  PutLE(position, 4, &bytes);
+  state->replace(8 * 312, 4, bytes);
 }
 
 
@@ -222,25 +260,27 @@ TEST(MersenneTwister64Test, OutputsMatchStdEngine) {
     for (size_t i = 0; i < draws; ++i) {
       ASSERT_EQ(ours(), ref()) << "seed " << seed << " draw " << i;
     }
-    ASSERT_EQ(EngineText(ours), EngineText(ref)) << "seed " << seed;
+    ASSERT_EQ(EngineState(ours), StdEngineState(ref)) << "seed " << seed;
   }
 }
 
-TEST(MersenneTwister64Test, StreamTextMatchesStdEngineAndRoundTrips) {
+TEST(MersenneTwister64Test, StateMatchesStdEngineAndRoundTrips) {
   for (uint64_t seed : {uint64_t{0}, uint64_t{42}, ~uint64_t{0}}) {
-    for (size_t draws : kTextDrawCounts) {
+    for (size_t draws : kStateDrawCounts) {
       MersenneTwister64 ours(seed);
       std::mt19937_64 ref(seed);
       for (size_t i = 0; i < draws; ++i) ASSERT_EQ(ours(), ref());
-      const std::string text = EngineText(ours);
-      ASSERT_EQ(text, EngineText(ref)) << "seed " << seed << " after "
-                                       << draws << " draws";
+      const std::string state = EngineState(ours);
+      ASSERT_EQ(state.size(), MersenneTwister64::kStateBytes);
+      ASSERT_EQ(state, StdEngineState(ref)) << "seed " << seed << " after "
+                                            << draws << " draws";
+      std::string appended = "prefix";
+      ours.AppendState(&appended);
+      EXPECT_EQ(appended, "prefix" + state);
 
       MersenneTwister64 restored(~seed);
-      std::istringstream in(text);
-      in >> restored;
-      ASSERT_TRUE(in);
-      EXPECT_EQ(EngineText(restored), text);
+      ASSERT_TRUE(restored.ReadState(state.data()));
+      EXPECT_EQ(EngineState(restored), state);
       MersenneTwister64 copy = ours;
       MersenneTwister64 assigned(1);
       assigned = ours;
@@ -255,22 +295,24 @@ TEST(MersenneTwister64Test, StreamTextMatchesStdEngineAndRoundTrips) {
   }
 }
 
-TEST(MersenneTwister64Test, StreamReadRejectsPositionPastTheState) {
+TEST(MersenneTwister64Test, ReadStateRejectsPositionPastTheState) {
   std::mt19937_64 ref(3);
-  std::string text = EngineText(ref);  // ends in position 312
-  ASSERT_EQ(text.substr(text.size() - 4), " 312");
-  text.replace(text.size() - 3, 3, "313");
+  std::string state = StdEngineState(ref);  // position 312
   MersenneTwister64 engine(5);
-  const std::string before = EngineText(engine);
-  std::istringstream in(text);
-  in >> engine;
-  EXPECT_FALSE(in);
-  EXPECT_EQ(EngineText(engine), before);
+  const std::string before = EngineState(engine);
+  for (uint32_t position : {313u, 1u << 16, ~0u}) {
+    SetPosition(position, &state);
+    EXPECT_FALSE(engine.ReadState(state.data())) << position;
+    EXPECT_EQ(EngineState(engine), before) << position;
+  }
+  SetPosition(312, &state);
+  ASSERT_TRUE(engine.ReadState(state.data()));
+  for (int i = 0; i < 400; ++i) ASSERT_EQ(engine(), ref());
 }
 
 TEST(RngTest, SerializedStateMatchesStdReference) {
   for (uint64_t seed : {uint64_t{0}, uint64_t{17}, uint64_t{123456789}}) {
-    for (size_t draws : kTextDrawCounts) {
+    for (size_t draws : kStateDrawCounts) {
       for (bool cached_normal : {false, true}) {
         Rng rng(seed);
         StdReference ref(seed);
@@ -280,13 +322,13 @@ TEST(RngTest, SerializedStateMatchesStdReference) {
         if (cached_normal) {
           ASSERT_EQ(rng.Gaussian(), ref.Gaussian());
         }
-        const std::string text = rng.SerializeState();
-        ASSERT_EQ(text, ref.Text()) << "seed " << seed << " after " << draws
-                                    << " draws";
+        const std::string state = rng.SerializeState();
+        ASSERT_EQ(state, ref.State()) << "seed " << seed << " after "
+                                      << draws << " draws";
 
         Rng restored(seed + 1);
-        ASSERT_TRUE(restored.DeserializeState(text).ok());
-        EXPECT_EQ(restored.SerializeState(), text);
+        ASSERT_TRUE(restored.DeserializeState(state).ok());
+        EXPECT_EQ(restored.SerializeState(), state);
         Rng copy = rng;
         for (int i = 0; i < 400; ++i) {
           const double u = ref.Uniform();
@@ -437,38 +479,50 @@ TEST(RngTest, DrawsMatchStdReference) {
           break;
       }
     }
-    EXPECT_EQ(rng.SerializeState(), ref.Text());
+    EXPECT_EQ(rng.SerializeState(), ref.State());
   }
 }
 
-TEST(RngTest, DeserializeRejectsUnitRangeOtherThanZeroOne) {
-  // Nothing reads the unit distribution's range, so any range but 0 1 in a
-  // snapshot would be ignored silently; it is rejected instead.
-  StdReference ref(21);
-  ref.Uniform();
-  ref.Gaussian();
-  std::ostringstream engine_text;
-  std::ostringstream normal_text;
-  engine_text << ref.engine;
-  normal_text << ref.normal;
-  auto with_unit = [&](const std::string& unit_tokens) {
-    return engine_text.str() + ' ' + unit_tokens + ' ' + normal_text.str();
-  };
+TEST(RngTest, DeserializeRejectsMalformedState) {
+  // Short, long and past-the-end states are rejected, and the generator is
+  // left as it was. Only the exact bytes SerializeState writes restore, so
+  // the text format's unit range (`0 1` before the normal distribution) is
+  // rejected too.
   Rng rng(21);
   rng.Uniform();
-  rng.Gaussian();
   const std::string before = rng.SerializeState();
-  ASSERT_EQ(before, ref.Text());
-
-  Rng plain(5);
-  ASSERT_TRUE(plain.DeserializeState(with_unit("0 1")).ok());
-  EXPECT_EQ(plain.SerializeState(), before);
-  for (const char* unit : {"0 2", "0.5 1", "-1 1", "1 0", "1 1"}) {
-    EXPECT_EQ(rng.DeserializeState(with_unit(unit)).code(),
+  auto expect_rejected = [&](const std::string& state,
+                             const std::string& what) {
+    EXPECT_EQ(rng.DeserializeState(state).code(),
               StatusCode::kInvalidArgument)
-        << unit;
-    EXPECT_EQ(rng.SerializeState(), before) << unit;
+        << what;
+    EXPECT_EQ(rng.SerializeState(), before) << what;
+  };
+  // No Gaussian is cached, so every proper prefix loses at least the
+  // normal distribution's last token.
+  for (size_t size = 0; size < before.size(); ++size) {
+    expect_rejected(before.substr(0, size), "prefix " + std::to_string(size));
   }
+  for (const char* tail : {" ", "\n", "0", " 0", "x"}) {
+    expect_rejected(before + tail, std::string("tail '") + tail + "'");
+  }
+  const std::string engine = before.substr(0, MersenneTwister64::kStateBytes);
+  const std::string normal = before.substr(engine.size());
+  expect_rejected(engine + "0 1 " + normal, "text unit range");
+  expect_rejected(engine + " " + normal, "leading space");
+  for (uint32_t position : {313u, ~0u}) {
+    std::string past = before;
+    SetPosition(position, &past);
+    expect_rejected(past, "position " + std::to_string(position));
+  }
+
+  // A cached Gaussian's text cannot grow digits either.
+  Rng cached(22);
+  cached.Gaussian();
+  const std::string cached_state = cached.SerializeState();
+  EXPECT_EQ(cached.DeserializeState(cached_state + "1").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(cached.SerializeState(), cached_state);
 }
 
 TEST(RngTest, DeserializeRejectsNormalOtherThanZeroOne) {
@@ -477,21 +531,22 @@ TEST(RngTest, DeserializeRejectsNormalOtherThanZeroOne) {
   // rejected before std's reader, which asserts on it in debug builds.
   StdReference ref(22);
   ref.Gaussian();
-  std::ostringstream prefix;
-  prefix << ref.engine << ' ' << ref.unit << ' ';
+  const std::string engine = StdEngineState(ref.engine);
   Rng rng(22);
   rng.Gaussian();
   const std::string before = rng.SerializeState();
-  ASSERT_EQ(before, ref.Text());
+  ASSERT_EQ(before, ref.State());
   for (const char* normal :
        {"0 0 0", "0 -1 0", "1 1 0", "0 2 0", "0 1e-300 0"}) {
-    EXPECT_EQ(rng.DeserializeState(prefix.str() + normal).code(),
+    EXPECT_EQ(rng.DeserializeState(engine + normal).code(),
               StatusCode::kInvalidArgument)
         << normal;
     EXPECT_EQ(rng.SerializeState(), before) << normal;
   }
   Rng plain(5);
-  ASSERT_TRUE(plain.DeserializeState(prefix.str() + "0 1 0").ok());
+  ASSERT_TRUE(
+      plain.DeserializeState(engine + NormalText(std::normal_distribution<>()))
+          .ok());
 }
 
 TEST(RngDeathTest, UniformIntRejectsAnEmptyRange) {
