@@ -3,8 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -28,6 +30,20 @@ struct Fnv {
     Mix(bits);
   }
 };
+
+/// Writes all of `bytes` to `fd`, retrying short writes and EINTR.
+bool WriteFully(int fd, const std::string& bytes) {
+  const char* data = bytes.data();
+  size_t left = bytes.size();
+  while (left > 0) {
+    const ssize_t written = ::write(fd, data, left);
+    if (written < 0 && errno == EINTR) continue;
+    if (written <= 0) return false;
+    data += written;
+    left -= static_cast<size_t>(written);
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -195,12 +211,12 @@ Result<std::unique_ptr<RunJournal>> RunJournal::Create(
       new RunJournal(options, /*in_memory=*/false));
   {
     MutexLock lock(journal->mu_);
-    journal->file_.open(path, std::ios::binary | std::ios::trunc);
-    if (!journal->file_) {
+    journal->fd_ =
+        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+    if (journal->fd_ < 0) {
       return Status::NotFound("journal: cannot open for writing: " + path);
     }
   }
-  journal->OpenSyncFd(path);
   journal->WriteHeader(fingerprint);
   if (!journal->ok()) return journal->status();
   return journal;
@@ -219,10 +235,17 @@ Result<std::unique_ptr<RunJournal>> RunJournal::OpenForResume(
     const ObservabilityOptions& obs, JournalOptions options) {
   std::string bytes;
   {
+    std::error_code ec;
+    const uintmax_t size = std::filesystem::file_size(path, ec);
     std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::NotFound("journal: cannot open: " + path);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
+    if (ec || !in) return Status::NotFound("journal: cannot open: " + path);
+    bytes.resize(static_cast<size_t>(size));
+    in.read(bytes.data(), static_cast<std::streamsize>(size));
+    if (static_cast<uintmax_t>(in.gcount()) != size) {
+      return Status::Internal("journal: short read of " + path + " (" +
+                              std::to_string(in.gcount()) + " of " +
+                              std::to_string(size) + " bytes)");
+    }
   }
   Result<std::unique_ptr<RunJournal>> journal =
       ResumeCommon(bytes, fingerprint, obs, options, /*in_memory=*/false);
@@ -242,13 +265,11 @@ Result<std::unique_ptr<RunJournal>> RunJournal::OpenForResume(
   }
   {
     MutexLock lock((*journal)->mu_);
-    (*journal)->file_.open(path, std::ios::binary | std::ios::app);
-    if (!(*journal)->file_) {
+    (*journal)->fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    if ((*journal)->fd_ < 0) {
       return Status::NotFound("journal: cannot reopen for append: " + path);
     }
   }
-  (*journal)->OpenSyncFd(path);
-  if (!(*journal)->ok()) return (*journal)->status();
   return journal;
 }
 
@@ -335,28 +356,14 @@ Result<std::unique_ptr<RunJournal>> RunJournal::ResumeCommon(
 
 RunJournal::~RunJournal() {
   MutexLock lock(mu_);
-  if (sync_fd_ >= 0) {
-    ::close(sync_fd_);
-    sync_fd_ = -1;
-  }
+  if (fd_ >= 0) ::close(fd_);
 }
 
 void RunJournal::SetObservability(const ObservabilityOptions& obs) {
   obs_ = obs;
 }
 
-void RunJournal::OpenSyncFd(const std::string& path) {
-  if (options_.fsync_policy == FsyncPolicy::kNone) return;
-  MutexLock lock(mu_);
-  sync_fd_ = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-  if (sync_fd_ < 0) {
-    status_ = Status::Internal("journal: cannot open fsync handle for " +
-                               path);
-  }
-}
-
 void RunJournal::MaybeFsyncLocked(uint8_t tag) {
-  if (sync_fd_ < 0) return;
   switch (options_.fsync_policy) {
     case FsyncPolicy::kNone:
       return;
@@ -369,7 +376,7 @@ void RunJournal::MaybeFsyncLocked(uint8_t tag) {
     case FsyncPolicy::kEveryRecord:
       break;
   }
-  if (::fsync(sync_fd_) != 0) {
+  if (::fsync(fd_) != 0) {
     status_ = Status::Internal("journal: fsync failed");
     return;
   }
@@ -426,14 +433,12 @@ void RunJournal::CommitLocked(std::string payload) {
     }
     return;
   }
-  std::string frame;
-  AppendRecord(payload, &frame);
   if (in_memory_) {
-    buffer_.append(frame);
+    AppendRecord(payload, &buffer_);
   } else {
-    file_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-    file_.flush();
-    if (!file_) {
+    frame_.clear();
+    AppendRecord(payload, &frame_);
+    if (!WriteFully(fd_, frame_)) {
       status_ = Status::Internal("journal: write to disk failed");
       return;
     }

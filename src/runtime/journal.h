@@ -2,7 +2,6 @@
 #define HYPERTUNE_RUNTIME_JOURNAL_H_
 
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -117,10 +116,11 @@ Status DecodeCheckpointRecord(const std::string& payload,
                               CheckpointRecord* out);
 
 /// How aggressively a file-backed journal pushes appended records to
-/// stable storage. Every policy still flushes the stream buffer per
-/// record; fsync is the extra page-cache barrier.
+/// stable storage. Under every policy each record goes to the OS in one
+/// write(2) before the transition it logs is applied; fsync is the extra
+/// page-cache barrier.
 enum class FsyncPolicy : uint8_t {
-  kNone = 0,          // flush only; a power loss may drop the OS-cached tail
+  kNone = 0,          // write only; a power loss may drop the OS-cached tail
   kOnCheckpoint = 1,  // fsync after kCheckpoint and kRunEnd records
   kEveryRecord = 2,   // fsync after every append (durability over latency)
 };
@@ -144,9 +144,10 @@ struct JournalOptions {
 /// (OpenForResume / ResumeFromBytes), then handed to the backend via
 /// ClusterOptions::journal. Methods are internally synchronized so the
 /// thread backend's workers may append concurrently. A file-backed journal
-/// writes every record straight to its file and keeps no copy of the
-/// stream; only an in-memory journal holds it, in bytes(). Both keep the
-/// last checkpoint's snapshot, the base of the next delta.
+/// writes every record to its file with one write(2), framed in a reused
+/// buffer, and keeps no copy of the stream; only an in-memory journal holds
+/// it, in bytes(). Both keep the last checkpoint's snapshot, the base of
+/// the next delta.
 class RunJournal {
  public:
   /// Fresh file-backed journal; truncates `path` and writes the run header.
@@ -268,11 +269,8 @@ class RunJournal {
   void Commit(std::string payload) EXCLUDES(mu_);
   void CommitLocked(std::string payload) REQUIRES(mu_);
   /// Issues the fsync barrier mandated by `fsync_policy` for a record with
-  /// tag `tag` (no-op in-memory or when the policy does not require one).
+  /// tag `tag` (no-op when the policy does not require one).
   void MaybeFsyncLocked(uint8_t tag) REQUIRES(mu_);
-  /// Opens the fd used for fsync barriers alongside file_ (no-op when the
-  /// policy is kNone). Any failure latches status_.
-  void OpenSyncFd(const std::string& path) EXCLUDES(mu_);
 
   const JournalOptions options_;
   const bool in_memory_;
@@ -285,8 +283,8 @@ class RunJournal {
   std::vector<std::string> loaded_;  // written once before the run
   size_t replay_cursor_ GUARDED_BY(mu_) = 0;
   std::string buffer_ GUARDED_BY(mu_);  // in-memory stream, header included
-  std::ofstream file_ GUARDED_BY(mu_);  // open for file-backed journals
-  int sync_fd_ GUARDED_BY(mu_) = -1;    // fsync handle for file-backed
+  int fd_ GUARDED_BY(mu_) = -1;         // file-backed: writes and fsyncs
+  std::string frame_ GUARDED_BY(mu_);   // file-backed: the record to write
   int64_t appended_ GUARDED_BY(mu_) = 0;
   int64_t verified_ GUARDED_BY(mu_) = 0;
   int64_t checkpoints_ GUARDED_BY(mu_) = 0;

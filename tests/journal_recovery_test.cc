@@ -7,6 +7,7 @@
 // divergence, and the store-recovery path are covered alongside.
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -1254,6 +1255,18 @@ TEST(JournalRecoveryTest, FileBackedResumeTruncatesTornTailAndAppends) {
                       std::istreambuf_iterator<char>());
   EXPECT_EQ(on_disk, golden.journal_bytes);
   std::remove(path.c_str());
+}
+
+TEST(JournalRecoveryTest, FailedFileWriteLatchesInternal) {
+  // /dev/full fails every write with ENOSPC, starting with the header's.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Result<std::unique_ptr<RunJournal>> journal =
+      RunJournal::Create("/dev/full", /*fingerprint=*/1, TestJournalOptions());
+  ASSERT_FALSE(journal.ok());
+  EXPECT_EQ(journal.status().code(), StatusCode::kInternal);
+  EXPECT_NE(journal.status().message().find("write to disk failed"),
+            std::string::npos)
+      << journal.status().message();
 }
 
 TEST(JournalRecoveryTest, HyperTuneFacadeWritesAndResumesJournal) {
