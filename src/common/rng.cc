@@ -1,7 +1,9 @@
 #include "src/common/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "src/common/logging.h"
@@ -23,17 +25,48 @@ inline uint64_t TwistBits(uint64_t upper, uint64_t lower) {
   return (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
 }
 
-// Little-endian on any host; compilers merge the byte moves into one.
-inline void StoreLE(uint64_t v, int bytes, char* out) {
-  for (int i = 0; i < bytes; ++i) out[i] = static_cast<char>(v >> (8 * i));
+// Copies `count` words of `Word` to little-endian bytes and back: one
+// memcpy on a little-endian host, a byte loop on any other.
+template <typename Word>
+void StoreLE(const Word* words, size_t count, char* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, words, sizeof(Word) * count);
+  } else {
+    for (size_t k = 0; k < count; ++k) {
+      for (size_t i = 0; i < sizeof(Word); ++i) {
+        *out++ = static_cast<char>(words[k] >> (8 * i));
+      }
+    }
+  }
 }
 
-inline uint64_t LoadLE(const char* in, int bytes) {
-  uint64_t v = 0;
-  for (int i = 0; i < bytes; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(in[i])) << (8 * i);
+template <typename Word>
+void LoadLE(const char* in, size_t count, Word* words) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(words, in, sizeof(Word) * count);
+  } else {
+    for (size_t k = 0; k < count; ++k) {
+      Word word = 0;
+      for (size_t i = 0; i < sizeof(Word); ++i) {
+        word |= static_cast<Word>(static_cast<uint8_t>(*in++)) << (8 * i);
+      }
+      words[k] = word;
+    }
   }
-  return v;
+}
+
+// std's text for a normal distribution. The standard guarantees that
+// operator<</>> round-trip a distribution exactly, its cached second draw
+// included. Formatting takes microseconds, and most streams never draw a
+// Gaussian, so a fresh distribution's text is formatted once.
+std::string NormalText(const std::normal_distribution<double>& normal) {
+  auto format = [](const std::normal_distribution<double>& n) {
+    std::ostringstream out;
+    out << n;
+    return out.str();
+  };
+  static const std::string fresh = format(std::normal_distribution<double>());
+  return normal == std::normal_distribution<double>() ? fresh : format(normal);
 }
 
 }  // namespace
@@ -117,16 +150,16 @@ void MersenneTwister64::AppendState(std::string* out) const {
   }
   const size_t at = out->size();
   out->resize(at + kStateBytes);
-  char* bytes = out->data() + at;
-  for (uint32_t k = 0; k < kN; ++k) StoreLE(x_[k], 8, bytes + 8 * k);
-  StoreLE(pos_, 4, bytes + 8 * kN);
+  StoreLE(x_, kN, out->data() + at);
+  StoreLE(&pos_, 1, out->data() + at + 8 * kN);
 }
 
 bool MersenneTwister64::ReadState(const char* bytes) {
-  const uint64_t pos = LoadLE(bytes + 8 * kN, 4);
+  uint32_t pos = 0;
+  LoadLE(bytes + 8 * kN, 1, &pos);
   if (pos > kN) return false;
-  for (uint32_t k = 0; k < kN; ++k) x_[k] = LoadLE(bytes + 8 * k, 8);
-  pos_ = static_cast<uint32_t>(pos);
+  LoadLE(bytes, kN, x_);
+  pos_ = pos;
   ready_ = seeded_ = kN;
   return true;
 }
@@ -159,13 +192,9 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
 }
 
 std::string Rng::SerializeState() const {
-  // The standard guarantees that operator<</>> round-trip a distribution
-  // exactly, its cached second draw included.
   std::string state;
   engine_.AppendState(&state);
-  std::ostringstream normal;
-  normal << normal_;
-  state += normal.str();
+  state += NormalText(normal_);
   return state;
 }
 
@@ -195,9 +224,7 @@ Status Rng::DeserializeState(const std::string& state) {
   in >> normal;
   // Only the exact text SerializeState writes restores: trailing bytes, or
   // a padded or shortened number, must not restore silently.
-  std::ostringstream written;
-  written << normal;
-  if (!in || written.str() != text) {
+  if (!in || NormalText(normal) != text) {
     return Status::InvalidArgument("rng: malformed serialized state");
   }
   engine_ = engine;
