@@ -85,10 +85,7 @@ void TrialHistory::Record(const TrialRecord& trial, bool is_full_fidelity) {
   total_cost_ += trial.result.cost_seconds;
   UpdateCurve(trial, is_full_fidelity);
   if (retention_ != TrialRetention::kFull) return;
-  const int64_t row = static_cast<int64_t>(trials_.size());
   trials_.Append(trial);
-  const uint64_t hash = trial.job.config.Hash();
-  config_index_[hash % kConfigShards].rows[hash].push_back(row);
 }
 
 void TrialHistory::RecordFailure(const TrialRecord& trial) {
@@ -137,12 +134,5 @@ double TrialHistory::TimeToReach(double target) const {
 }
 
 double TrialHistory::TotalEvaluationCost() const { return total_cost_; }
-
-std::vector<int64_t> TrialHistory::TrialsForConfig(uint64_t config_hash) const {
-  const ConfigShard& shard = config_index_[config_hash % kConfigShards];
-  auto it = shard.rows.find(config_hash);
-  if (it == shard.rows.end()) return {};
-  return it->second;
-}
 
 }  // namespace hypertune

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/arena.h"
@@ -134,11 +133,8 @@ class TrialList {
 ///
 /// Storage is structure-of-arrays with configurations flattened into a
 /// chunked arena (see internal::TrialColumns); trials()/failures() return
-/// materializing views. A config-id index, sharded by hash into fixed
-/// sub-maps (mirroring the measurement store's pending-shard layout),
-/// answers "which rows evaluated this configuration" in O(1). Like every
-/// other accessor of this class, it follows the backends' single-writer
-/// discipline: histories are written by one thread and read after the run.
+/// materializing views. Histories follow the backends' single-writer
+/// discipline: they are written by one thread and read after the run.
 class TrialHistory {
  public:
   TrialHistory() = default;
@@ -188,19 +184,7 @@ class TrialHistory {
   /// Sum of evaluation cost over all recorded trials (worker busy seconds).
   double TotalEvaluationCost() const;
 
-  /// Row indices (into trials()) of completions of the configuration with
-  /// this hash, in completion order. Keyed on Configuration::Hash(), so a
-  /// 64-bit hash collision could alias two configurations. Empty under
-  /// kAggregates retention.
-  std::vector<int64_t> TrialsForConfig(uint64_t config_hash) const;
-
  private:
-  static constexpr size_t kConfigShards = 16;
-  struct ConfigShard {
-    /// config hash -> trial row indices, in completion order.
-    std::unordered_map<uint64_t, std::vector<int64_t>> rows;
-  };
-
   /// Folds `trial` into the anytime curve. kFull appends one point per
   /// completion; kAggregates appends only when an incumbent improves.
   void UpdateCurve(const TrialRecord& trial, bool is_full_fidelity);
@@ -213,7 +197,6 @@ class TrialHistory {
   size_t num_failures_ = 0;
   std::array<size_t, 3> failures_by_kind_ = {0, 0, 0};
   double total_cost_ = 0.0;
-  std::array<ConfigShard, kConfigShards> config_index_;
 };
 
 }  // namespace hypertune

@@ -327,25 +327,5 @@ TEST_F(SimulatedClusterTest, AggregatesRetentionKeepsAnswersExact) {
   EXPECT_LE(aggregates.history.curve().size(), full.history.curve().size());
 }
 
-TEST_F(SimulatedClusterTest, TrialsForConfigIndexesCompletions) {
-  FixedJobScheduler scheduler(problem_.space(), 50, 2.0);
-  ClusterOptions options;
-  options.num_workers = 4;
-  options.time_budget_seconds = 1e5;
-  SimulatedCluster cluster(options);
-  RunResult result = cluster.Run(&scheduler, problem_);
-  const TrialList trials = result.history.trials();
-  ASSERT_EQ(trials.size(), 50u);
-  for (size_t i = 0; i < trials.size(); ++i) {
-    const TrialRecord record = trials[i];
-    std::vector<int64_t> rows =
-        result.history.TrialsForConfig(record.job.config.Hash());
-    // The row of this trial appears in its config's index.
-    EXPECT_NE(std::find(rows.begin(), rows.end(), static_cast<int64_t>(i)),
-              rows.end());
-  }
-  EXPECT_TRUE(result.history.TrialsForConfig(0xDEADBEEFULL).empty());
-}
-
 }  // namespace
 }  // namespace hypertune
