@@ -44,9 +44,11 @@ namespace hypertune {
 /// checkpoints a full image or a delta against the previous checkpoint
 /// (see RunJournal::MaybeCheckpoint); version 3 gave both one encoding, a
 /// full image being the change since empty rung logs; version 4 writes
-/// each Rng in a snapshot as binary engine state (Rng::SerializeState). A
-/// resume rejects any other version with a Status that names both.
-inline constexpr uint32_t kJournalFormatVersion = 4;
+/// each Rng in a snapshot as binary engine state (Rng::SerializeState);
+/// version 5 drops the async scheduler's in-flight section, since every
+/// job carries its bracket. A resume rejects any other version with a
+/// Status that names both.
+inline constexpr uint32_t kJournalFormatVersion = 5;
 
 /// Tag byte identifying each journal record (first payload byte).
 enum class JournalRecord : uint8_t {

@@ -69,7 +69,7 @@ class SchedulerInterface {
   virtual bool Exhausted() const { return false; }
 
   /// Audits the scheduler's internal invariants (rung accounting, batch
-  /// bounds, in-flight maps) and aborts via HT_CHECK on corruption. The
+  /// bounds) and aborts via HT_CHECK on corruption. The
   /// SchedulerContractChecker decorator calls this after every contract
   /// event, so a run with contract checking enabled validates scheduler
   /// state continuously. The default is a no-op for schedulers without
@@ -82,9 +82,9 @@ class SchedulerInterface {
   /// scheduler's decisions must be identical with and without a sink.
   virtual void SetObservability(Observability* sink) { (void)sink; }
 
-  /// Serializes the scheduler's decision state (rungs, in-flight maps,
-  /// counters, sampler RNG) onto `enc` in the versioned wire format, as a
-  /// pure function of that state and the encoder.
+  /// Serializes the scheduler's decision state (rungs, counters, sampler
+  /// RNG) onto `enc` in the versioned wire format, as a pure function of
+  /// that state and the encoder.
   ///
   /// Into a plain encoder it writes a *full image*: a freshly constructed
   /// scheduler with identical construction parameters that Restore()s it

@@ -1,6 +1,5 @@
 #include "src/scheduler/async_bracket_scheduler.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -146,7 +145,6 @@ std::optional<Job> AsyncBracketScheduler::NextJob() {
   for (auto& bracket : brackets_) {
     std::optional<Job> promotion = bracket->NextPromotion(next_job_id_);
     if (promotion.has_value()) {
-      inflight_[next_job_id_] = bracket.get();
       ++next_job_id_;
       ++promotions_issued_;
       store_->AddPending(promotion->config, promotion->level);
@@ -176,7 +174,6 @@ std::optional<Job> AsyncBracketScheduler::NextJob() {
   HT_CHECK(bracket != nullptr) << "selector chose unknown bracket " << index;
   Configuration config = sampler_->Sample(bracket->base_level());
   Job job = bracket->AdmitConfig(config, next_job_id_);
-  inflight_[next_job_id_] = bracket;
   ++next_job_id_;
   store_->AddPending(config, job.level);
   if (obs_ != nullptr) {
@@ -192,28 +189,34 @@ std::optional<Job> AsyncBracketScheduler::NextJob() {
   return job;
 }
 
+Bracket* AsyncBracketScheduler::BracketOf(const Job& job) const {
+  // Every job carries the index of the bracket that issued it. Brackets are
+  // stored by index (b at slot b-1), except under kFixed, whose one bracket
+  // is slot 0.
+  const size_t slot = UsesSingleBracket(options_)
+                          ? 0
+                          : static_cast<size_t>(job.bracket) - 1;
+  HT_CHECK(slot < brackets_.size() && brackets_[slot]->index() == job.bracket)
+      << "job " << job.job_id << " names bracket " << job.bracket
+      << ", which this scheduler does not hold";
+  return brackets_[slot].get();
+}
+
 bool AsyncBracketScheduler::OnJobFailed(const Job& job,
                                         const FailureInfo& info) {
-  auto it = inflight_.find(job.job_id);
-  HT_CHECK(it != inflight_.end()) << "failure for unknown job " << job.job_id;
+  Bracket* bracket = BracketOf(job);
   if (SchedulerInterface::OnJobFailed(job, info)) return true;
   // Abandoned: drop the job from its bracket. The configuration stays in
   // the pending set so Algorithm 2 keeps imputing it at the median and the
   // sampler avoids re-proposing a crashing configuration.
   ++trials_failed_;
-  it->second->OnJobAbandoned(job);
-  inflight_.erase(it);
+  bracket->OnJobAbandoned(job);
   return false;
 }
 
 void AsyncBracketScheduler::OnJobComplete(const Job& job,
                                           const EvalResult& result) {
-  auto it = inflight_.find(job.job_id);
-  HT_CHECK(it != inflight_.end()) << "completion for unknown job "
-                                  << job.job_id;
-  Bracket* bracket = it->second;
-  inflight_.erase(it);
-
+  Bracket* bracket = BracketOf(job);
   store_->RemovePending(job.config, job.level);
   store_->Add(job.level, job.config, result.objective);
   bracket->OnJobComplete(job, result.objective);
@@ -248,27 +251,8 @@ Status AsyncBracketScheduler::Snapshot(WireEncoder* enc) const {
   enc->PutI64(next_job_id_);
   enc->PutI64(promotions_issued_);
   enc->PutI64(trials_failed_);
-  std::unordered_map<const Bracket*, uint32_t> bracket_index;
-  for (uint32_t i = 0; i < brackets_.size(); ++i) {
+  for (size_t i = 0; i < brackets_.size(); ++i) {
     brackets_[i]->Snapshot(base[i], enc);
-    bracket_index[brackets_[i].get()] = i;
-  }
-
-  // In-flight routing map as (job id, bracket vector index) pairs, sorted
-  // by job id so the bytes are independent of hash iteration order.
-  std::vector<std::pair<int64_t, uint32_t>> inflight;
-  inflight.reserve(inflight_.size());
-  for (const auto& [job_id, bracket] : inflight_) {
-    auto it = bracket_index.find(bracket);
-    HT_CHECK(it != bracket_index.end())
-        << "in-flight job " << job_id << " routed to an unknown bracket";
-    inflight.emplace_back(job_id, it->second);
-  }
-  std::sort(inflight.begin(), inflight.end());
-  enc->PutU32(static_cast<uint32_t>(inflight.size()));
-  for (const auto& [job_id, index] : inflight) {
-    enc->PutI64(job_id);
-    enc->PutU32(index);
   }
   selector_.Snapshot(enc);
   enc->PutRaw(sampler_state.bytes());
@@ -299,7 +283,6 @@ Status AsyncBracketScheduler::Restore(WireDecoder* dec) {
   }
 
   std::vector<Bracket::Delta> deltas(brackets_.size());
-  std::vector<int64_t> bracket_in_flight;
   for (size_t i = 0; i < brackets_.size(); ++i) {
     HT_RETURN_IF_ERROR(brackets_[i]->Decode(dec, &deltas[i]));
     if (deltas[i].counts != after[i]) {
@@ -307,44 +290,11 @@ Status AsyncBracketScheduler::Restore(WireDecoder* dec) {
           "async scheduler: bracket state disagrees with the snapshot's "
           "rung counts");
     }
-    bracket_in_flight.push_back(deltas[i].in_flight);
-  }
-
-  uint32_t num_inflight = 0;
-  HT_RETURN_IF_ERROR(dec->GetU32(&num_inflight));
-  std::vector<std::pair<int64_t, uint32_t>> inflight;
-  for (uint32_t i = 0; i < num_inflight; ++i) {
-    int64_t job_id = 0;
-    uint32_t index = 0;
-    HT_RETURN_IF_ERROR(dec->GetI64(&job_id));
-    HT_RETURN_IF_ERROR(dec->GetU32(&index));
-    if (index >= brackets_.size()) {
-      return Status::InvalidArgument(
-          "async scheduler: in-flight job routed to a bracket index outside "
-          "the snapshot");
-    }
-    if (!inflight.empty() && job_id <= inflight.back().first) {
-      return Status::InvalidArgument(
-          "async scheduler: in-flight job ids not strictly ascending");
-    }
-    --bracket_in_flight[index];
-    inflight.emplace_back(job_id, index);
-  }
-  for (int64_t unrouted : bracket_in_flight) {
-    if (unrouted != 0) {
-      return Status::InvalidArgument(
-          "async scheduler: in-flight map disagrees with the brackets");
-    }
   }
   HT_RETURN_IF_ERROR(RestoreSelectorAndSampler(dec, &selector_, sampler_));
 
   for (size_t i = 0; i < brackets_.size(); ++i) {
     brackets_[i]->Apply(std::move(deltas[i]));
-  }
-  inflight_.clear();
-  inflight_.reserve(inflight.size());
-  for (const auto& [job_id, index] : inflight) {
-    inflight_.emplace(job_id, brackets_[index].get());
   }
   next_job_id_ = next_job_id;
   promotions_issued_ = promotions_issued;
@@ -353,14 +303,7 @@ Status AsyncBracketScheduler::Restore(WireDecoder* dec) {
 }
 
 void AsyncBracketScheduler::CheckInvariants() const {
-  int64_t bracket_in_flight = 0;
-  for (const auto& bracket : brackets_) {
-    bracket->CheckInvariants();
-    bracket_in_flight += bracket->InFlight();
-  }
-  HT_CHECK(bracket_in_flight == static_cast<int64_t>(inflight_.size()))
-      << "in-flight routing map holds " << inflight_.size()
-      << " jobs but brackets account for " << bracket_in_flight;
+  for (const auto& bracket : brackets_) bracket->CheckInvariants();
 }
 
 std::vector<int64_t> AsyncBracketScheduler::admissions_per_bracket() const {

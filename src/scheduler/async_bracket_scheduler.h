@@ -2,7 +2,6 @@
 #define HYPERTUNE_SCHEDULER_ASYNC_BRACKET_SCHEDULER_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/allocator/bracket_selector.h"
@@ -47,23 +46,22 @@ class AsyncBracketScheduler : public SchedulerInterface {
   /// re-promoted, and D-ASHA's delay condition sees the corrected |issued|).
   bool OnJobFailed(const Job& job, const FailureInfo& info) override;
   bool Exhausted() const override { return false; }
-  /// Audits every bracket's rung accounting and checks that the in-flight
-  /// routing map agrees with the brackets' own in-flight counters.
+  /// Audits every bracket's rung accounting.
   void CheckInvariants() const override;
   /// Records promotions and sampled configs; forwards the sink to the
   /// sampler.
   void SetObservability(Observability* sink) override;
 
   /// Serializes the scheduler's mutable state — counters, every persistent
-  /// bracket, the in-flight routing map (sorted by job id so the bytes are
-  /// deterministic), bracket selector and sampler RNG — for journal
-  /// checkpoints and warm starts. Every snapshot leads with its rung log
-  /// sizes and those of the state it extends: given a snapshot base whose
-  /// rung logs this state extends, that base (a delta: the rung results,
-  /// closed nodes and promotions appended since, and the bounded rest
-  /// whole); otherwise empty rung logs, which makes the full image. The
-  /// measurement store is shared runtime infrastructure and is persisted
-  /// separately (store_io).
+  /// bracket, bracket selector and sampler RNG — for journal checkpoints and
+  /// warm starts. In-flight jobs need no routing table: each carries its
+  /// bracket (Job::bracket). Every snapshot leads with its rung log sizes
+  /// and those of the state it extends: given a snapshot base whose rung
+  /// logs this state extends, that base (a delta: the rung results, closed
+  /// nodes and promotions appended since, and the bounded rest whole);
+  /// otherwise empty rung logs, which makes the full image. The measurement
+  /// store is shared runtime infrastructure and is persisted separately
+  /// (store_io).
   [[nodiscard]] Status Snapshot(WireEncoder* enc) const override;
   /// Applies a snapshot on top of exactly the rung counts it extends: a
   /// full image onto a freshly constructed, identically configured
@@ -81,16 +79,18 @@ class AsyncBracketScheduler : public SchedulerInterface {
   std::vector<int64_t> admissions_per_bracket() const;
 
  private:
+  /// The bracket that issued `job`, read from Job::bracket; aborts, naming
+  /// the bracket, when this scheduler holds no such bracket.
+  Bracket* BracketOf(const Job& job) const;
+
   const ConfigurationSpace* space_;
   MeasurementStore* store_;
   Sampler* sampler_;
   BracketSchedulerOptions options_;
   BracketSelector selector_;
 
-  std::vector<std::unique_ptr<Bracket>> brackets_;  // index b-1 <-> bracket b
-  /// Maps in-flight job ids to the issuing bracket (Job::bracket already
-  /// stores the index, but the map makes the routing explicit and checked).
-  std::unordered_map<int64_t, Bracket*> inflight_;
+  /// Index b-1 <-> bracket b; under kFixed, the one bracket at index 0.
+  std::vector<std::unique_ptr<Bracket>> brackets_;
   int64_t next_job_id_ = 0;
   int64_t promotions_issued_ = 0;
   int64_t trials_failed_ = 0;

@@ -214,6 +214,9 @@ void Bracket::MaybeQueueSyncPromotions(int level) {
 
 void Bracket::OnJobComplete(const Job& job, double objective) {
   Rung& r = rung(job.level);
+  HT_CHECK(in_flight_ > 0 && r.issued > r.completed)
+      << "bracket " << options_.index << ": completion at level " << job.level
+      << " without a matching in-flight job";
   ++r.completed;
   --in_flight_;
   r.results.emplace_back(objective, job.config);
@@ -221,7 +224,6 @@ void Bracket::OnJobComplete(const Job& job, double objective) {
   HT_CHECK(static_cast<size_t>(node) + 1 == r.results.size())
       << "rung order tree out of sync with results";
   ++r.completed_hash_counts[job.config.Hash()];
-  HT_CHECK(r.completed <= r.issued) << "rung accounting corrupted";
   if (options_.synchronous) MaybeQueueSyncPromotions(job.level);
 }
 

@@ -90,7 +90,8 @@ class Bracket {
   /// rules, or nullopt.
   std::optional<Job> NextPromotion(int64_t job_id);
 
-  /// Reports the completion of a job previously minted by this bracket.
+  /// Reports the completion of a job previously minted by this bracket;
+  /// aborts when no job is in flight on its rung.
   void OnJobComplete(const Job& job, double objective);
 
   /// Removes a previously minted, never-completed job after the runtime

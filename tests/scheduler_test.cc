@@ -193,6 +193,60 @@ TEST_F(AsyncSchedulerTest, RoundRobinSpreadsAdmissionsAcrossBrackets) {
   EXPECT_GT(store_.group(3).size(), 0u);
 }
 
+TEST_F(AsyncSchedulerTest, CompletionNamingAnUnheldBracketAborts) {
+  AsyncBracketScheduler scheduler(
+      &space_, &store_, &sampler_, nullptr,
+      Options(false, BracketPolicy::kRoundRobin));
+  std::optional<Job> job = scheduler.NextJob();
+  ASSERT_TRUE(job.has_value());
+  job->bracket = 4;  // the ladder has 3 levels, so brackets 1-3
+  EXPECT_DEATH(scheduler.OnJobComplete(*job, ResultOf(*job)),
+               "names bracket 4, which this scheduler does not hold");
+  job->bracket = 0;
+  EXPECT_DEATH(scheduler.OnJobComplete(*job, ResultOf(*job)),
+               "names bracket 0, which this scheduler does not hold");
+}
+
+TEST_F(AsyncSchedulerTest, FailureNamingAnUnheldBracketAborts) {
+  AsyncBracketScheduler scheduler(
+      &space_, &store_, &sampler_, nullptr,
+      Options(false, BracketPolicy::kRoundRobin));
+  std::optional<Job> job = scheduler.NextJob();
+  ASSERT_TRUE(job.has_value());
+  job->bracket = 4;
+  FailureInfo info;
+  info.retries_remaining = 1;  // a requeue must not skip the check either
+  EXPECT_DEATH(scheduler.OnJobFailed(*job, info),
+               "names bracket 4, which this scheduler does not hold");
+}
+
+TEST_F(AsyncSchedulerTest, FixedPolicyRejectsAnotherBracketIndex) {
+  AsyncBracketScheduler scheduler(
+      &space_, &store_, &sampler_, nullptr,
+      Options(false, BracketPolicy::kFixed));
+  std::optional<Job> job = scheduler.NextJob();
+  ASSERT_TRUE(job.has_value());
+  ASSERT_EQ(job->bracket, 1);
+  job->bracket = 2;  // a real bracket index, but not the one held
+  EXPECT_DEATH(scheduler.OnJobComplete(*job, ResultOf(*job)),
+               "names bracket 2, which this scheduler does not hold");
+  EXPECT_DEATH(scheduler.OnJobFailed(*job, FailureInfo{}),
+               "names bracket 2, which this scheduler does not hold");
+}
+
+TEST_F(AsyncSchedulerTest, CompletionNoBracketIssuedAborts) {
+  AsyncBracketScheduler scheduler(
+      &space_, &store_, &sampler_, nullptr,
+      Options(false, BracketPolicy::kFixed));
+  std::optional<Job> job = scheduler.NextJob();
+  ASSERT_TRUE(job.has_value());
+  scheduler.OnJobComplete(*job, ResultOf(*job));
+  // Nothing is in flight any more, so a second completion was never issued.
+  EXPECT_DEATH(scheduler.OnJobComplete(*job, ResultOf(*job)),
+               "bracket 1: completion at level 1 without a matching "
+               "in-flight job");
+}
+
 TEST(BatchBoSchedulerTest, SyncBarrierBetweenBatches) {
   ConfigurationSpace space = WideSpace();
   MeasurementStore store(1);
