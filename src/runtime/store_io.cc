@@ -3,9 +3,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <iterator>
-#include <sstream>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -17,16 +17,6 @@ namespace {
 /// Record tags of the v1 binary store stream (first payload byte).
 constexpr uint8_t kStoreHeaderTag = 1;
 constexpr uint8_t kStoreMeasurementTag = 2;
-
-/// Splits a CSV line on commas (values never contain commas: they are
-/// numeric).
-std::vector<std::string> SplitCsv(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  std::istringstream in(line);
-  while (std::getline(in, field, ',')) fields.push_back(field);
-  return fields;
-}
 
 Status CheckFiniteObjectives(const MeasurementStore& store,
                              const ConfigurationSpace& space) {
@@ -162,96 +152,6 @@ Status DecodeStoreWire(const std::string& bytes,
   return Status::Ok();
 }
 
-Status WriteStoreCsv(const MeasurementStore& store,
-                     const ConfigurationSpace& space, std::ostream* out) {
-  if (out == nullptr) return Status::InvalidArgument("null output stream");
-  *out << "level,objective";
-  for (const Parameter& p : space.parameters()) *out << ',' << p.name();
-  *out << '\n';
-  out->precision(17);  // round-trip doubles exactly
-  for (int level = 1; level <= store.num_levels(); ++level) {
-    for (const Measurement& m : store.group(level)) {
-      if (m.config.size() != space.size()) {
-        return Status::Internal("measurement arity mismatch with space");
-      }
-      if (!std::isfinite(m.objective)) {
-        return Status::InvalidArgument(
-            "measurement at level " + std::to_string(level) +
-            " has a non-finite objective; a store CSV holding inf/nan "
-            "cannot round-trip (failed trials must not be persisted)");
-      }
-      *out << level << ',' << m.objective;
-      for (size_t d = 0; d < m.config.size(); ++d) *out << ',' << m.config[d];
-      *out << '\n';
-    }
-  }
-  if (!out->good()) return Status::Internal("store CSV write failed");
-  return Status::Ok();
-}
-
-Status ReadStoreCsv(std::istream* in, const ConfigurationSpace& space,
-                    MeasurementStore* store) {
-  if (in == nullptr || store == nullptr) {
-    return Status::InvalidArgument("null stream or store");
-  }
-  std::string line;
-  if (!std::getline(*in, line)) {
-    return Status::InvalidArgument("empty store CSV");
-  }
-  std::vector<std::string> header = SplitCsv(line);
-  if (header.size() != space.size() + 2 || header[0] != "level" ||
-      header[1] != "objective") {
-    return Status::InvalidArgument("store CSV header mismatch");
-  }
-  for (size_t d = 0; d < space.size(); ++d) {
-    if (header[d + 2] != space.parameter(d).name()) {
-      return Status::InvalidArgument("store CSV parameter '" + header[d + 2] +
-                                     "' does not match space parameter '" +
-                                     space.parameter(d).name() + "'");
-    }
-  }
-
-  size_t line_number = 1;
-  while (std::getline(*in, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    std::vector<std::string> fields = SplitCsv(line);
-    if (fields.size() != space.size() + 2) {
-      return Status::InvalidArgument(
-          "store CSV row " + std::to_string(line_number) + ": expected " +
-          std::to_string(space.size() + 2) + " fields");
-    }
-    char* end = nullptr;
-    long level = std::strtol(fields[0].c_str(), &end, 10);
-    if (end == fields[0].c_str() || level < 1 ||
-        level > store->num_levels()) {
-      return Status::InvalidArgument("store CSV row " +
-                                     std::to_string(line_number) +
-                                     ": bad level '" + fields[0] + "'");
-    }
-    double objective = std::strtod(fields[1].c_str(), &end);
-    if (end == fields[1].c_str() || !std::isfinite(objective)) {
-      return Status::InvalidArgument("store CSV row " +
-                                     std::to_string(line_number) +
-                                     ": bad objective '" + fields[1] + "'");
-    }
-    std::vector<double> values(space.size());
-    for (size_t d = 0; d < space.size(); ++d) {
-      values[d] = std::strtod(fields[d + 2].c_str(), &end);
-      if (end == fields[d + 2].c_str()) {
-        return Status::InvalidArgument("store CSV row " +
-                                       std::to_string(line_number) +
-                                       ": bad value for " +
-                                       space.parameter(d).name());
-      }
-    }
-    Configuration config(std::move(values));
-    HT_RETURN_IF_ERROR(space.Validate(config));
-    store->Add(static_cast<int>(level), config, objective);
-  }
-  return Status::Ok();
-}
-
 Status SaveStore(const MeasurementStore& store,
                  const ConfigurationSpace& space, const std::string& path) {
   std::string bytes;
@@ -265,18 +165,20 @@ Status SaveStore(const MeasurementStore& store,
 
 Status LoadStore(const std::string& path, const ConfigurationSpace& space,
                  MeasurementStore* store) {
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
   std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (bytes.size() >= sizeof(kStoreWireMagic) &&
-      std::memcmp(bytes.data(), kStoreWireMagic, sizeof(kStoreWireMagic)) ==
-          0) {
-    return DecodeStoreWire(bytes, space, store);
+  if (ec || !in) return Status::NotFound("cannot open " + path);
+  std::string bytes(static_cast<size_t>(size), '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(size));
+  if (static_cast<uintmax_t>(in.gcount()) != size) {
+    return Status::Internal("short read of " + path + " (" +
+                            std::to_string(in.gcount()) + " of " +
+                            std::to_string(size) + " bytes)");
   }
-  // Legacy v0 CSV (no magic): stores saved by older builds keep loading.
-  std::istringstream csv(bytes);
-  return ReadStoreCsv(&csv, space, store);
+  Status status = DecodeStoreWire(bytes, space, store);
+  if (status.ok()) return status;
+  return Status(status.code(), path + ": " + status.message());
 }
 
 }  // namespace hypertune

@@ -1,7 +1,6 @@
 #ifndef HYPERTUNE_RUNTIME_STORE_IO_H_
 #define HYPERTUNE_RUNTIME_STORE_IO_H_
 
-#include <iosfwd>
 #include <string>
 
 #include "src/common/status.h"
@@ -16,17 +15,11 @@ namespace hypertune {
 /// weights and bracket selection start from history instead of from
 /// scratch.
 ///
-/// Two formats exist:
-///
-///   * v1 (current, what SaveStore writes): the versioned binary wire
-///     format of runtime/wire_format.h — a 4-byte magic, then CRC-guarded
-///     length-prefixed records (one header record naming the space's
-///     parameters, one record per measurement). Doubles round-trip
-///     bit-exactly and corruption is detected per record.
-///   * v0 (legacy CSV): header "level,objective,<param names...>", one row
-///     per measurement, values as raw stored doubles. LoadStore still
-///     reads it (the magic disambiguates), so stores saved by older builds
-///     keep warm-starting new ones.
+/// The format (v1) is the versioned binary wire format of
+/// runtime/wire_format.h: a 4-byte magic, then CRC-guarded length-prefixed
+/// records (one header record naming the space's parameters, one record per
+/// measurement). Doubles round-trip bit-exactly and corruption is detected
+/// per record.
 ///
 /// Pending entries are intentionally not persisted — they are transient
 /// worker state.
@@ -50,22 +43,9 @@ inline constexpr char kStoreWireMagic[4] = {'H', 'T', 'W', 'S'};
                        const ConfigurationSpace& space,
                        MeasurementStore* store);
 
-/// Writes every measurement group of `store` to `out` as legacy v0 CSV.
-/// Same non-finite-objective rejection as EncodeStoreWire.
-[[nodiscard]] Status WriteStoreCsv(const MeasurementStore& store,
-                     const ConfigurationSpace& space, std::ostream* out);
-
-/// Reads measurements from `in` (format above) into `store`. The header's
-/// parameter names must match `space` exactly (order included); levels
-/// outside [1, store->num_levels()], non-finite objectives, and malformed
-/// rows are rejected with InvalidArgument, leaving already-loaded rows in
-/// place.
-[[nodiscard]]
-Status ReadStoreCsv(std::istream* in, const ConfigurationSpace& space,
-                    MeasurementStore* store);
-
-/// File-path convenience wrappers. SaveStore writes the v1 binary format;
-/// LoadStore sniffs the magic and reads either v1 binary or legacy v0 CSV.
+/// File-path convenience wrappers around EncodeStoreWire and
+/// DecodeStoreWire. LoadStore reads the whole file with one sized read; a
+/// short read is Internal, and every error names the path.
 [[nodiscard]] Status SaveStore(const MeasurementStore& store,
                  const ConfigurationSpace& space, const std::string& path);
 [[nodiscard]]

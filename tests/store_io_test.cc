@@ -3,7 +3,8 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -23,30 +24,37 @@ ConfigurationSpace MixedSpace() {
   return space;
 }
 
-TEST(StoreIoTest, RoundTripPreservesEverything) {
-  ConfigurationSpace space = MixedSpace();
-  MeasurementStore store(3);
-  Rng rng(1);
-  for (int i = 0; i < 60; ++i) {
-    store.Add(1 + i % 3, space.Sample(&rng), rng.Gaussian(5.0, 2.0));
+const std::vector<std::string> kMixedNames = {"lr", "depth", "op"};
+
+struct WireRow {
+  int32_t level = 1;
+  double objective = 0.0;
+  std::vector<double> values;
+};
+
+/// A v1 store stream built by hand, so a test can write what
+/// EncodeStoreWire never would: a header claiming `version` and naming
+/// `names`, then one measurement record per row.
+std::string HandBuiltStream(const std::vector<std::string>& names,
+                            const std::vector<WireRow>& rows,
+                            uint32_t version = kWireFormatVersion) {
+  std::string bytes(kStoreWireMagic, sizeof(kStoreWireMagic));
+  WireEncoder header;
+  header.PutU8(1);  // store header tag
+  header.PutU32(version);
+  header.PutU32(2);  // num_levels
+  header.PutU32(static_cast<uint32_t>(names.size()));
+  for (const std::string& name : names) header.PutString(name);
+  AppendRecord(header.Release(), &bytes);
+  for (const WireRow& row : rows) {
+    WireEncoder enc;
+    enc.PutU8(2);  // store measurement tag
+    enc.PutI32(row.level);
+    enc.PutF64(row.objective);
+    enc.PutDoubles(row.values);
+    AppendRecord(enc.Release(), &bytes);
   }
-
-  std::ostringstream out;
-  ASSERT_TRUE(WriteStoreCsv(store, space, &out).ok());
-
-  MeasurementStore loaded(3);
-  std::istringstream in(out.str());
-  ASSERT_TRUE(ReadStoreCsv(&in, space, &loaded).ok());
-
-  ASSERT_EQ(loaded.GroupSizes(), store.GroupSizes());
-  for (int level = 1; level <= 3; ++level) {
-    const auto& a = store.group(level);
-    const auto& b = loaded.group(level);
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_TRUE(a[i].config == b[i].config) << "level " << level;
-      EXPECT_DOUBLE_EQ(a[i].objective, b[i].objective);
-    }
-  }
+  return bytes;
 }
 
 TEST(StoreIoTest, PendingIsNotPersisted) {
@@ -54,11 +62,10 @@ TEST(StoreIoTest, PendingIsNotPersisted) {
   MeasurementStore store(1);
   store.Add(1, Configuration({0.1, 5.0, 1.0}), 2.0);
   store.AddPending(Configuration({0.2, 6.0, 0.0}), 1);
-  std::ostringstream out;
-  ASSERT_TRUE(WriteStoreCsv(store, space, &out).ok());
+  std::string bytes;
+  ASSERT_TRUE(EncodeStoreWire(store, space, &bytes).ok());
   MeasurementStore loaded(1);
-  std::istringstream in(out.str());
-  ASSERT_TRUE(ReadStoreCsv(&in, space, &loaded).ok());
+  ASSERT_TRUE(DecodeStoreWire(bytes, space, &loaded).ok());
   EXPECT_EQ(loaded.TotalSize(), 1u);
   EXPECT_EQ(loaded.NumPending(), 0u);
 }
@@ -66,30 +73,45 @@ TEST(StoreIoTest, PendingIsNotPersisted) {
 TEST(StoreIoTest, HeaderMismatchRejected) {
   ConfigurationSpace space = MixedSpace();
   MeasurementStore store(1);
-  std::istringstream wrong_names("level,objective,lr,depth,kernel\n");
-  EXPECT_EQ(ReadStoreCsv(&wrong_names, space, &store).code(),
+  Status renamed = DecodeStoreWire(
+      HandBuiltStream({"lr", "depth", "kernel"}, {}), space, &store);
+  EXPECT_EQ(renamed.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(renamed.message().find("'kernel'"), std::string::npos)
+      << renamed.message();
+  // Names must match in order too.
+  EXPECT_EQ(DecodeStoreWire(HandBuiltStream({"depth", "lr", "op"}, {}), space,
+                            &store)
+                .code(),
             StatusCode::kInvalidArgument);
-  std::istringstream too_few("level,objective,lr\n");
-  EXPECT_EQ(ReadStoreCsv(&too_few, space, &store).code(),
+  EXPECT_EQ(DecodeStoreWire(HandBuiltStream({"lr"}, {}), space, &store).code(),
             StatusCode::kInvalidArgument);
-  std::istringstream empty("");
-  EXPECT_EQ(ReadStoreCsv(&empty, space, &store).code(),
+  // No header record at all, and no magic.
+  const std::string magic_only(kStoreWireMagic, sizeof(kStoreWireMagic));
+  EXPECT_EQ(DecodeStoreWire(magic_only, space, &store).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeStoreWire("", space, &store).code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.TotalSize(), 0u);
 }
 
 TEST(StoreIoTest, MalformedRowsRejected) {
   ConfigurationSpace space = MixedSpace();
   MeasurementStore store(2);
-  std::string header = "level,objective,lr,depth,op\n";
-  std::istringstream bad_level(header + "9,1.0,0.1,5,1\n");
-  EXPECT_EQ(ReadStoreCsv(&bad_level, space, &store).code(),
-            StatusCode::kInvalidArgument);
-  std::istringstream bad_value(header + "1,1.0,xyz,5,1\n");
-  EXPECT_EQ(ReadStoreCsv(&bad_value, space, &store).code(),
-            StatusCode::kInvalidArgument);
-  std::istringstream out_of_range(header + "1,1.0,0.1,99,1\n");
-  EXPECT_EQ(ReadStoreCsv(&out_of_range, space, &store).code(),
-            StatusCode::kOutOfRange);
+  auto decode_row = [&](const WireRow& row) {
+    return DecodeStoreWire(HandBuiltStream(kMixedNames, {row}), space, &store)
+        .code();
+  };
+  // Levels outside [1, K] for this two-level store.
+  for (int32_t level : {0, 3, 9, -1}) {
+    EXPECT_EQ(decode_row({level, 1.0, {0.1, 5.0, 1.0}}),
+              StatusCode::kInvalidArgument)
+        << level;
+  }
+  // One value short of the space's arity.
+  EXPECT_EQ(decode_row({1, 1.0, {0.1, 5.0}}), StatusCode::kInvalidArgument);
+  // A value outside the space: depth lies in [3, 12].
+  EXPECT_EQ(decode_row({1, 1.0, {0.1, 99.0, 1.0}}), StatusCode::kOutOfRange);
+  EXPECT_EQ(store.TotalSize(), 0u);
 }
 
 TEST(StoreIoTest, NonFiniteObjectivesRejectedOnWriteAndRead) {
@@ -101,18 +123,19 @@ TEST(StoreIoTest, NonFiniteObjectivesRejectedOnWriteAndRead) {
     MeasurementStore store(1);
     store.Add(1, Configuration({0.1, 5.0, 1.0}), 2.0);
     store.Add(1, Configuration({0.2, 6.0, 0.0}), poison);
-    std::ostringstream out;
-    Status status = WriteStoreCsv(store, space, &out);
+    std::string bytes;
+    Status status = EncodeStoreWire(store, space, &bytes);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(status.message().find("non-finite"), std::string::npos);
   }
-  // Read side: hand-edited CSVs with inf/nan objectives are rejected the
-  // same way (strtod happily parses both spellings).
-  std::string header = "level,objective,lr,depth,op\n";
-  for (const char* poison : {"inf", "nan", "-inf"}) {
+  // Read side: a stream that carries one anyway is rejected the same way.
+  for (double poison : {std::numeric_limits<double>::infinity(),
+                        std::numeric_limits<double>::quiet_NaN(),
+                        -std::numeric_limits<double>::infinity()}) {
     MeasurementStore store(1);
-    std::istringstream in(header + "1," + poison + ",0.1,5,1\n");
-    EXPECT_EQ(ReadStoreCsv(&in, space, &store).code(),
+    const std::string bytes =
+        HandBuiltStream(kMixedNames, {{1, poison, {0.1, 5.0, 1.0}}});
+    EXPECT_EQ(DecodeStoreWire(bytes, space, &store).code(),
               StatusCode::kInvalidArgument)
         << poison;
     EXPECT_EQ(store.TotalSize(), 0u);
@@ -122,21 +145,20 @@ TEST(StoreIoTest, NonFiniteObjectivesRejectedOnWriteAndRead) {
 TEST(StoreIoTest, FiniteObjectiveRoundTripSurvivesExtremes) {
   ConfigurationSpace space = MixedSpace();
   MeasurementStore store(1);
-  // Denormals and huge-but-finite magnitudes survive the 17-digit format.
+  // Denormals and huge-but-finite magnitudes round-trip bit-exactly.
   store.Add(1, Configuration({0.1, 5.0, 1.0}),
             std::numeric_limits<double>::denorm_min());
   store.Add(1, Configuration({0.2, 6.0, 0.0}),
             -std::numeric_limits<double>::max());
-  std::ostringstream out;
-  ASSERT_TRUE(WriteStoreCsv(store, space, &out).ok());
+  std::string bytes;
+  ASSERT_TRUE(EncodeStoreWire(store, space, &bytes).ok());
   MeasurementStore loaded(1);
-  std::istringstream in(out.str());
-  ASSERT_TRUE(ReadStoreCsv(&in, space, &loaded).ok());
+  ASSERT_TRUE(DecodeStoreWire(bytes, space, &loaded).ok());
   ASSERT_EQ(loaded.group(1).size(), 2u);
-  EXPECT_DOUBLE_EQ(loaded.group(1)[0].objective,
-                   std::numeric_limits<double>::denorm_min());
-  EXPECT_DOUBLE_EQ(loaded.group(1)[1].objective,
-                   -std::numeric_limits<double>::max());
+  EXPECT_EQ(loaded.group(1)[0].objective,
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(loaded.group(1)[1].objective,
+            -std::numeric_limits<double>::max());
 }
 
 TEST(StoreIoTest, FileRoundTripAndWarmStart) {
@@ -160,7 +182,7 @@ TEST(StoreIoTest, FileRoundTripAndWarmStart) {
   first->Run(problem, cluster);
   ASSERT_GT(first->store()->TotalSize(), 10u);
 
-  std::string path = ::testing::TempDir() + "/hypertune_store.csv";
+  std::string path = ::testing::TempDir() + "/hypertune_store.bin";
   ASSERT_TRUE(SaveStore(*first->store(), problem.space(), path).ok());
 
   factory.seed = 6;
@@ -177,7 +199,7 @@ TEST(StoreIoTest, FileRoundTripAndWarmStart) {
 TEST(StoreIoTest, LoadMissingFileIsNotFound) {
   ConfigurationSpace space = MixedSpace();
   MeasurementStore store(1);
-  EXPECT_EQ(LoadStore("/nonexistent/path.csv", space, &store).code(),
+  EXPECT_EQ(LoadStore("/nonexistent/path.bin", space, &store).code(),
             StatusCode::kNotFound);
 }
 
@@ -213,19 +235,21 @@ TEST(StoreIoTest, SaveStoreWritesBinaryAndRoundTripsExactly) {
   }
 }
 
-TEST(StoreIoTest, LegacyV0CsvFixtureStillLoads) {
-  // A store file committed in the v0 (CSV) era must keep loading through
-  // LoadStore's magic sniff even though SaveStore now writes binary.
+TEST(StoreIoTest, LoadStoreRejectsCsvNamingThePath) {
+  // The CSV format of early builds is no longer read: such a file fails
+  // at the magic, and the error names the file.
+  const std::string path = ::testing::TempDir() + "/hypertune_store_v0.csv";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "level,objective,lr,depth,op\n1,2.5,0.1,5,1\n";
+  }
   ConfigurationSpace space = MixedSpace();
   MeasurementStore store(2);
-  ASSERT_TRUE(
-      LoadStore(HYPERTUNE_TESTDATA_DIR "/store_v0.csv", space, &store).ok());
-  ASSERT_EQ(store.group(1).size(), 2u);
-  ASSERT_EQ(store.group(2).size(), 1u);
-  EXPECT_DOUBLE_EQ(store.group(1)[0].objective, 2.5);
-  EXPECT_DOUBLE_EQ(store.group(1)[0].config[0], 0.1);
-  EXPECT_DOUBLE_EQ(store.group(1)[1].config[1], 7.0);
-  EXPECT_DOUBLE_EQ(store.group(2)[0].objective, 0.5);
+  Status status = LoadStore(path, space, &store);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(path), std::string::npos)
+      << status.message();
+  EXPECT_EQ(store.TotalSize(), 0u);
 }
 
 TEST(StoreIoTest, NewerWireVersionIsRejectedWithClearError) {
@@ -233,17 +257,8 @@ TEST(StoreIoTest, NewerWireVersionIsRejectedWithClearError) {
   // A header claiming version kWireFormatVersion + 1, as a future build
   // would write it. The reader must refuse with an upgrade hint rather
   // than misparse records it cannot understand.
-  std::string bytes(kStoreWireMagic, sizeof(kStoreWireMagic));
-  WireEncoder header;
-  header.PutU8(1);  // store header tag
-  header.PutU32(kWireFormatVersion + 1);
-  header.PutU32(2);  // num_levels
-  header.PutU32(3);  // num_params
-  for (const char* name : {"lr", "depth", "op"}) {
-    header.PutString(name);
-  }
-  AppendRecord(header.Release(), &bytes);
-
+  const std::string bytes =
+      HandBuiltStream(kMixedNames, {}, kWireFormatVersion + 1);
   MeasurementStore store(2);
   Status status = DecodeStoreWire(bytes, space, &store);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
@@ -277,17 +292,6 @@ TEST(StoreIoTest, CorruptBinaryStoreIsRejected) {
   std::string truncated = bytes.substr(0, bytes.size() - 2);
   EXPECT_EQ(DecodeStoreWire(truncated, space, &loaded).code(),
             StatusCode::kDataLoss);
-}
-
-TEST(StoreIoTest, BinaryEncodeRejectsNonFiniteObjectives) {
-  ConfigurationSpace space = MixedSpace();
-  MeasurementStore store(1);
-  store.Add(1, Configuration({0.1, 5.0, 1.0}),
-            std::numeric_limits<double>::infinity());
-  std::string bytes;
-  Status status = EncodeStoreWire(store, space, &bytes);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("non-finite"), std::string::npos);
 }
 
 }  // namespace
