@@ -87,8 +87,7 @@ BoSampler::BoSampler(const ConfigurationSpace* space,
     : space_(space),
       store_(store),
       options_(options),
-      rng_(options.seed),
-      kernel_cache_(std::make_shared<KernelBlockCache>()) {
+      rng_(options.seed) {
   HT_CHECK(space_ != nullptr && store_ != nullptr)
       << "BoSampler needs a space and a store";
   if (options_.min_points == 0) {
@@ -122,7 +121,6 @@ std::unique_ptr<Surrogate> BoSampler::MakeSurrogate() const {
   if (options_.surrogate == SurrogateKind::kGaussianProcess) {
     GaussianProcessOptions gp;
     gp.seed = options_.seed;
-    gp.kernel_cache = kernel_cache_;
     return std::make_unique<GaussianProcess>(gp);
   }
   RandomForestOptions rf;

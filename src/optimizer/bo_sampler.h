@@ -8,7 +8,6 @@
 #include "src/common/rng.h"
 #include "src/optimizer/sampler.h"
 #include "src/surrogate/acquisition.h"
-#include "src/surrogate/kernel.h"
 #include "src/surrogate/surrogate.h"
 
 namespace hypertune {
@@ -111,9 +110,6 @@ class BoSampler : public Sampler {
   Rng rng_;
 
   std::unique_ptr<Surrogate> model_;
-  /// Shared across refits so GP hyper-parameter searches over an unchanged
-  /// kept set reuse precomputed kernel difference blocks.
-  std::shared_ptr<KernelBlockCache> kernel_cache_;
   uint64_t fitted_version_ = ~uint64_t{0};
   int last_fit_level_ = 0;
   double fit_best_ = 0.0;  // best objective in the fitted group

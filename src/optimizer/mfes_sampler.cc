@@ -17,8 +17,7 @@ MfesSampler::MfesSampler(const ConfigurationSpace* space,
       store_(store),
       options_(options),
       weights_(space, options.weights),
-      rng_(options.bo.seed),
-      kernel_cache_(std::make_shared<KernelBlockCache>()) {
+      rng_(options.bo.seed) {
   HT_CHECK(space_ != nullptr && store_ != nullptr)
       << "MfesSampler needs a space and a store";
   if (options_.bo.min_points == 0) {
@@ -31,7 +30,6 @@ std::unique_ptr<Surrogate> MfesSampler::MakeBaseSurrogate(int level) const {
   if (options_.bo.surrogate == SurrogateKind::kGaussianProcess) {
     GaussianProcessOptions gp;
     gp.seed = seed;
-    gp.kernel_cache = kernel_cache_;
     return std::make_unique<GaussianProcess>(gp);
   }
   RandomForestOptions rf;

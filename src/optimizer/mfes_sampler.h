@@ -61,9 +61,6 @@ class MfesSampler : public Sampler {
   FidelityWeights weights_;
   Rng rng_;
 
-  /// One cache shared by all levels: rungs of a bracket promote shared
-  /// configurations, so their GP members often see identical kept sets.
-  std::shared_ptr<KernelBlockCache> kernel_cache_;
   std::vector<std::unique_ptr<Surrogate>> base_;  // index 0 <-> level 1
   MfesEnsemble ensemble_;
   std::vector<double> last_theta_;

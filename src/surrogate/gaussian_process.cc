@@ -102,12 +102,9 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
   last_restart_seed_ = CombineSeeds(options_.seed, x.size());
 
   // Pairwise differences are hyper-parameter-independent, so one block set
-  // serves every likelihood evaluation of the search below (and, via the
-  // shared cache, later refits over the same kept set).
-  const KernelDiffBlocks* blocks = nullptr;
-  if (options_.kernel_cache != nullptr) {
-    blocks = options_.kernel_cache->Get(x_);
-  }
+  // serves every likelihood evaluation of the search below and the final
+  // factorization.
+  const KernelDiffBlocks blocks = BuildKernelDiffBlocks(x_);
 
   if (options_.optimize_hyperparameters && x_.size() >= 3) {
     // phi = [log l_1..d, log s2, log n2]
@@ -169,13 +166,12 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
 }
 
 double GaussianProcess::Lml(const std::vector<double>& phi,
-                            const KernelDiffBlocks* blocks) const {
+                            const KernelDiffBlocks& blocks) const {
   const size_t dim = x_[0].size();
   KernelPhiParams params = ClampedKernelParams(phi, dim);
   Matern52Kernel kernel(std::move(params.lengthscales),
                         params.signal_variance);
-  Matrix k = blocks != nullptr ? kernel.GramMatrix(*blocks)
-                               : kernel.GramMatrix(x_);
+  Matrix k = kernel.GramMatrix(blocks);
   k.AddDiagonal(params.noise_variance);
   Cholesky chol;
   double jitter = 0.0;
@@ -186,10 +182,9 @@ double GaussianProcess::Lml(const std::vector<double>& phi,
   return -0.5 * fit - 0.5 * chol.LogDeterminant() - 0.5 * n * kLog2Pi;
 }
 
-bool GaussianProcess::Refactor(const KernelDiffBlocks* blocks) {
+bool GaussianProcess::Refactor(const KernelDiffBlocks& blocks) {
   Matern52Kernel kernel(lengthscales_, signal_variance_);
-  Matrix k = blocks != nullptr ? kernel.GramMatrix(*blocks)
-                               : kernel.GramMatrix(x_);
+  Matrix k = kernel.GramMatrix(blocks);
   k.AddDiagonal(noise_variance_);
   if (!CholeskyWithJitter(k, &chol_, &jitter_used_).ok()) return false;
   RecomputePosterior();

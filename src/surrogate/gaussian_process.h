@@ -2,7 +2,6 @@
 #define HYPERTUNE_SURROGATE_GAUSSIAN_PROCESS_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/linalg/cholesky.h"
@@ -25,12 +24,6 @@ struct GaussianProcessOptions {
   size_t max_points = 300;
   /// Seed for the (deterministic) hyper-parameter search.
   uint64_t seed = 0;
-  /// Optional shared cache of pairwise kernel difference blocks. When set,
-  /// the hyper-parameter search reuses one precomputed block set per
-  /// distinct training set instead of recomputing pairwise differences for
-  /// every likelihood evaluation; rungs sharing kept observations also share
-  /// entries. Results are bit-identical with or without the cache.
-  std::shared_ptr<KernelBlockCache> kernel_cache;
 };
 
 /// Kernel parameters decoded from a log-space hyper-parameter vector
@@ -92,13 +85,14 @@ class GaussianProcess : public Surrogate {
  private:
   /// Computes the LML for hyper-parameters `phi` = [log l_1..d, log s2,
   /// log n2] on the stored standardized data; returns -inf on failure.
-  /// `blocks`, when non-null, must describe the stored training set.
+  /// `blocks` must describe the stored training set.
   double Lml(const std::vector<double>& phi,
-             const KernelDiffBlocks* blocks) const;
+             const KernelDiffBlocks& blocks) const;
 
   /// Rebuilds the Cholesky factor and alpha for the current
-  /// hyper-parameters. Returns false when factorization fails.
-  bool Refactor(const KernelDiffBlocks* blocks);
+  /// hyper-parameters from `blocks`, which must describe the stored
+  /// training set. Returns false when factorization fails.
+  bool Refactor(const KernelDiffBlocks& blocks);
 
   /// Recomputes standardization, alpha, and the LML from y_raw_ and the
   /// current factor (shared by Fit's Refactor and Append).

@@ -191,7 +191,10 @@ Matrix Matern52Kernel::GramMatrix(
 }
 
 Matrix Matern52Kernel::GramMatrix(const KernelDiffBlocks& blocks) const {
-  HT_CHECK(blocks.dim == dim()) << "diff blocks dimension mismatch";
+  // Blocks of an empty set carry no dimension; like GramMatrix(x), they
+  // give the empty matrix.
+  HT_CHECK(blocks.num_points == 0 || blocks.dim == dim())
+      << "diff blocks dimension mismatch";
   const size_t n = blocks.num_points;
   Matrix k(n, n, 0.0);
   const double* diffs = blocks.diffs.data();
@@ -280,42 +283,6 @@ KernelDiffBlocks BuildKernelDiffBlocks(
     }
   }
   return blocks;
-}
-
-uint64_t KernelBlockCache::Fingerprint(
-    const std::vector<std::vector<double>>& x) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  auto mix = [&h](const void* bytes, size_t len) {
-    const unsigned char* p = static_cast<const unsigned char*>(bytes);
-    for (size_t i = 0; i < len; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;  // FNV prime
-    }
-  };
-  uint64_t n = x.size();
-  mix(&n, sizeof(n));
-  for (const std::vector<double>& row : x) {
-    uint64_t len = row.size();
-    mix(&len, sizeof(len));
-    mix(row.data(), row.size() * sizeof(double));
-  }
-  return h;
-}
-
-const KernelDiffBlocks* KernelBlockCache::Get(
-    const std::vector<std::vector<double>>& x) {
-  const uint64_t key = Fingerprint(x);
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->first == key) {
-      ++hits_;
-      entries_.splice(entries_.begin(), entries_, it);
-      return &entries_.front().second;
-    }
-  }
-  ++misses_;
-  entries_.emplace_front(key, BuildKernelDiffBlocks(x));
-  while (entries_.size() > capacity_) entries_.pop_back();
-  return &entries_.front().second;
 }
 
 }  // namespace hypertune

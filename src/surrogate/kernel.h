@@ -1,9 +1,7 @@
 #ifndef HYPERTUNE_SURROGATE_KERNEL_H_
 #define HYPERTUNE_SURROGATE_KERNEL_H_
 
-#include <cstdint>
-#include <list>
-#include <utility>
+#include <cstddef>
 #include <vector>
 
 #include "src/linalg/matrix.h"
@@ -54,6 +52,8 @@ class Matern52Kernel {
 
   /// Gram matrix from precomputed pairwise differences; bit-identical to
   /// GramMatrix(x) for the training set the blocks were built from.
+  /// GaussianProcess::Fit builds the blocks once per fit and scores every
+  /// candidate of its hyper-parameter search through this overload.
   Matrix GramMatrix(const KernelDiffBlocks& blocks) const;
 
   /// Cross-covariance vector k(x_*, x_i) for all training points.
@@ -82,37 +82,6 @@ class Matern52Kernel {
 /// Builds the pair-major difference blocks for a training set.
 KernelDiffBlocks BuildKernelDiffBlocks(
     const std::vector<std::vector<double>>& x);
-
-/// Small LRU cache of KernelDiffBlocks keyed by a fingerprint of the training
-/// set. Rungs of a bracket (and successive refits of one rung) share kept
-/// observation sets, and each GP fit evaluates the Gram matrix dozens of
-/// times during hyper-parameter search — the blocks are built once per
-/// distinct set instead. Entries invalidate naturally: any change to the
-/// kept set changes the fingerprint, so a stale entry can never be returned,
-/// only evicted.
-class KernelBlockCache {
- public:
-  explicit KernelBlockCache(size_t capacity = 4) : capacity_(capacity) {}
-
-  /// Returns the blocks for `x`, building and caching them on a miss. The
-  /// pointer stays valid until the entry is evicted (at least until
-  /// `capacity` newer distinct sets have been requested).
-  const KernelDiffBlocks* Get(const std::vector<std::vector<double>>& x);
-
-  /// FNV-1a over the raw bytes of every coordinate plus the row lengths, so
-  /// sets differing only in shape hash differently.
-  static uint64_t Fingerprint(const std::vector<std::vector<double>>& x);
-
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
-
- private:
-  size_t capacity_;
-  size_t hits_ = 0;
-  size_t misses_ = 0;
-  // Front = most recently used. Linear scan is fine at capacity ~4.
-  std::list<std::pair<uint64_t, KernelDiffBlocks>> entries_;
-};
 
 }  // namespace hypertune
 

@@ -1,8 +1,10 @@
 #include "src/surrogate/gaussian_process.h"
 
+#include <bit>
 #include <cmath>
-#include <memory>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -45,6 +47,36 @@ TEST(KernelTest, GramMatrixIsSymmetricWithUnitDiagonal) {
     EXPECT_DOUBLE_EQ(gram(i, i), 1.5);
     for (size_t j = 0; j < 3; ++j) {
       EXPECT_DOUBLE_EQ(gram(i, j), gram(j, i));
+    }
+  }
+}
+
+TEST(KernelTest, DiffBlocksGramMatchesDirectGram) {
+  // GaussianProcess::Fit scores every likelihood through the blocks path;
+  // GramMatrix(x) is the reference it must reproduce bit for bit.
+  Rng rng(17);
+  for (size_t dim : {1u, 6u}) {
+    for (size_t n : {0u, 1u, 2u, 37u}) {
+      std::vector<std::vector<double>> x(n, std::vector<double>(dim));
+      for (auto& row : x) {
+        for (double& v : row) v = rng.Uniform(-2.0, 3.0);
+      }
+      std::vector<double> lengthscales(dim);
+      for (double& l : lengthscales) l = rng.Uniform(0.05, 2.0);
+      Matern52Kernel kernel(std::move(lengthscales), 1.7);
+      const Matrix direct = kernel.GramMatrix(x);
+      const Matrix blocked = kernel.GramMatrix(BuildKernelDiffBlocks(x));
+      ASSERT_EQ(blocked.rows(), n);
+      ASSERT_EQ(blocked.cols(), n);
+      ASSERT_EQ(direct.rows(), n);
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(blocked(i, j)),
+                    std::bit_cast<uint64_t>(direct(i, j)))
+              << "n " << n << " dim " << dim << " at (" << i << ", " << j
+              << ")";
+        }
+      }
     }
   }
 }
@@ -242,55 +274,6 @@ TEST(GaussianProcessTest, RestartSeedDerivedFromTotalCount) {
   EXPECT_EQ(a.last_restart_seed(), CombineSeeds(11, 60));
   EXPECT_EQ(b.last_restart_seed(), CombineSeeds(11, 61));
   EXPECT_NE(a.last_restart_seed(), b.last_restart_seed());
-}
-
-TEST(GaussianProcessTest, KernelCachePreservesBitsAndCountsHits) {
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  Rng rng(13);
-  for (int i = 0; i < 20; ++i) {
-    double v = rng.Uniform();
-    x.push_back({v, v * v});
-    y.push_back(Objective(v));
-  }
-  GaussianProcessOptions plain;
-  plain.seed = 3;
-  GaussianProcessOptions cached = plain;
-  cached.kernel_cache = std::make_shared<KernelBlockCache>();
-
-  GaussianProcess gp_plain(plain), gp_cached(cached);
-  ASSERT_TRUE(gp_plain.Fit(x, y).ok());
-  ASSERT_TRUE(gp_cached.Fit(x, y).ok());
-
-  // One miss builds the blocks; the whole likelihood search shares that one
-  // lookup, so no hits yet.
-  EXPECT_EQ(cached.kernel_cache->misses(), 1u);
-  EXPECT_EQ(cached.kernel_cache->hits(), 0u);
-
-  // The cache must not perturb a single bit of the fit.
-  EXPECT_DOUBLE_EQ(gp_plain.log_marginal_likelihood(),
-                   gp_cached.log_marginal_likelihood());
-  for (double v : {0.1, 0.45, 0.8}) {
-    Prediction pp = gp_plain.Predict({v, v * v});
-    Prediction pc = gp_cached.Predict({v, v * v});
-    EXPECT_DOUBLE_EQ(pp.mean, pc.mean);
-    EXPECT_DOUBLE_EQ(pp.variance, pc.variance);
-  }
-
-  // A second fit on the same data reuses the entry outright.
-  GaussianProcess gp_again(cached);
-  ASSERT_TRUE(gp_again.Fit(x, y).ok());
-  EXPECT_EQ(cached.kernel_cache->misses(), 1u);
-  EXPECT_EQ(cached.kernel_cache->hits(), 1u);
-  EXPECT_DOUBLE_EQ(gp_again.log_marginal_likelihood(),
-                   gp_cached.log_marginal_likelihood());
-}
-
-TEST(KernelTest, FingerprintSensitiveToShapeAndValues) {
-  uint64_t base = KernelBlockCache::Fingerprint({{1.0, 2.0}, {3.0, 4.0}});
-  EXPECT_NE(base, KernelBlockCache::Fingerprint({{1.0, 2.0, 3.0, 4.0}}));
-  EXPECT_NE(base, KernelBlockCache::Fingerprint({{1.0, 2.0}, {3.0, 5.0}}));
-  EXPECT_EQ(base, KernelBlockCache::Fingerprint({{1.0, 2.0}, {3.0, 4.0}}));
 }
 
 }  // namespace

@@ -224,13 +224,17 @@ TEST(GoldenHistoryTest, WorkerFaultChaosRunMatchesPinnedDigest) {
 }
 
 /// RunResultDigest of a CreateTuner-built `method` on counting-ones (8
-/// categorical + 8 continuous dimensions) with 8 simulated workers, run to
-/// `trials` completed trials.
-uint64_t RunFactoryMethod(Method method, uint64_t seed, int64_t trials) {
-  CountingOnes problem;
+/// categorical + 8 continuous dimensions unless `shape` says otherwise)
+/// with 8 simulated workers, run to `trials` completed trials.
+uint64_t RunFactoryMethod(
+    Method method, uint64_t seed, int64_t trials,
+    SurrogateKind surrogate = SurrogateKind::kRandomForest,
+    CountingOnesOptions shape = {}) {
+  CountingOnes problem(shape);
   TunerFactoryOptions factory;
   factory.method = method;
   factory.seed = seed;
+  factory.surrogate = surrogate;
   std::unique_ptr<Tuner> tuner = CreateTuner(problem, factory);
   ClusterOptions cluster;
   cluster.num_workers = 8;
@@ -256,6 +260,21 @@ TEST(GoldenHistoryTest, HyperTuneMatchesPinnedDigest) {
 
 TEST(GoldenHistoryTest, AsyncBohbMatchesPinnedDigest) {
   EXPECT_EQ(RunFactoryMethod(Method::kABohb, 7, 200), 1649251187749961826ULL);
+}
+
+// GP-backed sampling: BOHB's BO sampler and Hyper-Tune's MFES members fit
+// Gaussian processes on counting-ones 4+4. Captured from the revision
+// whose GP fits still shared a cross-fit kernel block cache.
+TEST(GoldenHistoryTest, GpBackedMethodsMatchPinnedDigest) {
+  CountingOnesOptions shape;
+  shape.num_categorical = 4;
+  shape.num_continuous = 4;
+  EXPECT_EQ(RunFactoryMethod(Method::kHyperTune, 7, 300,
+                             SurrogateKind::kGaussianProcess, shape),
+            17155817351152302991ULL);
+  EXPECT_EQ(RunFactoryMethod(Method::kBohb, 7, 300,
+                             SurrogateKind::kGaussianProcess, shape),
+            9031340732195883564ULL);
 }
 
 TEST(GoldenHistoryTest, SyncBracketSchedulerMatchesSeedRevision) {
