@@ -13,8 +13,11 @@
 /// every element's result is bit-identical to the scalar loop. Do not
 /// apply it to accumulations (dot products, norms) whose order would be
 /// reassociated.
+///
+/// Off under TSan: GCC instruments the ifunc resolvers target_clones emits,
+/// and those resolvers run before the TSan runtime starts.
 #if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__) && \
-    !defined(__clang__)
+    !defined(__clang__) && !defined(__SANITIZE_THREAD__)
 #define HT_TARGET_CLONES __attribute__((target_clones("avx2", "default")))
 #else
 #define HT_TARGET_CLONES
