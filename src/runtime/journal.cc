@@ -645,11 +645,6 @@ int64_t RunJournal::records_appended() const {
   return appended_;
 }
 
-int64_t RunJournal::records_verified() const {
-  MutexLock lock(mu_);
-  return verified_;
-}
-
 int64_t RunJournal::checkpoints_emitted() const {
   MutexLock lock(mu_);
   return checkpoints_;

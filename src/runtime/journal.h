@@ -229,7 +229,6 @@ class RunJournal {
   bool replaying() const EXCLUDES(mu_);
 
   int64_t records_appended() const EXCLUDES(mu_);
-  int64_t records_verified() const EXCLUDES(mu_);
   /// Records dropped as a torn/corrupt tail at open (0 or the tail count).
   int64_t records_dropped() const { return records_dropped_; }
   int64_t bytes_dropped() const { return bytes_dropped_; }

@@ -279,7 +279,6 @@ void SchedulerContractChecker::NoteSpeculativeLaunch(const Job& job) {
     Violation(msg.str());
   } else {
     tracked->duplicated = true;
-    ++speculative_launches_;
   }
 }
 

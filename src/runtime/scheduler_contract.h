@@ -90,9 +90,6 @@ class SchedulerContractChecker : public SchedulerInterface {
   void NoteSpeculativeLaunch(const Job& job);
   void NoteSpeculativeCopyLost(const Job& job);
 
-  /// Speculative duplicates announced over the whole run.
-  int64_t speculative_launches() const { return speculative_launches_; }
-
   /// Violations collected so far (empty unless abort_on_violation=false).
   const std::vector<std::string>& violations() const { return violations_; }
 
@@ -167,7 +164,6 @@ class SchedulerContractChecker : public SchedulerInterface {
   ContractCheckerOptions options_;
   std::vector<TrackedJob> jobs_;
   int64_t outstanding_ = 0;
-  int64_t speculative_launches_ = 0;
   /// Latched once Exhausted() returns true (mutable: latching happens in
   /// the const Exhausted() override).
   mutable bool exhausted_observed_ = false;

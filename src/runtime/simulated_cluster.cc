@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/calendar_queue.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
