@@ -6,7 +6,6 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -234,19 +233,7 @@ Result<std::unique_ptr<RunJournal>> RunJournal::OpenForResume(
     const std::string& path, uint64_t fingerprint,
     const ObservabilityOptions& obs, JournalOptions options) {
   std::string bytes;
-  {
-    std::error_code ec;
-    const uintmax_t size = std::filesystem::file_size(path, ec);
-    std::ifstream in(path, std::ios::binary);
-    if (ec || !in) return Status::NotFound("journal: cannot open: " + path);
-    bytes.resize(static_cast<size_t>(size));
-    in.read(bytes.data(), static_cast<std::streamsize>(size));
-    if (static_cast<uintmax_t>(in.gcount()) != size) {
-      return Status::Internal("journal: short read of " + path + " (" +
-                              std::to_string(in.gcount()) + " of " +
-                              std::to_string(size) + " bytes)");
-    }
-  }
+  HT_RETURN_IF_ERROR(ReadFileBytes(path, &bytes));
   Result<std::unique_ptr<RunJournal>> journal =
       ResumeCommon(bytes, fingerprint, obs, options, /*in_memory=*/false);
   if (!journal.ok()) return journal;

@@ -3,9 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -165,17 +163,8 @@ Status SaveStore(const MeasurementStore& store,
 
 Status LoadStore(const std::string& path, const ConfigurationSpace& space,
                  MeasurementStore* store) {
-  std::error_code ec;
-  const uintmax_t size = std::filesystem::file_size(path, ec);
-  std::ifstream in(path, std::ios::binary);
-  if (ec || !in) return Status::NotFound("cannot open " + path);
-  std::string bytes(static_cast<size_t>(size), '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(size));
-  if (static_cast<uintmax_t>(in.gcount()) != size) {
-    return Status::Internal("short read of " + path + " (" +
-                            std::to_string(in.gcount()) + " of " +
-                            std::to_string(size) + " bytes)");
-  }
+  std::string bytes;
+  HT_RETURN_IF_ERROR(ReadFileBytes(path, &bytes));
   Status status = DecodeStoreWire(bytes, space, store);
   if (status.ok()) return status;
   return Status(status.code(), path + ": " + status.message());

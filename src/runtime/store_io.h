@@ -44,8 +44,8 @@ inline constexpr char kStoreWireMagic[4] = {'H', 'T', 'W', 'S'};
                        MeasurementStore* store);
 
 /// File-path convenience wrappers around EncodeStoreWire and
-/// DecodeStoreWire. LoadStore reads the whole file with one sized read; a
-/// short read is Internal, and every error names the path.
+/// DecodeStoreWire. LoadStore reads the file with ReadFileBytes, and every
+/// error it returns names the path.
 [[nodiscard]] Status SaveStore(const MeasurementStore& store,
                  const ConfigurationSpace& space, const std::string& path);
 [[nodiscard]]

@@ -1,6 +1,9 @@
 #include "src/runtime/wire_format.h"
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <system_error>
 
 namespace hypertune {
 
@@ -217,6 +220,21 @@ RecordScan ScanRecords(const char* data, size_t size) {
     scan.clean_bytes = pos;
   }
   return scan;
+}
+
+Status ReadFileBytes(const std::string& path, std::string* out) {
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  std::ifstream in(path, std::ios::binary);
+  if (ec || !in) return Status::NotFound("cannot open " + path);
+  out->assign(static_cast<size_t>(size), '\0');
+  in.read(out->data(), static_cast<std::streamsize>(size));
+  if (static_cast<uintmax_t>(in.gcount()) != size) {
+    return Status::Internal("short read of " + path + " (" +
+                            std::to_string(in.gcount()) + " of " +
+                            std::to_string(size) + " bytes)");
+  }
+  return Status::Ok();
 }
 
 void EncodeConfiguration(const Configuration& config, WireEncoder* enc) {

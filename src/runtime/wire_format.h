@@ -132,6 +132,10 @@ inline RecordScan ScanRecords(const std::string& bytes) {
   return ScanRecords(bytes.data(), bytes.size());
 }
 
+/// Reads the whole file at `path` into `out` with one sized read. NotFound
+/// when it cannot be opened, Internal on a short read; both name the path.
+[[nodiscard]] Status ReadFileBytes(const std::string& path, std::string* out);
+
 /// Typed codecs for the core runtime structures. Encoders are total;
 /// decoders validate ranges (finite doubles where the runtime requires
 /// them are the caller's concern — these check structure, not semantics).

@@ -1255,6 +1255,16 @@ TEST(JournalRecoveryTest, FileBackedResumeTruncatesTornTailAndAppends) {
                       std::istreambuf_iterator<char>());
   EXPECT_EQ(on_disk, golden.journal_bytes);
   std::remove(path.c_str());
+
+  // With the file gone, a resume fails at open and names the path.
+  std::unique_ptr<RunSetup> fresh = MakeSetup(Sched::kSync);
+  Result<RunResult> missing =
+      ResumeRun(path, options, fresh->scheduler.get(), fresh->problem,
+                TestJournalOptions());
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(missing.status().message().find(path), std::string::npos)
+      << missing.status().ToString();
 }
 
 TEST(JournalRecoveryTest, FailedFileWriteLatchesInternal) {
