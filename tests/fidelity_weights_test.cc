@@ -1,9 +1,12 @@
 // The shared theta fit cache: FidelityWeights instances that fit through
 // one cache must return exactly the theta independent instances return, at
 // every refresh lag and after in-place overwrites, and the cache must stay
-// out of every snapshot.
+// out of every snapshot. One test pins theta's bits and fit counts over a
+// long run of refreshes.
 #include "src/allocator/fidelity_weights.h"
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -101,6 +104,56 @@ TEST_F(FidelityWeightsCacheTest, SharedCacheMatchesIndependentInstances) {
   EXPECT_GT(shared.level_fits, 0u);
   EXPECT_LT(shared.level_fits, a.level_fits + b.level_fits);
   EXPECT_LE(shared.cv_passes, a.cv_passes + b.cv_passes);
+}
+
+/// Folds the bits of `value` into an FNV-1a digest.
+void HashBits(uint64_t value, uint64_t* hash) {
+  for (int byte = 0; byte < 8; ++byte) {
+    *hash ^= (value >> (8 * byte)) & 0xFF;
+    *hash *= 1099511628211ULL;
+  }
+}
+
+// Pins theta at its own layer: the bits of every estimate over a long run
+// of refreshes on a four-level store, with capped low-fidelity fits, a
+// sampled evaluation subset of D_K and in-place overwrites, plus the exact
+// number of fits the cache made. A change to how theta encodes, caps, fits
+// or predicts its data must leave every bit as it is.
+TEST_F(FidelityWeightsCacheTest, ThetaBitsAndFitCountsArePinned) {
+  const FidelityWeightsOptions options = Options();
+  MeasurementStore store(4);
+  FidelityWeights weights(&space_, options);
+  Rng rng(17);
+  uint64_t digest = 1469598103934665603ULL;
+  int overwrites = 0;
+  for (int step = 0; step < 400; ++step) {
+    const double u = rng.Uniform();
+    const int level = u < 0.5 ? 1 : u < 0.75 ? 2 : u < 0.9 ? 3 : 4;
+    if (step % 37 == 36 && !store.group(level).empty()) {
+      // Re-observe a stored configuration: its objective changes in place.
+      const auto& group = store.group(level);
+      const Configuration config =
+          group[static_cast<size_t>(rng.UniformInt(
+                    0, static_cast<int64_t>(group.size()) - 1))]
+              .config;
+      store.Add(level, config, Objective(config, level, &rng) - 0.5);
+      ++overwrites;
+    } else {
+      Configuration config = space_.Sample(&rng);
+      store.Add(level, config, Objective(config, level, &rng));
+    }
+    for (double theta : weights.ComputeTheta(store)) {
+      HashBits(std::bit_cast<uint64_t>(theta), &digest);
+    }
+    HashBits(weights.used_ranking_loss() ? 1 : 0, &digest);
+  }
+  ASSERT_GT(overwrites, 5);
+  ASSERT_GT(store.group(1).size(), options.max_fit_points);
+  ASSERT_GT(store.group(4).size(), options.max_eval_points);
+  EXPECT_TRUE(weights.used_ranking_loss());
+  EXPECT_EQ(digest, 13489033541333727514ULL);
+  EXPECT_EQ(weights.fit_counts().level_fits, 213u);
+  EXPECT_EQ(weights.fit_counts().cv_passes, 112u);
 }
 
 TEST_F(FidelityWeightsCacheTest, OverwriteRefitsOnlyItsLevel) {
