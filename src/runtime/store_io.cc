@@ -115,6 +115,15 @@ Status DecodeStoreWire(const std::string& bytes,
   }
   HT_RETURN_IF_ERROR(header.ExpectEnd("store header record"));
 
+  // Every record is checked before the first is added, so a rejected
+  // stream leaves the store as it was.
+  struct Row {
+    int level;
+    Configuration config;
+    double objective;
+  };
+  std::vector<Row> rows;
+  rows.reserve(scan.records.size() - 1);
   for (size_t i = 1; i < scan.records.size(); ++i) {
     WireDecoder dec(scan.records[i]);
     HT_RETURN_IF_ERROR(dec.GetU8(&tag));
@@ -145,8 +154,9 @@ Status DecodeStoreWire(const std::string& bytes,
     }
     Configuration config(std::move(values));
     HT_RETURN_IF_ERROR(space.Validate(config));
-    store->Add(static_cast<int>(level), config, objective);
+    rows.push_back({static_cast<int>(level), std::move(config), objective});
   }
+  for (const Row& row : rows) store->Add(row.level, row.config, row.objective);
   return Status::Ok();
 }
 

@@ -38,7 +38,8 @@ inline constexpr char kStoreWireMagic[4] = {'H', 'T', 'W', 'S'};
 /// Decodes a v1 binary store stream into `store`. The stream's parameter
 /// names must match `space` exactly (order included); a version newer than
 /// kWireFormatVersion is rejected with a clear upgrade error; truncated or
-/// corrupt records are rejected with DataLoss.
+/// corrupt records are rejected with DataLoss. A rejected stream adds
+/// nothing to `store`.
 [[nodiscard]] Status DecodeStoreWire(const std::string& bytes,
                        const ConfigurationSpace& space,
                        MeasurementStore* store);

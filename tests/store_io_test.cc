@@ -114,6 +114,21 @@ TEST(StoreIoTest, MalformedRowsRejected) {
   EXPECT_EQ(store.TotalSize(), 0u);
 }
 
+TEST(StoreIoTest, RejectedStreamLeavesTheStoreEmpty) {
+  // Two valid rows at level 1, then one at level 2: a one-level store
+  // rejects the stream at its last record, and must keep none of it.
+  ConfigurationSpace space = MixedSpace();
+  MeasurementStore store(1);
+  const std::string bytes =
+      HandBuiltStream(kMixedNames, {{1, 1.0, {0.1, 5.0, 1.0}},
+                                    {1, 2.0, {0.2, 6.0, 0.0}},
+                                    {2, 3.0, {0.3, 7.0, 1.0}}});
+  EXPECT_EQ(DecodeStoreWire(bytes, space, &store).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.TotalSize(), 0u);
+  EXPECT_EQ(store.version(), 0u);
+}
+
 TEST(StoreIoTest, NonFiniteObjectivesRejectedOnWriteAndRead) {
   ConfigurationSpace space = MixedSpace();
   // Write side: a store holding a failed-trial marker (+inf) or a NaN must
