@@ -1,7 +1,9 @@
 #include "src/linalg/matrix.h"
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -221,7 +223,8 @@ TEST(CholeskyTest, SolveLowerMultiBitIdenticalToPerColumn) {
     for (size_t i = 0; i < b.rows(); ++i) col[i] = b(i, j);
     Vector single = chol.SolveLower(col);
     for (size_t i = 0; i < b.rows(); ++i) {
-      EXPECT_DOUBLE_EQ(multi(i, j), single[i])
+      EXPECT_EQ(std::bit_cast<uint64_t>(multi(i, j)),
+                std::bit_cast<uint64_t>(single[i]))
           << "column " << j << " row " << i;
     }
   }
@@ -240,7 +243,8 @@ TEST(CholeskyTest, SolveLowerMultiInPlaceBitIdenticalToOutOfPlace) {
   chol.SolveLowerMultiInPlace(&in_place);
   for (size_t i = 0; i < b.rows(); ++i) {
     for (size_t j = 0; j < b.cols(); ++j) {
-      EXPECT_DOUBLE_EQ(in_place(i, j), expected(i, j))
+      EXPECT_EQ(std::bit_cast<uint64_t>(in_place(i, j)),
+                std::bit_cast<uint64_t>(expected(i, j)))
           << "row " << i << " col " << j;
     }
   }

@@ -1,6 +1,8 @@
 #include "src/surrogate/surrogate.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,6 +48,9 @@ Matrix MakeQueries(size_t m, uint64_t seed) {
   return q;
 }
 
+/// The bits of `v`: comparing them accepts no rounding difference at all.
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
 /// The core property behind golden-history stability: scoring candidates as
 /// one batch must reproduce the per-candidate path bit for bit.
 void ExpectBatchMatchesPerCandidate(const Surrogate& model, const Matrix& q) {
@@ -54,8 +59,8 @@ void ExpectBatchMatchesPerCandidate(const Surrogate& model, const Matrix& q) {
   for (size_t r = 0; r < q.rows(); ++r) {
     std::vector<double> row = {q(r, 0), q(r, 1)};
     Prediction single = model.Predict(row);
-    EXPECT_DOUBLE_EQ(batch[r].mean, single.mean) << "row " << r;
-    EXPECT_DOUBLE_EQ(batch[r].variance, single.variance) << "row " << r;
+    EXPECT_EQ(Bits(batch[r].mean), Bits(single.mean)) << "row " << r;
+    EXPECT_EQ(Bits(batch[r].variance), Bits(single.variance)) << "row " << r;
   }
 }
 
