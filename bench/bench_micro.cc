@@ -55,24 +55,23 @@ ConfigurationSpace MakeSpace(size_t dims) {
   return space;
 }
 
-void FillData(size_t n, size_t dims, std::vector<std::vector<double>>* x,
-              std::vector<double>* y) {
+void FillData(size_t n, size_t dims, Matrix* x, std::vector<double>* y) {
   Rng rng(1);
+  *x = Matrix(n, dims);
   for (size_t i = 0; i < n; ++i) {
-    std::vector<double> row(dims);
+    double* row = x->row(i);
     double target = 0.0;
     for (size_t d = 0; d < dims; ++d) {
       row[d] = rng.Uniform();
       target += (row[d] - 0.5) * (row[d] - 0.5);
     }
-    x->push_back(std::move(row));
     y->push_back(target + 0.01 * rng.Gaussian());
   }
 }
 
 void BM_GpFit(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(n, 6, &x, &y);
   GaussianProcessOptions options;
@@ -85,7 +84,7 @@ void BM_GpFit(benchmark::State& state) {
 BENCHMARK(BM_GpFit)->Arg(25)->Arg(50)->Arg(100)->Iterations(5);
 
 void BM_GpPredict(benchmark::State& state) {
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(100, 6, &x, &y);
   GaussianProcess gp;
@@ -103,7 +102,7 @@ BENCHMARK(BM_GpPredict);
 /// with BM_GpPredictPerCandidate, which re-reads the Cholesky factor per
 /// candidate — the ≥3× gap is the DESIGN.md §13 claim.
 void BM_GpPredictBatch(benchmark::State& state) {
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(200, 6, &x, &y);
   GaussianProcessOptions options;
@@ -127,7 +126,7 @@ BENCHMARK(BM_GpPredictBatch);
 /// The per-candidate loop BM_GpPredictBatch replaces: same model, same 500
 /// queries, one Predict call each.
 void BM_GpPredictPerCandidate(benchmark::State& state) {
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(200, 6, &x, &y);
   GaussianProcessOptions options;
@@ -153,16 +152,17 @@ BENCHMARK(BM_GpPredictPerCandidate);
 /// BM_CholRefit at the same sizes — the gap should widen ~linearly with n.
 void BM_CholUpdateAppend(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(n + 1, 6, &x, &y);
   Matern52Kernel kernel(std::vector<double>(6, 0.5), 1.0);
-  std::vector<std::vector<double>> base(x.begin(), x.begin() + n);
+  Matrix base = x;
+  base.Resize(n, 6);  // the first n rows
   Matrix gram = kernel.GramMatrix(base);
   gram.AddDiagonal(1e-3);
   Cholesky factored;
   HT_CHECK(factored.Factorize(gram).ok());
-  Vector k = kernel.CrossCovariance(base, x[n]);
+  Vector k = kernel.CrossCovariance(base, Vector(x.row(n), x.row(n) + 6));
   const double kss = 1.0 + 1e-3;
   // Hoisted so the copy-assign and the in-place append reuse the same warm
   // capacity every iteration — the state a BO loop's factor actually lives
@@ -182,7 +182,7 @@ BENCHMARK(BM_CholUpdateAppend)->Arg(64)->Arg(128)->Arg(256);
 /// scaling comparison against BM_CholUpdateAppend.
 void BM_CholRefit(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(n + 1, 6, &x, &y);
   Matern52Kernel kernel(std::vector<double>(6, 0.5), 1.0);
@@ -202,32 +202,32 @@ void BM_AcqSweep(benchmark::State& state) {
   ConfigurationSpace space = MakeSpace(6);
   MeasurementStore store(1);
   Rng rng(22);
-  std::vector<std::vector<double>> x;
+  Matrix x(200, space.size());
   std::vector<double> y;
-  for (int i = 0; i < 200; ++i) {
+  for (size_t i = 0; i < x.rows(); ++i) {
     Configuration c = space.Sample(&rng);
     double target = (c[0] - 0.5) * (c[0] - 0.5) + 0.01 * rng.Gaussian();
     store.Add(1, c, target);
-    x.push_back(space.Encode(c));
+    space.EncodeInto(c, x.row(i));
     y.push_back(target);
   }
   GaussianProcessOptions options;
   options.optimize_hyperparameters = false;
   GaussianProcess gp(options);
   gp.Fit(x, y).IgnoreError();
-  AcquisitionMaximizerOptions opts;
+  BoSamplerOptions opts;
   opts.num_candidates = 500;
   opts.num_local_seeds = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(MaximizeAcquisition(
-        space, store, gp, store.BestObjective(1), 0, opts, &rng));
+        space, store, gp, store.BestObjective(1), 0, opts, nullptr, &rng));
   }
 }
 BENCHMARK(BM_AcqSweep);
 
 void BM_RfFit(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(n, 9, &x, &y);
   for (auto _ : state) {
@@ -238,7 +238,7 @@ void BM_RfFit(benchmark::State& state) {
 BENCHMARK(BM_RfFit)->Arg(50)->Arg(200)->Arg(800);
 
 void BM_RfPredict(benchmark::State& state) {
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   FillData(400, 9, &x, &y);
   RandomForest rf;

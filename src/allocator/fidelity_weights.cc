@@ -2,42 +2,26 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
-#include "src/surrogate/random_forest.h"
 
 namespace hypertune {
 namespace {
 
-/// Caps `data` at `max_points` by keeping the best half and most recent
-/// half (measurements arrive in completion order).
-std::vector<Measurement> CapMeasurements(const std::vector<Measurement>& data,
-                                         size_t max_points) {
-  if (data.size() <= max_points) return data;
-  std::vector<size_t> by_value(data.size());
-  for (size_t i = 0; i < data.size(); ++i) by_value[i] = i;
-  std::sort(by_value.begin(), by_value.end(), [&](size_t a, size_t b) {
-    return data[a].objective < data[b].objective;
-  });
-  std::vector<bool> selected(data.size(), false);
-  size_t kept = 0;
-  for (size_t i = 0; i < max_points / 2; ++i) {
-    selected[by_value[i]] = true;
-    ++kept;
+/// Encodes the configurations of `group[rows[j]]` into row j of `*x` and
+/// their objectives into `(*y)[j]`.
+void EncodeRows(const ConfigurationSpace& space,
+                const std::vector<Measurement>& group,
+                const std::vector<size_t>& rows, Matrix* x,
+                std::vector<double>* y) {
+  *x = Matrix(rows.size(), space.size());
+  y->resize(rows.size());
+  for (size_t j = 0; j < rows.size(); ++j) {
+    space.EncodeInto(group[rows[j]].config, x->row(j));
+    (*y)[j] = group[rows[j]].objective;
   }
-  for (size_t i = data.size(); i > 0 && kept < max_points; --i) {
-    if (!selected[i - 1]) {
-      selected[i - 1] = true;
-      ++kept;
-    }
-  }
-  std::vector<Measurement> out;
-  out.reserve(kept);
-  for (size_t i = 0; i < data.size(); ++i) {
-    if (selected[i]) out.push_back(data[i]);
-  }
-  return out;
 }
 
 }  // namespace
@@ -54,11 +38,10 @@ struct FidelityWeights::FitCache {
   /// MeasurementStore::id() of the store every entry was fitted on.
   uint64_t store_id = 0;
   std::vector<LevelFit> levels;  // index 0 <-> level 1; K - 1 entries
-  /// M_K's cross-validation predictions on the evaluation subset `cv_subset`
-  /// (indices into D_K; empty = all of D_K) at level_version(K) ==
-  /// `cv_version`.
+  /// M_K's cross-validation predictions on the rows `cv_rows` of D_K at
+  /// level_version(K) == `cv_version`.
   uint64_t cv_version = ~uint64_t{0};
-  std::vector<size_t> cv_subset;
+  std::vector<size_t> cv_rows;
   std::vector<double> cv_predictions;
   FitCounts counts;
 };
@@ -67,19 +50,6 @@ FidelityWeights::FidelityWeights(const ConfigurationSpace* space,
                                  FidelityWeightsOptions options)
     : space_(space), options_(options) {
   HT_CHECK(space_ != nullptr) << "FidelityWeights needs a space";
-  uint64_t seed = options_.seed;
-  const ConfigurationSpace* sp = space_;
-  factory_ = [seed, sp]() -> std::unique_ptr<Surrogate> {
-    RandomForestOptions rf;
-    rf.seed = seed;
-    auto forest = std::make_unique<RandomForest>(rf);
-    std::vector<bool> categorical(sp->size(), false);
-    for (size_t i = 0; i < sp->size(); ++i) {
-      categorical[i] = sp->parameter(i).is_categorical();
-    }
-    forest->SetCategoricalFeatures(std::move(categorical));
-    return forest;
-  };
 }
 
 FidelityWeights::~FidelityWeights() = default;
@@ -184,49 +154,58 @@ const std::vector<double>& FidelityWeights::ComputeTheta(
       cache.cv_version = ~uint64_t{0};
     }
     Rng rng(CombineSeeds(options_.seed, store.data_version()));
+    const std::vector<bool> categorical = space_->CategoricalMask();
 
-    // Evaluation subset of D_K (caps the O(S n^2) pair counting).
-    std::vector<size_t> subset;  // empty = all of D_K
-    std::vector<Measurement> eval_at;
+    // Evaluation rows of D_K (a random subset caps the O(S n^2) pair
+    // counting), encoded once: every base surrogate predicts them, and M_K's
+    // cross-validation folds fit and predict selections of them.
+    std::vector<size_t> eval_rows;
     if (high_group.size() <= options_.max_eval_points) {
-      eval_at = high_group;
+      eval_rows.resize(high_group.size());
+      std::iota(eval_rows.begin(), eval_rows.end(), size_t{0});
     } else {
-      subset = rng.SampleWithoutReplacement(high_group.size(),
-                                            options_.max_eval_points);
-      eval_at.reserve(subset.size());
-      for (size_t idx : subset) eval_at.push_back(high_group[idx]);
+      eval_rows = rng.SampleWithoutReplacement(high_group.size(),
+                                               options_.max_eval_points);
     }
+    Matrix eval_x;
     std::vector<double> truths;
-    truths.reserve(eval_at.size());
-    for (const Measurement& m : eval_at) truths.push_back(m.objective);
+    EncodeRows(*space_, high_group, eval_rows, &eval_x, &truths);
 
-    // Predictions of each base surrogate at the evaluation subset, fitting
+    // Predictions of each base surrogate at the evaluation rows, fitting
     // only what the cache does not hold for the current data.
     std::vector<std::vector<double>> predictions(
         static_cast<size_t>(num_levels));
-    if (!eval_at.empty()) {
+    if (!eval_rows.empty()) {
       for (int level = 1; level < num_levels; ++level) {
         FitCache::LevelFit& fit = cache.levels[static_cast<size_t>(level - 1)];
         const uint64_t version = store.level_version(level);
         if (fit.version != version) {
-          fit.model = FitSurrogate(
-              *space_,
-              CapMeasurements(store.group(level), options_.max_fit_points),
-              factory_);
+          // Only the rows the training cap keeps are encoded.
+          const std::vector<Measurement>& group = store.group(level);
+          std::vector<double> objectives(group.size());
+          for (size_t i = 0; i < group.size(); ++i) {
+            objectives[i] = group[i].objective;
+          }
+          Matrix x;
+          std::vector<double> y;
+          EncodeRows(*space_, group,
+                     KeepBestAndRecent(objectives, options_.max_fit_points),
+                     &x, &y);
+          fit.model = FitSurrogate(x, y, categorical, options_.seed);
           fit.version = version;
           ++cache.counts.level_fits;
         }
         if (fit.model != nullptr) {
           predictions[static_cast<size_t>(level - 1)] =
-              PredictMeans(*space_, *fit.model, eval_at);
+              PredictMeans(*fit.model, eval_x);
         }
       }
       const uint64_t high_version = store.level_version(num_levels);
-      if (cache.cv_version != high_version || cache.cv_subset != subset) {
+      if (cache.cv_version != high_version || cache.cv_rows != eval_rows) {
         cache.cv_predictions = CrossValidationPredictions(
-            *space_, eval_at, options_.cv_folds, factory_, options_.seed);
+            eval_x, truths, options_.cv_folds, categorical, options_.seed);
         cache.cv_version = high_version;
-        cache.cv_subset = subset;
+        cache.cv_rows = eval_rows;
         ++cache.counts.cv_passes;
       }
       predictions[static_cast<size_t>(num_levels - 1)] = cache.cv_predictions;
@@ -237,7 +216,7 @@ const std::vector<double>& FidelityWeights::ComputeTheta(
     // vote; theta_i is its vote share.
     // Each level's pair indicators are computed once; a resample's loss
     // is then counted from its multiplicities.
-    size_t n = eval_at.size();
+    size_t n = eval_rows.size();
     std::vector<std::vector<uint8_t>> misranked(
         static_cast<size_t>(num_levels));
     for (int level = 1; level <= num_levels; ++level) {

@@ -131,7 +131,6 @@ class FidelityWeights {
 
   const ConfigurationSpace* space_;
   FidelityWeightsOptions options_;
-  SurrogateFactory factory_;
   FidelityWeights* fit_cache_owner_ = nullptr;  // not owned
   std::unique_ptr<FitCache> fit_cache_;
 

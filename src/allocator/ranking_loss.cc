@@ -71,38 +71,29 @@ int64_t CountMisrankedPairsWithCounts(const std::vector<uint8_t>& misranked,
   return loss;
 }
 
-std::unique_ptr<Surrogate> FitSurrogate(const ConfigurationSpace& space,
-                                        const std::vector<Measurement>& fit_on,
-                                        const SurrogateFactory& factory) {
-  if (fit_on.size() < 2) return nullptr;
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  x.reserve(fit_on.size());
-  y.reserve(fit_on.size());
-  for (const Measurement& m : fit_on) {
-    x.push_back(space.Encode(m.config));
-    y.push_back(m.objective);
-  }
-  std::unique_ptr<Surrogate> model = factory();
+std::unique_ptr<Surrogate> FitSurrogate(const Matrix& x,
+                                        const std::vector<double>& y,
+                                        const std::vector<bool>& categorical,
+                                        uint64_t seed) {
+  if (x.rows() < 2) return nullptr;
+  std::unique_ptr<Surrogate> model =
+      MakeSurrogate(SurrogateKind::kRandomForest, categorical, seed);
   if (!model->Fit(x, y).ok()) return nullptr;
   return model;
 }
 
-std::vector<double> PredictMeans(const ConfigurationSpace& space,
-                                 const Surrogate& model,
-                                 const std::vector<Measurement>& eval_at) {
-  std::vector<double> predictions;
-  predictions.reserve(eval_at.size());
-  for (const Measurement& m : eval_at) {
-    predictions.push_back(model.Predict(space.Encode(m.config)).mean);
-  }
-  return predictions;
+std::vector<double> PredictMeans(const Surrogate& model, const Matrix& x) {
+  std::vector<double> means;
+  means.reserve(x.rows());
+  for (const Prediction& p : model.PredictBatch(x)) means.push_back(p.mean);
+  return means;
 }
 
 std::vector<double> CrossValidationPredictions(
-    const ConfigurationSpace& space, const std::vector<Measurement>& data,
-    int folds, const SurrogateFactory& factory, uint64_t seed) {
-  size_t n = data.size();
+    const Matrix& x, const std::vector<double>& y, int folds,
+    const std::vector<bool>& categorical, uint64_t seed) {
+  HT_CHECK(x.rows() == y.size()) << "cross-validation: |x| != |y|";
+  size_t n = x.rows();
   if (folds < 2 || n < static_cast<size_t>(folds)) return {};
 
   // Shuffled fold assignment for an unbiased split.
@@ -111,9 +102,17 @@ std::vector<double> CrossValidationPredictions(
   for (size_t i = 0; i < n; ++i) order[i] = i;
   rng.Shuffle(&order);
 
+  // A fold's rows, copied out of `x` in the order given.
+  auto select = [&](const std::vector<size_t>& rows) {
+    Matrix out(rows.size(), x.cols());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      std::copy_n(x.row(rows[r]), x.cols(), out.row(r));
+    }
+    return out;
+  };
   std::vector<double> predictions(n, 0.0);
   for (int fold = 0; fold < folds; ++fold) {
-    std::vector<std::vector<double>> train_x;
+    std::vector<size_t> train;
     std::vector<double> train_y;
     std::vector<size_t> held_out;
     for (size_t pos = 0; pos < n; ++pos) {
@@ -121,15 +120,16 @@ std::vector<double> CrossValidationPredictions(
       if (static_cast<int>(pos % static_cast<size_t>(folds)) == fold) {
         held_out.push_back(idx);
       } else {
-        train_x.push_back(space.Encode(data[idx].config));
-        train_y.push_back(data[idx].objective);
+        train.push_back(idx);
+        train_y.push_back(y[idx]);
       }
     }
-    if (train_x.size() < 2) return {};
-    std::unique_ptr<Surrogate> model = factory();
-    if (!model->Fit(train_x, train_y).ok()) return {};
-    for (size_t idx : held_out) {
-      predictions[idx] = model->Predict(space.Encode(data[idx].config)).mean;
+    std::unique_ptr<Surrogate> model =
+        FitSurrogate(select(train), train_y, categorical, seed);
+    if (model == nullptr) return {};
+    const std::vector<double> means = PredictMeans(*model, select(held_out));
+    for (size_t h = 0; h < held_out.size(); ++h) {
+      predictions[held_out[h]] = means[h];
     }
   }
   return predictions;

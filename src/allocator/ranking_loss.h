@@ -2,18 +2,12 @@
 #define HYPERTUNE_ALLOCATOR_RANKING_LOSS_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "src/config/space.h"
-#include "src/runtime/measurement_store.h"
 #include "src/surrogate/surrogate.h"
 
 namespace hypertune {
-
-/// Factory producing fresh, unfitted surrogates (one per base model fit).
-using SurrogateFactory = std::function<std::unique_ptr<Surrogate>()>;
 
 /// Eq. (1): number of mis-ranked pairs between `predictions` and ground
 /// truth `truths` over all ordered pairs (j, k):
@@ -42,25 +36,26 @@ std::vector<uint8_t> MisrankedPairs(const std::vector<double>& predictions,
 int64_t CountMisrankedPairsWithCounts(const std::vector<uint8_t>& misranked,
                                       const std::vector<int32_t>& counts);
 
-/// Fits a fresh surrogate on `fit_on`. Returns null when `fit_on` is too
-/// small (< 2) or the fit fails.
-std::unique_ptr<Surrogate> FitSurrogate(const ConfigurationSpace& space,
-                                        const std::vector<Measurement>& fit_on,
-                                        const SurrogateFactory& factory);
+/// Fits a fresh random forest (MakeSurrogate with `categorical` and `seed`)
+/// on design matrix `x` and targets `y`. Returns null when `x` has fewer
+/// than 2 rows or the fit fails.
+std::unique_ptr<Surrogate> FitSurrogate(const Matrix& x,
+                                        const std::vector<double>& y,
+                                        const std::vector<bool>& categorical,
+                                        uint64_t seed);
 
-/// Mean predictions of a fitted `model` at the configurations of `eval_at`.
-std::vector<double> PredictMeans(const ConfigurationSpace& space,
-                                 const Surrogate& model,
-                                 const std::vector<Measurement>& eval_at);
+/// Mean predictions of a fitted `model` at the rows of `x`.
+std::vector<double> PredictMeans(const Surrogate& model, const Matrix& x);
 
-/// K-fold cross-validated predictions of a surrogate on its own data
+/// K-fold cross-validated predictions of a random forest on its own data
 /// (§4.1: "for the base surrogate M_K trained on D_K directly, we adopt
-/// 5-fold cross-validation"). Element i is the prediction for data[i] from
-/// the fold that held it out. Returns an empty vector when |data| < folds
-/// or a fold fit fails.
+/// 5-fold cross-validation"). Each fold fits FitSurrogate on a selection of
+/// the rows of `x`, so nothing is encoded again. Element i is the
+/// prediction for row i from the fold that held it out. Returns an empty
+/// vector when there are fewer rows than folds or a fold fit fails.
 std::vector<double> CrossValidationPredictions(
-    const ConfigurationSpace& space, const std::vector<Measurement>& data,
-    int folds, const SurrogateFactory& factory, uint64_t seed);
+    const Matrix& x, const std::vector<double>& y, int folds,
+    const std::vector<bool>& categorical, uint64_t seed);
 
 }  // namespace hypertune
 

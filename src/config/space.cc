@@ -47,12 +47,25 @@ Status ConfigurationSpace::Validate(const Configuration& config) const {
 
 std::vector<double> ConfigurationSpace::Encode(
     const Configuration& config) const {
-  HT_CHECK(config.size() == parameters_.size()) << "Encode: size mismatch";
   std::vector<double> unit(parameters_.size());
-  for (size_t i = 0; i < parameters_.size(); ++i) {
-    unit[i] = parameters_[i].ToUnit(config[i]);
-  }
+  EncodeInto(config, unit.data());
   return unit;
+}
+
+void ConfigurationSpace::EncodeInto(const Configuration& config,
+                                    double* row) const {
+  HT_CHECK(config.size() == parameters_.size()) << "Encode: size mismatch";
+  for (size_t i = 0; i < parameters_.size(); ++i) {
+    row[i] = parameters_[i].ToUnit(config[i]);
+  }
+}
+
+std::vector<bool> ConfigurationSpace::CategoricalMask() const {
+  std::vector<bool> categorical(parameters_.size());
+  for (size_t i = 0; i < parameters_.size(); ++i) {
+    categorical[i] = parameters_[i].is_categorical();
+  }
+  return categorical;
 }
 
 Configuration ConfigurationSpace::Decode(

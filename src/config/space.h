@@ -43,6 +43,14 @@ class ConfigurationSpace {
   /// Encodes a configuration into [0,1]^d for surrogate models.
   std::vector<double> Encode(const Configuration& config) const;
 
+  /// Encode into `row`, which holds size() doubles: one row of a design
+  /// matrix, written in place.
+  void EncodeInto(const Configuration& config, double* row) const;
+
+  /// Per dimension, whether its parameter is categorical (the dimensions a
+  /// random forest splits by equality).
+  std::vector<bool> CategoricalMask() const;
+
   /// Decodes a unit-cube vector back to a legal configuration (discrete
   /// values are snapped).
   Configuration Decode(const std::vector<double>& unit) const;

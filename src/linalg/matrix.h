@@ -19,9 +19,11 @@ double Norm(const Vector& v);
 
 /// A dense row-major matrix of doubles, sized at construction.
 ///
-/// This is intentionally a minimal numeric container: just what the
-/// Gaussian-process surrogate needs (element access, mat-vec, Cholesky in
-/// cholesky.h). No expression templates, no views.
+/// This is intentionally a minimal numeric container: the one design-matrix
+/// type of the surrogates (one encoded configuration per row, from
+/// ConfigurationSpace::EncodeInto through Surrogate::Fit and PredictBatch)
+/// and what the Gaussian process needs (element access, mat-vec, Cholesky
+/// in cholesky.h). No expression templates, no views.
 class Matrix {
  public:
   Matrix() : rows_(0), cols_(0) {}
@@ -75,9 +77,10 @@ class Matrix {
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& data() { return data_; }
 
-  /// Pointer to the start of row `r` (contiguous, cols() doubles).
-  const double* row(size_t r) const { return &data_[r * cols_]; }
-  double* row(size_t r) { return &data_[r * cols_]; }
+  /// Pointer to the start of row `r` (contiguous, cols() doubles; no
+  /// element to read when cols() is 0).
+  const double* row(size_t r) const { return data_.data() + r * cols_; }
+  double* row(size_t r) { return data_.data() + r * cols_; }
 
  private:
   size_t rows_;

@@ -2,19 +2,19 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "src/common/logging.h"
-#include "src/optimizer/median_imputation.h"
 #include "src/optimizer/random_sampler.h"
-#include "src/surrogate/gaussian_process.h"
-#include "src/surrogate/random_forest.h"
 
 namespace hypertune {
+namespace {
 
-std::optional<Configuration> MaximizeAcquisition(
+/// MaximizeAcquisition's search, inside its span.
+std::optional<Configuration> SearchCandidates(
     const ConfigurationSpace& space, const MeasurementStore& store,
     const Surrogate& model, double best_objective, int seed_level,
-    const AcquisitionMaximizerOptions& options, Rng* rng) {
+    const BoSamplerOptions& options, Observability* obs, Rng* rng) {
   std::vector<Configuration> candidates;
   candidates.reserve(static_cast<size_t>(options.num_candidates) +
                      static_cast<size_t>(options.num_local_seeds *
@@ -41,10 +41,11 @@ std::optional<Configuration> MaximizeAcquisition(
 
   // Batched scoring: filter out candidates already measured or pending (to
   // avoid duplicate proposals in small discrete spaces), encode the rest
-  // into one design matrix, and run a single PredictBatch pass instead of
-  // rebuilding the model's prediction machinery per candidate. Candidate
-  // order is preserved and the winner is still the first strictly-greater
-  // maximum, so the proposal matches the old per-candidate loop exactly.
+  // straight into the rows of one design matrix, and run a single
+  // PredictBatch pass instead of rebuilding the model's prediction
+  // machinery per candidate. Candidate order is preserved and the winner is
+  // still the first strictly-greater maximum, so the proposal matches the
+  // old per-candidate loop exactly.
   std::vector<size_t> eligible;
   eligible.reserve(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -52,14 +53,10 @@ std::optional<Configuration> MaximizeAcquisition(
   }
   if (eligible.empty()) return std::nullopt;
 
-  Observability* obs = options.obs;
   if (obs != nullptr) obs->trace.BeginSpan("acq encode");
-  Matrix encoded(eligible.size(), space.size(), 0.0);
+  Matrix encoded(eligible.size(), space.size());
   for (size_t e = 0; e < eligible.size(); ++e) {
-    std::vector<double> row = space.Encode(candidates[eligible[e]]);
-    HT_CHECK(row.size() == space.size()) << "encode width != space size";
-    double* dst = encoded.row(e);
-    for (size_t d = 0; d < row.size(); ++d) dst[d] = row[d];
+    space.EncodeInto(candidates[eligible[e]], encoded.row(e));
   }
   if (obs != nullptr) {
     obs->trace.EndSpan("acq encode");
@@ -80,6 +77,46 @@ std::optional<Configuration> MaximizeAcquisition(
   }
   if (best == nullptr) return std::nullopt;
   return *best;
+}
+
+}  // namespace
+
+std::optional<Configuration> MaximizeAcquisition(
+    const ConfigurationSpace& space, const MeasurementStore& store,
+    const Surrogate& model, double best_objective, int seed_level,
+    const BoSamplerOptions& options, Observability* obs, Rng* rng) {
+  const double start = obs != nullptr ? obs->trace.Now() : 0.0;
+  if (obs != nullptr) obs->trace.BeginSpan("acquisition");
+  std::optional<Configuration> best = SearchCandidates(
+      space, store, model, best_objective, seed_level, options, obs, rng);
+  if (obs != nullptr) {
+    obs->trace.EndSpan("acquisition");
+    obs->metrics.Increment("sampler.acquisition_calls");
+    obs->metrics.Observe("sampler.acquisition_seconds",
+                         obs->trace.Now() - start);
+  }
+  return best;
+}
+
+std::unique_ptr<Surrogate> FitTraced(SurrogateKind kind,
+                                     const ConfigurationSpace& space,
+                                     uint64_t seed, const SurrogateData& data,
+                                     int level, Observability* obs) {
+  std::unique_ptr<Surrogate> model =
+      MakeSurrogate(kind, space.CategoricalMask(), seed);
+  const std::string span = "fit surrogate L" + std::to_string(level);
+  const double start = obs != nullptr ? obs->trace.Now() : 0.0;
+  if (obs != nullptr) obs->trace.BeginSpan(span);
+  const bool fit_ok = model->Fit(data.x, data.y).ok();
+  if (obs != nullptr) {
+    obs->trace.EndSpan(span);
+    obs->metrics.Increment("sampler.fits");
+    obs->metrics.Observe("sampler.fit_seconds", obs->trace.Now() - start);
+    obs->metrics.Observe("sampler.fit_points",
+                         static_cast<double>(data.x.rows()));
+  }
+  if (!fit_ok) return nullptr;
+  return model;
 }
 
 BoSampler::BoSampler(const ConfigurationSpace* space,
@@ -117,23 +154,6 @@ Status BoSampler::RestoreState(WireDecoder* dec) {
   return Status::Ok();
 }
 
-std::unique_ptr<Surrogate> BoSampler::MakeSurrogate() const {
-  if (options_.surrogate == SurrogateKind::kGaussianProcess) {
-    GaussianProcessOptions gp;
-    gp.seed = options_.seed;
-    return std::make_unique<GaussianProcess>(gp);
-  }
-  RandomForestOptions rf;
-  rf.seed = options_.seed;
-  auto forest = std::make_unique<RandomForest>(rf);
-  std::vector<bool> categorical(space_->size(), false);
-  for (size_t i = 0; i < space_->size(); ++i) {
-    categorical[i] = space_->parameter(i).is_categorical();
-  }
-  forest->SetCategoricalFeatures(std::move(categorical));
-  return forest;
-}
-
 bool BoSampler::EnsureModel() {
   int level = store_->HighestLevelWith(options_.min_points);
   if (level == 0) return false;
@@ -147,20 +167,9 @@ bool BoSampler::EnsureModel() {
       options_.impute_pending
           ? BuildSurrogateDataWithPendingMedian(*space_, *store_, level)
           : BuildSurrogateData(*space_, *store_, level);
-  auto model = MakeSurrogate();
-  const std::string span = "fit surrogate L" + std::to_string(level);
-  const double fit_start = obs_ != nullptr ? obs_->trace.Now() : 0.0;
-  if (obs_ != nullptr) obs_->trace.BeginSpan(span);
-  const bool fit_ok = model->Fit(data.x, data.y).ok();
-  if (obs_ != nullptr) {
-    obs_->trace.EndSpan(span);
-    obs_->metrics.Increment("sampler.fits");
-    obs_->metrics.Observe("sampler.fit_seconds",
-                          obs_->trace.Now() - fit_start);
-    obs_->metrics.Observe("sampler.fit_points",
-                          static_cast<double>(data.x.size()));
-  }
-  if (!fit_ok) return false;
+  std::unique_ptr<Surrogate> model =
+      FitTraced(options_.surrogate, *space_, options_.seed, data, level, obs_);
+  if (model == nullptr) return false;
 
   model_ = std::move(model);
   fitted_version_ = store_->version();
@@ -170,22 +179,9 @@ bool BoSampler::EnsureModel() {
 }
 
 Configuration BoSampler::ProposeFromModel() {
-  AcquisitionMaximizerOptions opts;
-  opts.acquisition = options_.acquisition;
-  opts.num_candidates = options_.num_candidates;
-  opts.num_local_seeds = options_.num_local_seeds;
-  opts.neighbors_per_seed = options_.neighbors_per_seed;
-  opts.obs = obs_;
-  const double acq_start = obs_ != nullptr ? obs_->trace.Now() : 0.0;
-  if (obs_ != nullptr) obs_->trace.BeginSpan("acquisition");
-  std::optional<Configuration> proposal = MaximizeAcquisition(
-      *space_, *store_, *model_, fit_best_, last_fit_level_, opts, &rng_);
-  if (obs_ != nullptr) {
-    obs_->trace.EndSpan("acquisition");
-    obs_->metrics.Increment("sampler.acquisition_calls");
-    obs_->metrics.Observe("sampler.acquisition_seconds",
-                          obs_->trace.Now() - acq_start);
-  }
+  std::optional<Configuration> proposal =
+      MaximizeAcquisition(*space_, *store_, *model_, fit_best_,
+                          last_fit_level_, options_, obs_, &rng_);
   if (proposal.has_value()) return *std::move(proposal);
   // Every candidate was a duplicate: fall back to (deduplicated) random.
   RandomSampler fallback(space_, store_,

@@ -6,17 +6,12 @@
 #include <optional>
 
 #include "src/common/rng.h"
+#include "src/optimizer/median_imputation.h"
 #include "src/optimizer/sampler.h"
 #include "src/surrogate/acquisition.h"
 #include "src/surrogate/surrogate.h"
 
 namespace hypertune {
-
-/// Which probabilistic model a BO-style sampler fits.
-enum class SurrogateKind {
-  kRandomForest,     ///< robust default for mixed/categorical spaces
-  kGaussianProcess,  ///< preferable for small continuous spaces
-};
 
 /// Options shared by the model-based samplers.
 struct BoSamplerOptions {
@@ -40,29 +35,33 @@ struct BoSamplerOptions {
   uint64_t seed = 0;
 };
 
-/// Options for MaximizeAcquisition.
-struct AcquisitionMaximizerOptions {
-  AcquisitionOptions acquisition;
-  int num_candidates = 300;
-  int num_local_seeds = 5;
-  int neighbors_per_seed = 6;
-  /// When set, the encode and batched-predict stages are timed as nested
-  /// trace spans ("acq encode", "acq predict") inside the caller's
-  /// acquisition span. Purely observational.
-  Observability* obs = nullptr;
-};
-
-/// Maximizes an acquisition function over a candidate pool of uniform
-/// samples plus neighbors of the best configurations in measurement group
-/// `seed_level` (0 to skip local seeding). Candidates that are already
-/// measured or pending in `store` are excluded; the rest are encoded into
-/// one design matrix and scored with a single PredictBatch pass (bit-
-/// identical to the per-candidate loop). Returns nullopt when every
-/// candidate is a duplicate. Shared by BoSampler and MfesSampler.
+/// Maximizes an acquisition function over a candidate pool of
+/// `options.num_candidates` uniform samples plus `options.neighbors_per_seed`
+/// neighbors of each of the `options.num_local_seeds` best configurations in
+/// measurement group `seed_level` (0 to skip local seeding), scored with
+/// `options.acquisition`. Candidates that are already measured or pending in
+/// `store` are excluded; the rest are encoded into one design matrix and
+/// scored with a single PredictBatch pass (bit-identical to the
+/// per-candidate loop). Returns nullopt when every candidate is a
+/// duplicate. With a sink, the search is the trace span "acquisition" (with
+/// nested "acq encode" and "acq predict" spans) and counts in the
+/// sampler.acquisition_calls and sampler.acquisition_seconds metrics. Shared
+/// by BoSampler and MfesSampler.
 std::optional<Configuration> MaximizeAcquisition(
     const ConfigurationSpace& space, const MeasurementStore& store,
     const Surrogate& model, double best_objective, int seed_level,
-    const AcquisitionMaximizerOptions& options, Rng* rng);
+    const BoSamplerOptions& options, Observability* obs, Rng* rng);
+
+/// A fresh surrogate of `kind` (MakeSurrogate with `space`'s categorical
+/// mask and `seed`) fitted on `data`, the training data of measurement group
+/// `level`; null when the fit fails. With a sink, the fit is the trace span
+/// "fit surrogate L<level>" and counts in the sampler.fits,
+/// sampler.fit_seconds and sampler.fit_points metrics. Shared by BoSampler
+/// and MfesSampler.
+std::unique_ptr<Surrogate> FitTraced(SurrogateKind kind,
+                                     const ConfigurationSpace& space,
+                                     uint64_t seed, const SurrogateData& data,
+                                     int level, Observability* obs);
 
 /// Bayesian-optimization sampler ("BO"/"A-BO" baselines, and the model
 /// inside BOHB): fits a surrogate on the highest-fidelity measurement group
@@ -93,9 +92,6 @@ class BoSampler : public Sampler {
   [[nodiscard]] Status RestoreState(WireDecoder* dec) override;
 
  private:
-  /// Returns a fresh surrogate of the configured kind.
-  std::unique_ptr<Surrogate> MakeSurrogate() const;
-
   /// Refits the surrogate if the store changed; returns false when there is
   /// not enough data to model.
   bool EnsureModel();

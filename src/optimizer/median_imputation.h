@@ -4,13 +4,15 @@
 #include <vector>
 
 #include "src/config/space.h"
+#include "src/linalg/matrix.h"
 #include "src/runtime/measurement_store.h"
 
 namespace hypertune {
 
-/// Training data for a surrogate: encoded design matrix plus targets.
+/// Training data for a surrogate: encoded design matrix (one configuration
+/// per row, encoded in place) plus targets.
 struct SurrogateData {
-  std::vector<std::vector<double>> x;
+  Matrix x;
   std::vector<double> y;
   size_t num_real = 0;     ///< measurements (prefix of x/y)
   size_t num_imputed = 0;  ///< imputed pending evaluations (suffix)

@@ -3,10 +3,7 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
-#include "src/optimizer/median_imputation.h"
 #include "src/optimizer/random_sampler.h"
-#include "src/surrogate/gaussian_process.h"
-#include "src/surrogate/random_forest.h"
 
 namespace hypertune {
 
@@ -23,24 +20,6 @@ MfesSampler::MfesSampler(const ConfigurationSpace* space,
   if (options_.bo.min_points == 0) {
     options_.bo.min_points = std::max<size_t>(space_->size() + 1, 6);
   }
-}
-
-std::unique_ptr<Surrogate> MfesSampler::MakeBaseSurrogate(int level) const {
-  uint64_t seed = CombineSeeds(options_.bo.seed, static_cast<uint64_t>(level));
-  if (options_.bo.surrogate == SurrogateKind::kGaussianProcess) {
-    GaussianProcessOptions gp;
-    gp.seed = seed;
-    return std::make_unique<GaussianProcess>(gp);
-  }
-  RandomForestOptions rf;
-  rf.seed = seed;
-  auto forest = std::make_unique<RandomForest>(rf);
-  std::vector<bool> categorical(space_->size(), false);
-  for (size_t i = 0; i < space_->size(); ++i) {
-    categorical[i] = space_->parameter(i).is_categorical();
-  }
-  forest->SetCategoricalFeatures(std::move(categorical));
-  return forest;
 }
 
 bool MfesSampler::EnsureEnsemble() {
@@ -87,21 +66,11 @@ bool MfesSampler::EnsureEnsemble() {
         (is_high && options_.bo.impute_pending)
             ? BuildSurrogateDataWithPendingMedian(*space_, *store_, level)
             : BuildSurrogateData(*space_, *store_, level);
-    auto model = MakeBaseSurrogate(level);
-    const std::string span = "fit surrogate L" + std::to_string(level);
-    const double fit_start =
-        obs_ != nullptr ? obs_->trace.Now() : 0.0;
-    if (obs_ != nullptr) obs_->trace.BeginSpan(span);
-    const bool fit_ok = model->Fit(data.x, data.y).ok();
-    if (obs_ != nullptr) {
-      obs_->trace.EndSpan(span);
-      obs_->metrics.Increment("sampler.fits");
-      obs_->metrics.Observe("sampler.fit_seconds",
-                            obs_->trace.Now() - fit_start);
-      obs_->metrics.Observe("sampler.fit_points",
-                            static_cast<double>(data.x.size()));
-    }
-    if (fit_ok) {
+    std::unique_ptr<Surrogate> model = FitTraced(
+        options_.bo.surrogate, *space_,
+        CombineSeeds(options_.bo.seed, static_cast<uint64_t>(level)), data,
+        level, obs_);
+    if (model != nullptr) {
       base_[static_cast<size_t>(level - 1)] = std::move(model);
       fitted_sizes_[static_cast<size_t>(level - 1)] = group.size();
       if (is_high) {
@@ -144,22 +113,9 @@ Configuration MfesSampler::Sample(int target_level) {
     return random.Sample(target_level);
   }
 
-  AcquisitionMaximizerOptions opts;
-  opts.acquisition = options_.bo.acquisition;
-  opts.num_candidates = options_.bo.num_candidates;
-  opts.num_local_seeds = options_.bo.num_local_seeds;
-  opts.neighbors_per_seed = options_.bo.neighbors_per_seed;
-  opts.obs = obs_;
-  const double acq_start = obs_ != nullptr ? obs_->trace.Now() : 0.0;
-  if (obs_ != nullptr) obs_->trace.BeginSpan("acquisition");
-  std::optional<Configuration> proposal = MaximizeAcquisition(
-      *space_, *store_, ensemble_, fit_best_, best_level_, opts, &rng_);
-  if (obs_ != nullptr) {
-    obs_->trace.EndSpan("acquisition");
-    obs_->metrics.Increment("sampler.acquisition_calls");
-    obs_->metrics.Observe("sampler.acquisition_seconds",
-                          obs_->trace.Now() - acq_start);
-  }
+  std::optional<Configuration> proposal =
+      MaximizeAcquisition(*space_, *store_, ensemble_, fit_best_, best_level_,
+                          options_.bo, obs_, &rng_);
   if (proposal.has_value()) return *std::move(proposal);
   RandomSampler fallback(space_, store_,
                          CombineSeeds(options_.bo.seed, store_->version()));

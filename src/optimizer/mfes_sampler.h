@@ -49,8 +49,6 @@ class MfesSampler : public Sampler {
   const std::vector<double>& last_theta() const { return last_theta_; }
 
  private:
-  std::unique_ptr<Surrogate> MakeBaseSurrogate(int level) const;
-
   /// Refits base surrogates and the ensemble when the store changed.
   /// Returns false when no level has enough data to model.
   bool EnsureEnsemble();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -35,52 +34,23 @@ KernelPhiParams ClampedKernelParams(const std::vector<double>& phi,
 GaussianProcess::GaussianProcess(GaussianProcessOptions options)
     : options_(std::move(options)) {}
 
-Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
-                            const std::vector<double>& y) {
-  if (x.size() != y.size()) {
+Status GaussianProcess::Fit(const Matrix& x, const std::vector<double>& y) {
+  if (x.rows() != y.size()) {
     return Status::InvalidArgument("GP: |x| != |y|");
   }
-  if (x.empty()) {
+  if (x.rows() == 0) {
     return Status::InvalidArgument("GP: empty training set");
   }
-  const size_t dim = x[0].size();
-  for (const auto& row : x) {
-    if (row.size() != dim) {
-      return Status::InvalidArgument("GP: ragged design matrix");
-    }
-  }
+  const size_t dim = x.cols();
   fitted_ = false;
 
-  // Subsample if over the cap: keep the best half and the most recent half.
-  std::vector<size_t> keep(x.size());
-  std::iota(keep.begin(), keep.end(), 0);
-  if (x.size() > options_.max_points) {
-    std::vector<size_t> by_value = keep;
-    std::sort(by_value.begin(), by_value.end(),
-              [&](size_t a, size_t b) { return y[a] < y[b]; });
-    size_t half = options_.max_points / 2;
-    std::vector<bool> selected(x.size(), false);
-    for (size_t i = 0; i < half; ++i) selected[by_value[i]] = true;
-    // Most recent observations fill the remainder.
-    for (size_t i = x.size(); i > 0 && half < options_.max_points; --i) {
-      if (!selected[i - 1]) {
-        selected[i - 1] = true;
-        ++half;
-      }
-    }
-    keep.clear();
-    for (size_t i = 0; i < x.size(); ++i) {
-      if (selected[i]) keep.push_back(i);
-    }
-  }
-
-  x_.clear();
-  y_raw_.clear();
-  x_.reserve(keep.size());
-  y_raw_.reserve(keep.size());
-  for (size_t i : keep) {
-    x_.push_back(x[i]);
-    y_raw_.push_back(y[i]);
+  // Subsample over the cap to bound the O(n^3) cost.
+  const std::vector<size_t> keep = KeepBestAndRecent(y, options_.max_points);
+  x_ = Matrix(keep.size(), dim);
+  y_raw_.resize(keep.size());
+  for (size_t j = 0; j < keep.size(); ++j) {
+    std::copy_n(x.row(keep[j]), dim, x_.row(j));
+    y_raw_[j] = y[keep[j]];
   }
 
   y_mean_ = Mean(y_raw_);
@@ -99,14 +69,14 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
   // Seed by the *total* observation count, not the kept count: once the
   // max_points cap binds the kept count is constant, and seeding by it
   // would replay the same restart points on every refit.
-  last_restart_seed_ = CombineSeeds(options_.seed, x.size());
+  last_restart_seed_ = CombineSeeds(options_.seed, x.rows());
 
   // Pairwise differences are hyper-parameter-independent, so one block set
   // serves every likelihood evaluation of the search below and the final
   // factorization.
   const KernelDiffBlocks blocks = BuildKernelDiffBlocks(x_);
 
-  if (options_.optimize_hyperparameters && x_.size() >= 3) {
+  if (options_.optimize_hyperparameters && x_.rows() >= 3) {
     // phi = [log l_1..d, log s2, log n2]
     std::vector<double> best_phi(dim + 2);
     for (size_t i = 0; i < dim; ++i) best_phi[i] = std::log(0.5);
@@ -167,8 +137,7 @@ Status GaussianProcess::Fit(const std::vector<std::vector<double>>& x,
 
 double GaussianProcess::Lml(const std::vector<double>& phi,
                             const KernelDiffBlocks& blocks) const {
-  const size_t dim = x_[0].size();
-  KernelPhiParams params = ClampedKernelParams(phi, dim);
+  KernelPhiParams params = ClampedKernelParams(phi, x_.cols());
   Matern52Kernel kernel(std::move(params.lengthscales),
                         params.signal_variance);
   Matrix k = kernel.GramMatrix(blocks);
@@ -209,10 +178,10 @@ Status GaussianProcess::Append(const std::vector<double>& x, double y) {
   if (!fitted_) {
     return Status::FailedPrecondition("GP::Append before Fit");
   }
-  if (x.size() != x_[0].size()) {
+  if (x.size() != x_.cols()) {
     return Status::InvalidArgument("GP::Append: dimension mismatch");
   }
-  if (x_.size() >= options_.max_points) {
+  if (x_.rows() >= options_.max_points) {
     return Status::FailedPrecondition(
         "GP::Append past the subsample cap; refit instead");
   }
@@ -223,7 +192,9 @@ Status GaussianProcess::Append(const std::vector<double>& x, double y) {
   // noise, and the factorization adds the jitter the current factor used.
   double kss = (signal_variance_ + noise_variance_) + jitter_used_;
   HT_RETURN_IF_ERROR(chol_.UpdateAppend(k, kss));
-  x_.push_back(x);
+  const size_t n = x_.rows();
+  x_.Resize(n + 1, x_.cols());  // same width: the kept rows stay in place
+  std::copy(x.begin(), x.end(), x_.row(n));
   y_raw_.push_back(y);
   RecomputePosterior();
   return Status::Ok();
@@ -246,7 +217,7 @@ Prediction GaussianProcess::Predict(const std::vector<double>& x) const {
 
 std::vector<Prediction> GaussianProcess::PredictBatch(const Matrix& x) const {
   HT_CHECK(fitted_) << "GP::PredictBatch before Fit";
-  HT_CHECK(x.cols() == x_[0].size()) << "GP::PredictBatch: dimension mismatch";
+  HT_CHECK(x.cols() == x_.cols()) << "GP::PredictBatch: dimension mismatch";
   const size_t m = x.rows();
   std::vector<Prediction> out(m);
   if (m == 0) return out;
@@ -266,7 +237,7 @@ std::vector<Prediction> GaussianProcess::PredictBatch(const Matrix& x) const {
   chol_.SolveLowerMultiInPlace(&kstar);  // kstar now holds v
   const Matrix& v = kstar;
   Vector vv(m, 0.0);
-  for (size_t i = 0; i < x_.size(); ++i) {
+  for (size_t i = 0; i < x_.rows(); ++i) {
     const double* vrow = v.row(i);
     for (size_t j = 0; j < m; ++j) vv[j] += vrow[j] * vrow[j];
   }

@@ -19,8 +19,8 @@ struct GaussianProcessOptions {
   int num_restarts = 16;
   /// Coordinate-refinement sweeps after the random search.
   int refine_sweeps = 2;
-  /// Training points beyond this cap are subsampled (keeping the best and
-  /// most recent) to bound the O(n^3) cost.
+  /// Training points beyond this cap are subsampled (KeepBestAndRecent) to
+  /// bound the O(n^3) cost.
   size_t max_points = 300;
   /// Seed for the (deterministic) hyper-parameter search.
   uint64_t seed = 0;
@@ -54,12 +54,12 @@ class GaussianProcess : public Surrogate {
  public:
   explicit GaussianProcess(GaussianProcessOptions options = {});
 
-  [[nodiscard]] Status Fit(const std::vector<std::vector<double>>& x,
-             const std::vector<double>& y) override;
+  [[nodiscard]] Status Fit(const Matrix& x,
+                           const std::vector<double>& y) override;
   Prediction Predict(const std::vector<double>& x) const override;
   std::vector<Prediction> PredictBatch(const Matrix& x) const override;
   bool fitted() const override { return fitted_; }
-  size_t num_observations() const override { return x_.size(); }
+  size_t num_observations() const override { return x_.rows(); }
 
   /// Extends the fitted posterior with one observation in O(n^2) via the
   /// incremental Cholesky update, keeping the current hyper-parameters.
@@ -101,7 +101,7 @@ class GaussianProcess : public Surrogate {
   GaussianProcessOptions options_;
   bool fitted_ = false;
 
-  std::vector<std::vector<double>> x_;
+  Matrix x_;                   // kept rows
   std::vector<double> y_raw_;  // kept raw targets
   std::vector<double> y_std_;  // standardized targets
   double y_mean_ = 0.0;

@@ -150,39 +150,42 @@ double Matern52Kernel::operator()(const std::vector<double>& a,
                                   const std::vector<double>& b) const {
   HT_CHECK(a.size() == dim() && b.size() == dim())
       << "kernel input dimension mismatch";
+  return Eval(a.data(), b.data());
+}
+
+double Matern52Kernel::Eval(const double* a, const double* b) const {
   double r2 = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
+  for (size_t i = 0; i < lengthscales_.size(); ++i) {
     double d = (a[i] - b[i]) / lengthscales_[i];
     r2 += d * d;
   }
-  static const double kSqrt5 = 2.23606797749979;
   double r = std::sqrt(r2);
   return signal_variance_ * (1.0 + kSqrt5 * r + 5.0 * r2 / 3.0) *
          std::exp(-kSqrt5 * r);
 }
 
 double Matern52Kernel::FromDiffs(const double* diffs) const {
-  // Same expression sequence as operator(): the stored value is the raw
+  // Same expression sequence as Eval: the stored value is the raw
   // difference, so d = diffs[i] / l_i reproduces (a_i - b_i) / l_i exactly.
   double r2 = 0.0;
   for (size_t i = 0; i < lengthscales_.size(); ++i) {
     double d = diffs[i] / lengthscales_[i];
     r2 += d * d;
   }
-  static const double kSqrt5 = 2.23606797749979;
   double r = std::sqrt(r2);
   return signal_variance_ * (1.0 + kSqrt5 * r + 5.0 * r2 / 3.0) *
          std::exp(-kSqrt5 * r);
 }
 
-Matrix Matern52Kernel::GramMatrix(
-    const std::vector<std::vector<double>>& x) const {
-  size_t n = x.size();
+Matrix Matern52Kernel::GramMatrix(const Matrix& x) const {
+  HT_CHECK(x.rows() == 0 || x.cols() == dim())
+      << "kernel input dimension mismatch";
+  size_t n = x.rows();
   Matrix k(n, n, 0.0);
   for (size_t i = 0; i < n; ++i) {
     k(i, i) = signal_variance_;
     for (size_t j = i + 1; j < n; ++j) {
-      double v = (*this)(x[i], x[j]);
+      double v = Eval(x.row(i), x.row(j));
       k(i, j) = v;
       k(j, i) = v;
     }
@@ -191,8 +194,8 @@ Matrix Matern52Kernel::GramMatrix(
 }
 
 Matrix Matern52Kernel::GramMatrix(const KernelDiffBlocks& blocks) const {
-  // Blocks of an empty set carry no dimension; like GramMatrix(x), they
-  // give the empty matrix.
+  // Like GramMatrix(x), the blocks of an empty set give the empty matrix
+  // whatever their dimension.
   HT_CHECK(blocks.num_points == 0 || blocks.dim == dim())
       << "diff blocks dimension mismatch";
   const size_t n = blocks.num_points;
@@ -212,24 +215,19 @@ Matrix Matern52Kernel::GramMatrix(const KernelDiffBlocks& blocks) const {
 }
 
 Vector Matern52Kernel::CrossCovariance(
-    const std::vector<std::vector<double>>& x,
-    const std::vector<double>& query) const {
-  Vector k(x.size(), 0.0);
-  for (size_t i = 0; i < x.size(); ++i) k[i] = (*this)(x[i], query);
+    const Matrix& x, const std::vector<double>& query) const {
+  HT_CHECK(query.size() == dim() && (x.rows() == 0 || x.cols() == dim()))
+      << "kernel input dimension mismatch";
+  Vector k(x.rows(), 0.0);
+  for (size_t i = 0; i < x.rows(); ++i) k[i] = Eval(x.row(i), query.data());
   return k;
 }
 
-Matrix Matern52Kernel::CrossCovariance(
-    const std::vector<std::vector<double>>& x, const Matrix& queries) const {
-  Matrix k;
-  CrossCovariance(x, queries, &k);
-  return k;
-}
-
-void Matern52Kernel::CrossCovariance(const std::vector<std::vector<double>>& x,
-                                     const Matrix& queries, Matrix* out) const {
-  HT_CHECK(queries.cols() == dim()) << "query dimension mismatch";
-  const size_t n = x.size();
+void Matern52Kernel::CrossCovariance(const Matrix& x, const Matrix& queries,
+                                     Matrix* out) const {
+  HT_CHECK(queries.cols() == dim() && (x.rows() == 0 || x.cols() == dim()))
+      << "query dimension mismatch";
+  const size_t n = x.rows();
   const size_t m = queries.rows();
   const size_t d = lengthscales_.size();
   Matrix& k = *out;
@@ -247,7 +245,7 @@ void Matern52Kernel::CrossCovariance(const std::vector<std::vector<double>>& x,
   std::vector<double> scale(m);
   std::vector<double> targ(m);
   for (size_t i = 0; i < n; ++i) {
-    const std::vector<double>& xi = x[i];
+    const double* xi = x.row(i);
     if (d == 0) {
       std::fill(r2.begin(), r2.end(), 0.0);
     } else {
@@ -266,19 +264,18 @@ void Matern52Kernel::CrossCovariance(const std::vector<std::vector<double>>& x,
   }
 }
 
-KernelDiffBlocks BuildKernelDiffBlocks(
-    const std::vector<std::vector<double>>& x) {
+KernelDiffBlocks BuildKernelDiffBlocks(const Matrix& x) {
   KernelDiffBlocks blocks;
-  blocks.num_points = x.size();
-  blocks.dim = x.empty() ? 0 : x[0].size();
-  const size_t n = x.size();
+  blocks.num_points = x.rows();
+  blocks.dim = x.cols();
+  const size_t n = x.rows();
   if (n < 2) return blocks;
   blocks.diffs.resize(n * (n - 1) / 2 * blocks.dim);
   double* out = blocks.diffs.data();
   for (size_t i = 0; i < n; ++i) {
-    const std::vector<double>& a = x[i];
+    const double* a = x.row(i);
     for (size_t j = i + 1; j < n; ++j) {
-      const std::vector<double>& b = x[j];
+      const double* b = x.row(j);
       for (size_t d = 0; d < blocks.dim; ++d) *out++ = a[d] - b[d];
     }
   }

@@ -47,8 +47,8 @@ class Matern52Kernel {
   /// Covariance from a precomputed difference vector (dim() doubles).
   double FromDiffs(const double* diffs) const;
 
-  /// Gram matrix K with K_ij = k(x_i, x_j).
-  Matrix GramMatrix(const std::vector<std::vector<double>>& x) const;
+  /// Gram matrix K with K_ij = k(row i of x, row j of x).
+  Matrix GramMatrix(const Matrix& x) const;
 
   /// Gram matrix from precomputed pairwise differences; bit-identical to
   /// GramMatrix(x) for the training set the blocks were built from.
@@ -56,32 +56,30 @@ class Matern52Kernel {
   /// candidate of its hyper-parameter search through this overload.
   Matrix GramMatrix(const KernelDiffBlocks& blocks) const;
 
-  /// Cross-covariance vector k(x_*, x_i) for all training points.
-  Vector CrossCovariance(const std::vector<std::vector<double>>& x,
+  /// Cross-covariance vector k(x_*, row i of x) for all training rows.
+  Vector CrossCovariance(const Matrix& x,
                          const std::vector<double>& query) const;
 
-  /// Batch cross-covariance: K_* with K_*(i, j) = k(x_i, q_j) for query row
-  /// j of `queries` (one encoded candidate per row). Column j is
-  /// bit-identical to CrossCovariance(x, queries row j).
-  Matrix CrossCovariance(const std::vector<std::vector<double>>& x,
-                         const Matrix& queries) const;
-
   /// Batch cross-covariance into a caller-owned buffer: `out` is reshaped
-  /// to |x| rows by queries.rows() columns and every entry is overwritten.
-  /// Identical values to the returning overload; exists so hot callers can
-  /// reuse one scratch matrix across calls instead of re-faulting a fresh
-  /// allocation per sweep.
-  void CrossCovariance(const std::vector<std::vector<double>>& x,
-                       const Matrix& queries, Matrix* out) const;
+  /// to x.rows() by queries.rows() and every entry is overwritten, with
+  /// out(i, j) = k(row i of x, row j of queries). Column j is bit-identical
+  /// to CrossCovariance(x, row j of queries). Hot callers reuse one scratch
+  /// matrix across calls instead of re-faulting a fresh allocation per
+  /// sweep.
+  void CrossCovariance(const Matrix& x, const Matrix& queries,
+                       Matrix* out) const;
 
  private:
+  /// The scalar kernel on two points of dim() doubles each.
+  double Eval(const double* a, const double* b) const;
+
   std::vector<double> lengthscales_;
   double signal_variance_;
 };
 
-/// Builds the pair-major difference blocks for a training set.
-KernelDiffBlocks BuildKernelDiffBlocks(
-    const std::vector<std::vector<double>>& x);
+/// Builds the pair-major difference blocks for a training set, one point
+/// per row of `x`.
+KernelDiffBlocks BuildKernelDiffBlocks(const Matrix& x);
 
 }  // namespace hypertune
 

@@ -37,8 +37,7 @@ void MfesEnsemble::SetMembers(std::vector<const Surrogate*> surrogates,
   }
 }
 
-Status MfesEnsemble::Fit(const std::vector<std::vector<double>>&,
-                         const std::vector<double>&) {
+Status MfesEnsemble::Fit(const Matrix&, const std::vector<double>&) {
   return Status::FailedPrecondition(
       "MfesEnsemble is assembled from pre-fitted base surrogates; fit the "
       "members and call SetMembers instead");

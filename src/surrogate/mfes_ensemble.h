@@ -34,8 +34,8 @@ class MfesEnsemble : public Surrogate {
 
   /// MfesEnsemble is combined from pre-fitted members; calling Fit is a
   /// contract violation and returns FailedPrecondition.
-  [[nodiscard]] Status Fit(const std::vector<std::vector<double>>& x,
-             const std::vector<double>& y) override;
+  [[nodiscard]] Status Fit(const Matrix& x,
+                           const std::vector<double>& y) override;
 
   Prediction Predict(const std::vector<double>& x) const override;
   std::vector<Prediction> PredictBatch(const Matrix& x) const override;

@@ -100,57 +100,26 @@ void RandomForest::SetCategoricalFeatures(std::vector<bool> categorical) {
   categorical_ = std::move(categorical);
 }
 
-Status RandomForest::Fit(const std::vector<std::vector<double>>& x,
-                         const std::vector<double>& y) {
-  if (x.size() != y.size()) {
+Status RandomForest::Fit(const Matrix& x, const std::vector<double>& y) {
+  if (x.rows() != y.size()) {
     return Status::InvalidArgument("RF: |x| != |y|");
   }
-  if (x.empty()) {
+  if (x.rows() == 0) {
     return Status::InvalidArgument("RF: empty training set");
   }
-  const size_t dim = x[0].size();
-  for (const auto& row : x) {
-    if (row.size() != dim) {
-      return Status::InvalidArgument("RF: ragged design matrix");
-    }
-  }
+  const size_t dim = x.cols();
   if (!categorical_.empty() && categorical_.size() != dim) {
     return Status::InvalidArgument("RF: categorical flag size mismatch");
   }
 
   fitted_ = false;
   trees_.clear();
-  num_observations_ = x.size();
+  num_observations_ = x.rows();
   trees_.resize(static_cast<size_t>(std::max(1, options_.num_trees)));
 
-  // Cap oversized training sets: keep the best half and most recent half.
-  std::vector<size_t> keep;
-  keep.reserve(std::min(x.size(), options_.max_points));
-  if (x.size() > options_.max_points && options_.max_points > 0) {
-    std::vector<size_t> by_value(x.size());
-    for (size_t i = 0; i < x.size(); ++i) by_value[i] = i;
-    std::sort(by_value.begin(), by_value.end(),
-              [&](size_t a, size_t b) { return y[a] < y[b]; });
-    std::vector<bool> selected(x.size(), false);
-    size_t kept = 0;
-    for (size_t i = 0; i < options_.max_points / 2; ++i) {
-      selected[by_value[i]] = true;
-      ++kept;
-    }
-    for (size_t i = x.size(); i > 0 && kept < options_.max_points; --i) {
-      if (!selected[i - 1]) {
-        selected[i - 1] = true;
-        ++kept;
-      }
-    }
-    for (size_t i = 0; i < x.size(); ++i) {
-      if (selected[i]) keep.push_back(i);
-    }
-  } else {
-    for (size_t i = 0; i < x.size(); ++i) keep.push_back(i);
-  }
-
-  // Transpose the kept rows once; row j of the data is x[keep[j]].
+  // Transpose the kept rows once; row j of the data is x row keep[j].
+  const std::vector<size_t> keep = KeepBestAndRecent(
+      y, options_.max_points > 0 ? options_.max_points : y.size());
   FitData data;
   const size_t rows = keep.size();
   data.rows = rows;
@@ -159,7 +128,7 @@ Status RandomForest::Fit(const std::vector<std::vector<double>>& x,
   data.y.resize(rows);
   data.y_squared.resize(rows);
   for (size_t j = 0; j < rows; ++j) {
-    const std::vector<double>& row = x[keep[j]];
+    const double* row = x.row(keep[j]);
     for (size_t f = 0; f < dim; ++f) data.columns[f * rows + j] = row[f];
     data.y[j] = y[keep[j]];
     data.y_squared[j] = data.y[j] * data.y[j];

@@ -20,8 +20,8 @@ struct RandomForestOptions {
   int thresholds_per_feature = 4;
   /// Train each tree on a bootstrap resample of the data.
   bool bootstrap = true;
-  /// Training sets beyond this cap are subsampled (keeping the best half
-  /// and the most recent half) to bound fitting cost.
+  /// Training sets beyond this cap are subsampled (KeepBestAndRecent) to
+  /// bound fitting cost; 0 keeps every row.
   size_t max_points = 800;
   uint64_t seed = 0;
 };
@@ -45,8 +45,8 @@ class RandomForest : public Surrogate {
   /// splits). Must be called before Fit; sizes must then match the data.
   void SetCategoricalFeatures(std::vector<bool> categorical);
 
-  [[nodiscard]] Status Fit(const std::vector<std::vector<double>>& x,
-             const std::vector<double>& y) override;
+  [[nodiscard]] Status Fit(const Matrix& x,
+                           const std::vector<double>& y) override;
   Prediction Predict(const std::vector<double>& x) const override;
   std::vector<Prediction> PredictBatch(const Matrix& x) const override;
   bool fitted() const override { return fitted_; }

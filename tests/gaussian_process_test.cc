@@ -10,6 +10,7 @@
 
 #include "src/common/rng.h"
 #include "src/surrogate/kernel.h"
+#include "tests/design_matrix.h"
 
 namespace hypertune {
 namespace {
@@ -41,8 +42,7 @@ TEST(KernelTest, ArdLengthscalesWeightDimensions) {
 
 TEST(KernelTest, GramMatrixIsSymmetricWithUnitDiagonal) {
   Matern52Kernel k({0.5}, 1.5);
-  std::vector<std::vector<double>> x = {{0.1}, {0.4}, {0.9}};
-  Matrix gram = k.GramMatrix(x);
+  Matrix gram = k.GramMatrix(DesignMatrix({{0.1}, {0.4}, {0.9}}));
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(gram(i, i), 1.5);
     for (size_t j = 0; j < 3; ++j) {
@@ -57,10 +57,8 @@ TEST(KernelTest, DiffBlocksGramMatchesDirectGram) {
   Rng rng(17);
   for (size_t dim : {1u, 6u}) {
     for (size_t n : {0u, 1u, 2u, 37u}) {
-      std::vector<std::vector<double>> x(n, std::vector<double>(dim));
-      for (auto& row : x) {
-        for (double& v : row) v = rng.Uniform(-2.0, 3.0);
-      }
+      Matrix x(n, dim);
+      for (double& v : x.data()) v = rng.Uniform(-2.0, 3.0);
       std::vector<double> lengthscales(dim);
       for (double& l : lengthscales) l = rng.Uniform(0.05, 2.0);
       Matern52Kernel kernel(std::move(lengthscales), 1.7);
@@ -83,9 +81,8 @@ TEST(KernelTest, DiffBlocksGramMatchesDirectGram) {
 
 TEST(GaussianProcessTest, RejectsBadInput) {
   GaussianProcess gp;
-  EXPECT_FALSE(gp.Fit({}, {}).ok());
-  EXPECT_FALSE(gp.Fit({{0.1}}, {1.0, 2.0}).ok());
-  EXPECT_FALSE(gp.Fit({{0.1}, {0.2, 0.3}}, {1.0, 2.0}).ok());
+  EXPECT_FALSE(gp.Fit(Matrix(), {}).ok());
+  EXPECT_FALSE(gp.Fit(Matrix(1, 1, 0.1), {1.0, 2.0}).ok());
   EXPECT_FALSE(gp.fitted());
 }
 
@@ -98,7 +95,7 @@ TEST(GaussianProcessTest, InterpolatesTrainingData) {
     y.push_back(Objective(v));
   }
   GaussianProcess gp;
-  ASSERT_TRUE(gp.Fit(x, y).ok());
+  ASSERT_TRUE(gp.Fit(DesignMatrix(x), y).ok());
   EXPECT_TRUE(gp.fitted());
   EXPECT_EQ(gp.num_observations(), 13u);
   for (size_t i = 0; i < x.size(); ++i) {
@@ -116,7 +113,7 @@ TEST(GaussianProcessTest, GeneralizesBetweenPoints) {
     y.push_back(Objective(v));
   }
   GaussianProcess gp;
-  ASSERT_TRUE(gp.Fit(x, y).ok());
+  ASSERT_TRUE(gp.Fit(DesignMatrix(x), y).ok());
   for (double v : {0.12, 0.47, 0.81}) {
     Prediction p = gp.Predict({v});
     EXPECT_NEAR(p.mean, Objective(v), 0.2) << "at " << v;
@@ -128,7 +125,7 @@ TEST(GaussianProcessTest, VarianceGrowsAwayFromData) {
   std::vector<double> y;
   for (const auto& xi : x) y.push_back(Objective(xi[0]));
   GaussianProcess gp;
-  ASSERT_TRUE(gp.Fit(x, y).ok());
+  ASSERT_TRUE(gp.Fit(DesignMatrix(x), y).ok());
   double var_inside = gp.Predict({0.5}).variance;
   double var_outside = gp.Predict({0.0}).variance;
   EXPECT_GT(var_outside, var_inside);
@@ -146,10 +143,10 @@ TEST(GaussianProcessTest, HyperparameterFitImprovesLikelihood) {
   GaussianProcessOptions fixed;
   fixed.optimize_hyperparameters = false;
   GaussianProcess gp_fixed(fixed);
-  ASSERT_TRUE(gp_fixed.Fit(x, y).ok());
+  ASSERT_TRUE(gp_fixed.Fit(DesignMatrix(x), y).ok());
 
   GaussianProcess gp_opt;  // optimization on by default
-  ASSERT_TRUE(gp_opt.Fit(x, y).ok());
+  ASSERT_TRUE(gp_opt.Fit(DesignMatrix(x), y).ok());
   EXPECT_GE(gp_opt.log_marginal_likelihood(),
             gp_fixed.log_marginal_likelihood());
 }
@@ -166,8 +163,8 @@ TEST(GaussianProcessTest, DeterministicGivenSeed) {
   GaussianProcessOptions options;
   options.seed = 11;
   GaussianProcess a(options), b(options);
-  ASSERT_TRUE(a.Fit(x, y).ok());
-  ASSERT_TRUE(b.Fit(x, y).ok());
+  ASSERT_TRUE(a.Fit(DesignMatrix(x), y).ok());
+  ASSERT_TRUE(b.Fit(DesignMatrix(x), y).ok());
   Prediction pa = a.Predict({0.33});
   Prediction pb = b.Predict({0.33});
   EXPECT_DOUBLE_EQ(pa.mean, pb.mean);
@@ -188,7 +185,7 @@ TEST(GaussianProcessTest, SubsamplesBeyondCap) {
     x.push_back({v});
     y.push_back(Objective(v));
   }
-  ASSERT_TRUE(gp.Fit(x, y).ok());
+  ASSERT_TRUE(gp.Fit(DesignMatrix(x), y).ok());
   EXPECT_EQ(gp.num_observations(), 50u);
   // Still a sane model.
   EXPECT_NEAR(gp.Predict({0.5}).mean, Objective(0.5), 0.4);
@@ -198,7 +195,7 @@ TEST(GaussianProcessTest, ConstantTargetsHandled) {
   std::vector<std::vector<double>> x = {{0.1}, {0.5}, {0.9}};
   std::vector<double> y = {2.0, 2.0, 2.0};
   GaussianProcess gp;
-  ASSERT_TRUE(gp.Fit(x, y).ok());
+  ASSERT_TRUE(gp.Fit(DesignMatrix(x), y).ok());
   EXPECT_NEAR(gp.Predict({0.3}).mean, 2.0, 1e-6);
 }
 
@@ -230,7 +227,7 @@ TEST(GaussianProcessTest, FitInstallsInBoundsParameters) {
     y.push_back(Objective(v));
   }
   GaussianProcess gp;
-  ASSERT_TRUE(gp.Fit(x, y).ok());
+  ASSERT_TRUE(gp.Fit(DesignMatrix(x), y).ok());
   // Installed parameters always lie in the clamped (scored) region.
   for (double l : gp.lengthscales()) {
     EXPECT_GE(l, std::exp(-6.0));
@@ -266,8 +263,8 @@ TEST(GaussianProcessTest, RestartSeedDerivedFromTotalCount) {
   GaussianProcess a(options), b(options);
   auto [xa, ya] = make_data(60);
   auto [xb, yb] = make_data(61);
-  ASSERT_TRUE(a.Fit(xa, ya).ok());
-  ASSERT_TRUE(b.Fit(xb, yb).ok());
+  ASSERT_TRUE(a.Fit(DesignMatrix(xa), ya).ok());
+  ASSERT_TRUE(b.Fit(DesignMatrix(xb), yb).ok());
   EXPECT_EQ(a.num_observations(), 50u);
   EXPECT_EQ(b.num_observations(), 50u);
   // The seed reflects the total observation count, not the kept count.

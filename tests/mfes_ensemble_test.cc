@@ -11,13 +11,15 @@ class StubSurrogate : public Surrogate {
   StubSurrogate(double mean, double variance, bool fitted = true)
       : mean_(mean), variance_(variance), fitted_(fitted) {}
 
-  Status Fit(const std::vector<std::vector<double>>&,
-             const std::vector<double>&) override {
+  Status Fit(const Matrix&, const std::vector<double>&) override {
     fitted_ = true;
     return Status::Ok();
   }
   Prediction Predict(const std::vector<double>&) const override {
     return Prediction{mean_, variance_};
+  }
+  std::vector<Prediction> PredictBatch(const Matrix& x) const override {
+    return std::vector<Prediction>(x.rows(), Prediction{mean_, variance_});
   }
   bool fitted() const override { return fitted_; }
   size_t num_observations() const override { return fitted_ ? 10 : 0; }
@@ -103,7 +105,7 @@ TEST(MfesEnsembleTest, NotFittedWithoutUsableMembers) {
 
 TEST(MfesEnsembleTest, DirectFitIsRefused) {
   MfesEnsemble ensemble;
-  EXPECT_EQ(ensemble.Fit({{0.1}}, {1.0}).code(),
+  EXPECT_EQ(ensemble.Fit(Matrix(1, 1, 0.1), {1.0}).code(),
             StatusCode::kFailedPrecondition);
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "tests/design_matrix.h"
 
 namespace hypertune {
 namespace {
@@ -17,12 +18,12 @@ double Smooth2d(double a, double b) {
 
 TEST(RandomForestTest, RejectsBadInput) {
   RandomForest rf;
-  EXPECT_FALSE(rf.Fit({}, {}).ok());
-  EXPECT_FALSE(rf.Fit({{0.1}}, {1.0, 2.0}).ok());
-  EXPECT_FALSE(rf.Fit({{0.1}, {0.2, 0.3}}, {1.0, 2.0}).ok());
+  EXPECT_FALSE(rf.Fit(Matrix(), {}).ok());
+  EXPECT_FALSE(rf.Fit(Matrix(1, 1, 0.1), {1.0, 2.0}).ok());
   RandomForest rf2;
   rf2.SetCategoricalFeatures({true});  // dim mismatch vs 2-feature data
-  EXPECT_FALSE(rf2.Fit({{0.1, 0.2}, {0.3, 0.4}}, {1.0, 2.0}).ok());
+  EXPECT_FALSE(
+      rf2.Fit(DesignMatrix({{0.1, 0.2}, {0.3, 0.4}}), {1.0, 2.0}).ok());
 }
 
 TEST(RandomForestTest, FitsSmoothFunction) {
@@ -35,7 +36,7 @@ TEST(RandomForestTest, FitsSmoothFunction) {
     y.push_back(Smooth2d(a, b));
   }
   RandomForest rf;
-  ASSERT_TRUE(rf.Fit(x, y).ok());
+  ASSERT_TRUE(rf.Fit(DesignMatrix(x), y).ok());
   EXPECT_TRUE(rf.fitted());
 
   double total_abs_err = 0.0;
@@ -58,7 +59,7 @@ TEST(RandomForestTest, IdentifiesTheMinimumRegion) {
     y.push_back(Smooth2d(a, b));
   }
   RandomForest rf;
-  ASSERT_TRUE(rf.Fit(x, y).ok());
+  ASSERT_TRUE(rf.Fit(DesignMatrix(x), y).ok());
   double at_min = rf.Predict({0.3, 0.7}).mean;
   double far = rf.Predict({0.95, 0.05}).mean;
   EXPECT_LT(at_min, far);
@@ -77,7 +78,7 @@ TEST(RandomForestTest, CategoricalSplitSeparatesGroups) {
   }
   RandomForest rf;
   rf.SetCategoricalFeatures({true, false});
-  ASSERT_TRUE(rf.Fit(x, y).ok());
+  ASSERT_TRUE(rf.Fit(DesignMatrix(x), y).ok());
   EXPECT_NEAR(rf.Predict({0.75, 0.5}).mean, 5.0, 0.5);
   EXPECT_NEAR(rf.Predict({0.25, 0.5}).mean, -5.0, 0.5);
 }
@@ -93,7 +94,7 @@ TEST(RandomForestTest, VarianceHigherInNoisyRegion) {
     y.push_back(a < 0.5 ? 1.0 : rng.Gaussian(1.0, 3.0));
   }
   RandomForest rf;
-  ASSERT_TRUE(rf.Fit(x, y).ok());
+  ASSERT_TRUE(rf.Fit(DesignMatrix(x), y).ok());
   EXPECT_GT(rf.Predict({0.9}).variance, rf.Predict({0.1}).variance);
 }
 
@@ -109,8 +110,8 @@ TEST(RandomForestTest, DeterministicGivenSeed) {
   RandomForestOptions options;
   options.seed = 17;
   RandomForest a(options), b(options);
-  ASSERT_TRUE(a.Fit(x, y).ok());
-  ASSERT_TRUE(b.Fit(x, y).ok());
+  ASSERT_TRUE(a.Fit(DesignMatrix(x), y).ok());
+  ASSERT_TRUE(b.Fit(DesignMatrix(x), y).ok());
   Prediction pa = a.Predict({0.42});
   Prediction pb = b.Predict({0.42});
   EXPECT_DOUBLE_EQ(pa.mean, pb.mean);
@@ -119,7 +120,7 @@ TEST(RandomForestTest, DeterministicGivenSeed) {
 
 TEST(RandomForestTest, SingleSampleBecomesLeaf) {
   RandomForest rf;
-  ASSERT_TRUE(rf.Fit({{0.5}}, {3.0}).ok());
+  ASSERT_TRUE(rf.Fit(DesignMatrix({{0.5}}), {3.0}).ok());
   Prediction p = rf.Predict({0.1});
   EXPECT_DOUBLE_EQ(p.mean, 3.0);
 }
@@ -136,7 +137,7 @@ TEST(RandomForestTest, CapLimitsTrainingSize) {
     x.push_back({a});
     y.push_back(Smooth2d(a, 0.7));
   }
-  ASSERT_TRUE(rf.Fit(x, y).ok());
+  ASSERT_TRUE(rf.Fit(DesignMatrix(x), y).ok());
   // Prediction remains reasonable despite the cap.
   EXPECT_NEAR(rf.Predict({0.3}).mean, Smooth2d(0.3, 0.7), 0.5);
 }
@@ -184,7 +185,7 @@ uint64_t FitAndDigest(RandomForestOptions options) {
   }
   RandomForest forest(options);
   forest.SetCategoricalFeatures({true, false, false, true, false, false});
-  EXPECT_TRUE(forest.Fit(x, y).ok());
+  EXPECT_TRUE(forest.Fit(DesignMatrix(x), y).ok());
 
   Matrix queries(97, 6);
   Rng query_rng(7);
@@ -251,7 +252,7 @@ TEST(RandomForestTest, PredictiveVarianceIsPositive) {
     y.push_back(a);
   }
   RandomForest rf;
-  ASSERT_TRUE(rf.Fit(x, y).ok());
+  ASSERT_TRUE(rf.Fit(DesignMatrix(x), y).ok());
   for (double v : {0.0, 0.25, 0.5, 0.75, 1.0}) {
     EXPECT_GT(rf.Predict({v}).variance, 0.0);
   }

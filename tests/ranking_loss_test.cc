@@ -6,18 +6,10 @@
 
 #include "src/allocator/fidelity_weights.h"
 #include "src/common/rng.h"
-#include "src/surrogate/random_forest.h"
+#include "tests/design_matrix.h"
 
 namespace hypertune {
 namespace {
-
-SurrogateFactory RfFactory(uint64_t seed) {
-  return [seed]() -> std::unique_ptr<Surrogate> {
-    RandomForestOptions options;
-    options.seed = seed;
-    return std::make_unique<RandomForest>(options);
-  };
-}
 
 TEST(CountMisrankedPairsTest, PerfectRankingHasZeroLoss) {
   EXPECT_EQ(CountMisrankedPairs({1.0, 2.0, 3.0}, {10.0, 20.0, 30.0}), 0);
@@ -70,63 +62,48 @@ TEST(CountMisrankedPairsWithCountsTest, MatchesSubsetCountOnResamples) {
   }
 }
 
+/// `n` seeded points of the unit interval, one per row, with objective x.
+void UnitInterval(size_t n, uint64_t seed, Matrix* x, std::vector<double>* y) {
+  Rng rng(seed);
+  *x = Matrix(n, 1);
+  y->resize(n);
+  for (size_t i = 0; i < n; ++i) (*y)[i] = (*x)(i, 0) = rng.Uniform();
+}
+
 TEST(FitSurrogateTest, LearnsRanking) {
-  ConfigurationSpace space;
-  ASSERT_TRUE(space.Add(Parameter::Float("x", 0.0, 1.0)).ok());
-  std::vector<Measurement> fit_on;
-  Rng rng(1);
-  for (int i = 0; i < 80; ++i) {
-    double v = rng.Uniform();
-    fit_on.push_back({Configuration({v}), v});  // objective = x
-  }
-  std::vector<Measurement> eval_at;
-  for (double v : {0.1, 0.5, 0.9}) {
-    eval_at.push_back({Configuration({v}), v});
-  }
-  std::unique_ptr<Surrogate> model =
-      FitSurrogate(space, fit_on, RfFactory(2));
+  Matrix x;
+  std::vector<double> y;
+  UnitInterval(80, 1, &x, &y);
+  std::unique_ptr<Surrogate> model = FitSurrogate(x, y, {false}, 2);
   ASSERT_NE(model, nullptr);
-  std::vector<double> pred = PredictMeans(space, *model, eval_at);
+  std::vector<double> pred =
+      PredictMeans(*model, DesignMatrix({{0.1}, {0.5}, {0.9}}));
   ASSERT_EQ(pred.size(), 3u);
   EXPECT_LT(pred[0], pred[1]);
   EXPECT_LT(pred[1], pred[2]);
 }
 
 TEST(FitSurrogateTest, TooLittleDataReturnsNull) {
-  ConfigurationSpace space;
-  ASSERT_TRUE(space.Add(Parameter::Float("x", 0.0, 1.0)).ok());
-  std::vector<Measurement> one = {{Configuration({0.5}), 1.0}};
-  EXPECT_EQ(FitSurrogate(space, one, RfFactory(3)), nullptr);
-  EXPECT_EQ(FitSurrogate(space, {}, RfFactory(3)), nullptr);
+  EXPECT_EQ(FitSurrogate(Matrix(1, 1, 0.5), {1.0}, {false}, 3), nullptr);
+  EXPECT_EQ(FitSurrogate(Matrix(0, 1), {}, {false}, 3), nullptr);
 }
 
 TEST(CrossValidationPredictionsTest, ShapeAndSanity) {
-  ConfigurationSpace space;
-  ASSERT_TRUE(space.Add(Parameter::Float("x", 0.0, 1.0)).ok());
-  std::vector<Measurement> data;
-  Rng rng(4);
-  for (int i = 0; i < 50; ++i) {
-    double v = rng.Uniform();
-    data.push_back({Configuration({v}), v});
-  }
-  std::vector<double> pred =
-      CrossValidationPredictions(space, data, 5, RfFactory(5), 6);
-  ASSERT_EQ(pred.size(), data.size());
+  Matrix x;
+  std::vector<double> y;
+  UnitInterval(50, 4, &x, &y);
+  std::vector<double> pred = CrossValidationPredictions(x, y, 5, {false}, 6);
+  ASSERT_EQ(pred.size(), y.size());
   // Held-out predictions should still broadly rank the data correctly.
-  std::vector<double> truths;
-  for (const Measurement& m : data) truths.push_back(m.objective);
-  int64_t loss = CountMisrankedPairs(pred, truths);
-  int64_t max_loss = static_cast<int64_t>(data.size() * data.size());
+  int64_t loss = CountMisrankedPairs(pred, y);
+  int64_t max_loss = static_cast<int64_t>(y.size() * y.size());
   EXPECT_LT(loss, max_loss / 4);
 }
 
 TEST(CrossValidationPredictionsTest, TooFewPointsReturnsEmpty) {
-  ConfigurationSpace space;
-  ASSERT_TRUE(space.Add(Parameter::Float("x", 0.0, 1.0)).ok());
-  std::vector<Measurement> data = {{Configuration({0.1}), 0.1},
-                                   {Configuration({0.9}), 0.9}};
-  EXPECT_TRUE(
-      CrossValidationPredictions(space, data, 5, RfFactory(7), 8).empty());
+  EXPECT_TRUE(CrossValidationPredictions(DesignMatrix({{0.1}, {0.9}}),
+                                         {0.1, 0.9}, 5, {false}, 8)
+                  .empty());
 }
 
 class FidelityWeightsTest : public ::testing::Test {

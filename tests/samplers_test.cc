@@ -8,6 +8,7 @@
 #include "src/optimizer/random_sampler.h"
 #include "src/optimizer/rea_sampler.h"
 #include "src/surrogate/random_forest.h"
+#include "tests/design_matrix.h"
 
 namespace hypertune {
 namespace {
@@ -74,7 +75,7 @@ TEST(MedianImputationTest, BuildsDataFromGroup) {
   store.Add(1, Configuration({0.1, 0.2}), 1.0);
   store.Add(1, Configuration({0.3, 0.4}), 3.0);
   SurrogateData data = BuildSurrogateData(space, store, 1);
-  EXPECT_EQ(data.x.size(), 2u);
+  EXPECT_EQ(data.x.rows(), 2u);
   EXPECT_EQ(data.num_real, 2u);
   EXPECT_EQ(data.num_imputed, 0u);
   EXPECT_DOUBLE_EQ(data.y[0], 1.0);
@@ -204,11 +205,10 @@ TEST(MaximizeAcquisitionTest, ReturnsNulloptWhenAllKnown) {
       }
     }
     RandomForest model;
-    ASSERT_TRUE(model.Fit(x, y).ok());
-    AcquisitionMaximizerOptions options;
+    ASSERT_TRUE(model.Fit(DesignMatrix(x), y).ok());
     Rng rng(8);
-    std::optional<Configuration> result =
-        MaximizeAcquisition(space, store, model, 0.0, 1, options, &rng);
+    std::optional<Configuration> result = MaximizeAcquisition(
+        space, store, model, 0.0, 1, BoSamplerOptions{}, nullptr, &rng);
     EXPECT_FALSE(result.has_value()) << "last_pending = " << last_pending;
   }
 }

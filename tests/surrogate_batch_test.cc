@@ -13,6 +13,7 @@
 #include "src/surrogate/kernel.h"
 #include "src/surrogate/mfes_ensemble.h"
 #include "src/surrogate/random_forest.h"
+#include "tests/design_matrix.h"
 
 namespace hypertune {
 namespace {
@@ -70,7 +71,7 @@ TEST(PredictBatchTest, GpBitIdenticalToPredict) {
     GaussianProcessOptions options;
     options.seed = seed;
     GaussianProcess gp(options);
-    ASSERT_TRUE(gp.Fit(data.x, data.y).ok());
+    ASSERT_TRUE(gp.Fit(DesignMatrix(data.x), data.y).ok());
     ExpectBatchMatchesPerCandidate(gp, MakeQueries(64, seed + 100));
   }
 }
@@ -81,7 +82,7 @@ TEST(PredictBatchTest, RandomForestBitIdenticalToPredict) {
     RandomForestOptions options;
     options.seed = seed;
     RandomForest rf(options);
-    ASSERT_TRUE(rf.Fit(data.x, data.y).ok());
+    ASSERT_TRUE(rf.Fit(DesignMatrix(data.x), data.y).ok());
     ExpectBatchMatchesPerCandidate(rf, MakeQueries(64, seed + 100));
   }
 }
@@ -93,12 +94,12 @@ TEST(PredictBatchTest, MfesEnsembleBitIdenticalToPredict) {
   GaussianProcessOptions gp_options;
   gp_options.seed = 7;
   GaussianProcess gp(gp_options);
-  ASSERT_TRUE(gp.Fit(high.x, high.y).ok());
+  ASSERT_TRUE(gp.Fit(DesignMatrix(high.x), high.y).ok());
 
   RandomForestOptions rf_options;
   rf_options.seed = 8;
   RandomForest rf(rf_options);
-  ASSERT_TRUE(rf.Fit(low.x, low.y).ok());
+  ASSERT_TRUE(rf.Fit(DesignMatrix(low.x), low.y).ok());
 
   MfesEnsemble ensemble;
   ensemble.SetMembers({&rf, &gp}, {0.3, 0.7});
@@ -115,43 +116,26 @@ TEST(PredictBatchTest, RepeatedCallsWithDifferentShapesStayBitIdentical) {
   GaussianProcessOptions options;
   options.seed = 9;
   GaussianProcess gp(options);
-  ASSERT_TRUE(gp.Fit(data.x, data.y).ok());
+  ASSERT_TRUE(gp.Fit(DesignMatrix(data.x), data.y).ok());
   ExpectBatchMatchesPerCandidate(gp, MakeQueries(64, 200));
   ExpectBatchMatchesPerCandidate(gp, MakeQueries(17, 201));  // shrink
   ExpectBatchMatchesPerCandidate(gp, MakeQueries(96, 202));  // grow
 }
 
-TEST(PredictBatchTest, CrossCovarianceOutParamMatchesReturningOverload) {
+TEST(PredictBatchTest, CrossCovarianceOutParamMatchesPerQuery) {
   TrainingData data = MakeData(30, 10);
+  const Matrix x = DesignMatrix(data.x);
   Matern52Kernel kernel({0.4, 0.7}, 1.3);
   Matrix q = MakeQueries(33, 210);
-  Matrix returned = kernel.CrossCovariance(data.x, q);
   Matrix out(5, 5, 7.0);  // stale shape and contents must not matter
-  kernel.CrossCovariance(data.x, q, &out);
-  ASSERT_EQ(out.rows(), returned.rows());
-  ASSERT_EQ(out.cols(), returned.cols());
-  for (size_t i = 0; i < out.rows(); ++i) {
-    for (size_t j = 0; j < out.cols(); ++j) {
-      EXPECT_DOUBLE_EQ(out(i, j), returned(i, j)) << i << "," << j;
+  kernel.CrossCovariance(x, q, &out);
+  ASSERT_EQ(out.rows(), x.rows());
+  ASSERT_EQ(out.cols(), q.rows());
+  for (size_t j = 0; j < q.rows(); ++j) {
+    const Vector column = kernel.CrossCovariance(x, {q(j, 0), q(j, 1)});
+    for (size_t i = 0; i < out.rows(); ++i) {
+      EXPECT_EQ(Bits(out(i, j)), Bits(column[i])) << i << "," << j;
     }
-  }
-}
-
-TEST(PredictBatchTest, DefaultImplementationCoversBaseClass) {
-  // A surrogate that does not override PredictBatch still gets the exact
-  // per-row loop via the base-class default.
-  TrainingData data = MakeData(30, 9);
-  GaussianProcessOptions options;
-  options.seed = 9;
-  GaussianProcess gp(options);
-  ASSERT_TRUE(gp.Fit(data.x, data.y).ok());
-  Matrix q = MakeQueries(8, 109);
-  std::vector<Prediction> batch = gp.Surrogate::PredictBatch(q);
-  std::vector<Prediction> fast = gp.PredictBatch(q);
-  ASSERT_EQ(batch.size(), fast.size());
-  for (size_t r = 0; r < batch.size(); ++r) {
-    EXPECT_DOUBLE_EQ(batch[r].mean, fast[r].mean);
-    EXPECT_DOUBLE_EQ(batch[r].variance, fast[r].variance);
   }
 }
 
@@ -165,14 +149,14 @@ TEST(GpAppendTest, AppendBitIdenticalToRefitWithFixedHyperparameters) {
   GaussianProcessOptions options;
   options.optimize_hyperparameters = false;
   GaussianProcess incremental(options);
-  ASSERT_TRUE(incremental.Fit(data.x, data.y).ok());
+  ASSERT_TRUE(incremental.Fit(DesignMatrix(data.x), data.y).ok());
   ASSERT_TRUE(incremental.Append(extra, extra_y).ok());
 
   TrainingData extended = data;
   extended.x.push_back(extra);
   extended.y.push_back(extra_y);
   GaussianProcess refit(options);
-  ASSERT_TRUE(refit.Fit(extended.x, extended.y).ok());
+  ASSERT_TRUE(refit.Fit(DesignMatrix(extended.x), extended.y).ok());
 
   EXPECT_EQ(incremental.num_observations(), 26u);
   EXPECT_DOUBLE_EQ(incremental.log_marginal_likelihood(),
@@ -190,7 +174,7 @@ TEST(GpAppendTest, SequentialAppendsStayConsistent) {
   GaussianProcessOptions options;
   options.optimize_hyperparameters = false;
   GaussianProcess gp(options);
-  ASSERT_TRUE(gp.Fit(data.x, data.y).ok());
+  ASSERT_TRUE(gp.Fit(DesignMatrix(data.x), data.y).ok());
   TrainingData extended = data;
   Rng rng(211);
   for (int i = 0; i < 5; ++i) {
@@ -201,7 +185,7 @@ TEST(GpAppendTest, SequentialAppendsStayConsistent) {
     extended.y.push_back(y);
   }
   GaussianProcess refit(options);
-  ASSERT_TRUE(refit.Fit(extended.x, extended.y).ok());
+  ASSERT_TRUE(refit.Fit(DesignMatrix(extended.x), extended.y).ok());
   Prediction pi = gp.Predict({0.5, 0.5});
   Prediction pr = refit.Predict({0.5, 0.5});
   EXPECT_DOUBLE_EQ(pi.mean, pr.mean);
@@ -219,7 +203,7 @@ TEST(GpAppendTest, RejectsDimensionMismatch) {
   GaussianProcessOptions options;
   options.optimize_hyperparameters = false;
   GaussianProcess gp(options);
-  ASSERT_TRUE(gp.Fit(data.x, data.y).ok());
+  ASSERT_TRUE(gp.Fit(DesignMatrix(data.x), data.y).ok());
   EXPECT_EQ(gp.Append({0.5}, 1.0).code(), StatusCode::kInvalidArgument);
   // Model still usable after the rejected append.
   EXPECT_EQ(gp.num_observations(), 15u);
@@ -235,7 +219,7 @@ TEST(GpAppendTest, RejectsAtSubsampleCap) {
   options.optimize_hyperparameters = false;
   options.max_points = 20;
   GaussianProcess gp(options);
-  ASSERT_TRUE(gp.Fit(data.x, data.y).ok());
+  ASSERT_TRUE(gp.Fit(DesignMatrix(data.x), data.y).ok());
   EXPECT_EQ(gp.Append({0.5, 0.5}, 1.0).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(gp.num_observations(), 20u);
