@@ -33,11 +33,6 @@ Enforces project invariants that plain compiler warnings cannot express:
                    the lockdep ordering checker, so deadlock cycles through
                    it go undetected.
 
-  predict-batch    Every class that overrides Surrogate::Predict must also
-                   override PredictBatch, so new surrogates cannot silently
-                   fall back to the per-row base-class loop inside the
-                   batched acquisition sweep.
-
 Two engines produce identical finding IDs:
 
   libclang  Drives clang.cindex over compile_commands.json. Used in CI
@@ -440,41 +435,6 @@ def check_encode_decode(root, findings, header=None):
 
 
 # ---------------------------------------------------------------------------
-# Check: predict-batch parity (structural; shared by both engines)
-# ---------------------------------------------------------------------------
-
-_PREDICT_OVERRIDE_RE = re.compile(
-    r"\bPrediction\s+Predict\s*\([^)]*\)[^;{}]*\boverride\b")
-_PREDICT_BATCH_OVERRIDE_RE = re.compile(
-    r"\bPredictBatch\s*\([^)]*\)[^;{}]*\boverride\b")
-
-
-def _walk_predict_batch(rel, body, findings):
-    text = ";".join(body.statements)
-    if _PREDICT_OVERRIDE_RE.search(text) and \
-            not _PREDICT_BATCH_OVERRIDE_RE.search(text):
-        findings.append(
-            Finding("predict-batch", rel, "%s::Predict" % body.name,
-                    "%s overrides Predict but not PredictBatch — batched "
-                    "acquisition would fall back to the per-row loop"
-                    % body.name))
-    for nested in body.nested:
-        _walk_predict_batch(rel, nested, findings)
-
-
-def check_predict_batch(root, findings):
-    for rel in iter_source_files(root):
-        if not rel.endswith(".h"):
-            continue
-        with open(os.path.join(root, rel), encoding="utf-8") as f:
-            text = strip_preprocessor(strip_comments(f.read()))
-        if "Predict" not in text:
-            continue
-        for body in _parse_classes(text):
-            _walk_predict_batch(rel, body, findings)
-
-
-# ---------------------------------------------------------------------------
 # libclang engine
 # ---------------------------------------------------------------------------
 
@@ -732,29 +692,6 @@ struct WireDecoder {
   int DecodeWidow();
 };
 """,
-    "src/bad_predict.h": """
-#pragma once
-#include <vector>
-struct Prediction {
-  double mean = 0.0;
-  double variance = 0.0;
-};
-class Matrix {};
-class Surrogate {
- public:
-  virtual Prediction Predict(const std::vector<double>& x) const = 0;
-  virtual std::vector<Prediction> PredictBatch(const Matrix& x) const;
-};
-class BadBatch : public Surrogate {
- public:
-  Prediction Predict(const std::vector<double>& x) const override;
-};
-class GoodBatch : public Surrogate {
- public:
-  Prediction Predict(const std::vector<double>& x) const override;
-  std::vector<Prediction> PredictBatch(const Matrix& x) const override;
-};
-""",
 }
 
 _EXPECTED_SELF_TEST = {
@@ -764,7 +701,6 @@ _EXPECTED_SELF_TEST = {
     "encode-decode:src/runtime/wire_format.h:EncodeOrphan",
     "encode-decode:src/runtime/wire_format.h:DecodeWidow",
     "unranked-mutex:src/bad_unranked.h:no_rank_mu_",
-    "predict-batch:src/bad_predict.h:BadBatch::Predict",
 }
 
 _FORBIDDEN_SELF_TEST_SYMBOLS = (
@@ -774,7 +710,6 @@ _FORBIDDEN_SELF_TEST_SYMBOLS = (
     "EncodeJob",
     "DecodeJob",
     "ranked_mu_",
-    "GoodBatch",
 )
 
 
@@ -790,7 +725,6 @@ def run_self_test():
         findings = []
         run_text_engine(tmp, findings)
         check_encode_decode(tmp, findings)
-        check_predict_batch(tmp, findings)
         got = {f.id for f in findings}
         missing = _EXPECTED_SELF_TEST - got
         unexpected = {fid for fid in got
@@ -856,7 +790,6 @@ def main(argv):
     else:
         run_text_engine(root, findings)
     check_encode_decode(root, findings)
-    check_predict_batch(root, findings)
     findings = dedupe(findings)
 
     if args.update_baseline:
