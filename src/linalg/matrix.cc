@@ -1,6 +1,5 @@
 #include "src/linalg/matrix.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace hypertune {
@@ -57,59 +56,6 @@ Matrix Matrix::MatMul(const Matrix& other) const {
     }
   }
   return out;
-}
-
-Matrix Matrix::Syrk() const {
-  Matrix out(rows_, rows_, 0.0);
-  constexpr size_t kBlock = 64;
-  for (size_t k0 = 0; k0 < cols_; k0 += kBlock) {
-    const size_t k1 = std::min(k0 + kBlock, cols_);
-    for (size_t r = 0; r < rows_; ++r) {
-      const double* a = row(r);
-      for (size_t c = 0; c <= r; ++c) {
-        const double* b = row(c);
-        double acc = 0.0;
-        for (size_t k = k0; k < k1; ++k) acc += a[k] * b[k];
-        out(r, c) += acc;
-      }
-    }
-  }
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t c = r + 1; c < rows_; ++c) out(r, c) = out(c, r);
-  }
-  return out;
-}
-
-Matrix Gemm(const Matrix& a, const Matrix& b) {
-  HT_CHECK(a.cols() == b.rows()) << "gemm: inner dimension mismatch";
-  const size_t m = a.rows();
-  const size_t k_dim = a.cols();
-  const size_t n = b.cols();
-  Matrix c(m, n, 0.0);
-  // i/k/j tiling: the innermost loop streams a row of B against a row of C,
-  // so one tile of B stays resident while a block of A rows sweeps it.
-  constexpr size_t kBlockI = 64;
-  constexpr size_t kBlockK = 64;
-  constexpr size_t kBlockJ = 256;
-  for (size_t j0 = 0; j0 < n; j0 += kBlockJ) {
-    const size_t j1 = std::min(j0 + kBlockJ, n);
-    for (size_t k0 = 0; k0 < k_dim; k0 += kBlockK) {
-      const size_t k1 = std::min(k0 + kBlockK, k_dim);
-      for (size_t i0 = 0; i0 < m; i0 += kBlockI) {
-        const size_t i1 = std::min(i0 + kBlockI, m);
-        for (size_t i = i0; i < i1; ++i) {
-          const double* arow = a.row(i);
-          double* crow = c.row(i);
-          for (size_t k = k0; k < k1; ++k) {
-            const double av = arow[k];
-            const double* brow = b.row(k);
-            for (size_t j = j0; j < j1; ++j) crow[j] += av * brow[j];
-          }
-        }
-      }
-    }
-  }
-  return c;
 }
 
 Matrix Matrix::Transposed() const {

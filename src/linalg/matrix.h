@@ -63,11 +63,6 @@ class Matrix {
   /// Matrix-matrix product. Requires cols() == other.rows().
   Matrix MatMul(const Matrix& other) const;
 
-  /// Symmetric rank-k product A A^T (SYRK). Computes the lower triangle
-  /// with the blocked kernel and mirrors it; equivalent to
-  /// MatMul(Transposed()) without forming the transpose.
-  Matrix Syrk() const;
-
   /// Returns the transpose.
   Matrix Transposed() const;
 
@@ -87,13 +82,6 @@ class Matrix {
   size_t cols_;
   std::vector<double> data_;
 };
-
-/// Blocked general matrix multiply: C = A B, cache-tiled over all three
-/// loop dimensions. The batch surrogate path is GEMM-shaped — this is the
-/// kernel to reach for when either operand no longer fits in L1; MatMul
-/// keeps the naive loop for the small matrices the tests build by hand.
-/// Requires a.cols() == b.rows().
-Matrix Gemm(const Matrix& a, const Matrix& b);
 
 }  // namespace hypertune
 

@@ -1,6 +1,5 @@
 #include "src/linalg/matrix.h"
 
-#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -170,43 +169,6 @@ Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
     for (size_t c = 0; c < cols; ++c) m(r, c) = rng.Gaussian();
   }
   return m;
-}
-
-TEST(MatrixTest, GemmMatchesMatMul) {
-  // Sizes straddling the 64/256 tile boundaries so partial blocks on every
-  // loop dimension are exercised.
-  for (auto [m, k, n] : {std::array<size_t, 3>{3, 5, 4},
-                         std::array<size_t, 3>{65, 64, 70},
-                         std::array<size_t, 3>{100, 130, 260}}) {
-    Matrix a = RandomMatrix(m, k, 17 + m);
-    Matrix b = RandomMatrix(k, n, 31 + n);
-    Matrix naive = a.MatMul(b);
-    Matrix blocked = Gemm(a, b);
-    ASSERT_EQ(blocked.rows(), naive.rows());
-    ASSERT_EQ(blocked.cols(), naive.cols());
-    for (size_t r = 0; r < m; ++r) {
-      for (size_t c = 0; c < n; ++c) {
-        EXPECT_NEAR(blocked(r, c), naive(r, c), 1e-9)
-            << "at (" << r << "," << c << ") of " << m << "x" << k << "x" << n;
-      }
-    }
-  }
-}
-
-TEST(MatrixTest, SyrkMatchesMatMulTransposed) {
-  for (size_t cols : {5u, 64u, 100u}) {
-    Matrix a = RandomMatrix(20, cols, cols);
-    Matrix naive = a.MatMul(a.Transposed());
-    Matrix syrk = a.Syrk();
-    ASSERT_EQ(syrk.rows(), 20u);
-    ASSERT_EQ(syrk.cols(), 20u);
-    for (size_t r = 0; r < 20; ++r) {
-      for (size_t c = 0; c < 20; ++c) {
-        EXPECT_NEAR(syrk(r, c), naive(r, c), 1e-9);
-        EXPECT_DOUBLE_EQ(syrk(r, c), syrk(c, r));  // exact mirror
-      }
-    }
-  }
 }
 
 TEST(CholeskyTest, SolveLowerMultiBitIdenticalToPerColumn) {
