@@ -8,13 +8,13 @@
 #include "src/optimizer/random_sampler.h"
 
 namespace hypertune {
-namespace {
 
-/// MaximizeAcquisition's search, inside its span.
-std::optional<Configuration> SearchCandidates(
+std::optional<Configuration> MaximizeAcquisition(
     const ConfigurationSpace& space, const MeasurementStore& store,
     const Surrogate& model, double best_objective, int seed_level,
     const BoSamplerOptions& options, Observability* obs, Rng* rng) {
+  const double start = obs != nullptr ? obs->trace.Now() : 0.0;
+  if (obs != nullptr) obs->trace.BeginSpan("acquisition");
   std::vector<Configuration> candidates;
   candidates.reserve(static_cast<size_t>(options.num_candidates) +
                      static_cast<size_t>(options.num_local_seeds *
@@ -51,51 +51,38 @@ std::optional<Configuration> SearchCandidates(
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (!IsKnownConfiguration(store, candidates[i])) eligible.push_back(i);
   }
-  if (eligible.empty()) return std::nullopt;
-
-  if (obs != nullptr) obs->trace.BeginSpan("acq encode");
-  Matrix encoded(eligible.size(), space.size());
-  for (size_t e = 0; e < eligible.size(); ++e) {
-    space.EncodeInto(candidates[eligible[e]], encoded.row(e));
-  }
-  if (obs != nullptr) {
-    obs->trace.EndSpan("acq encode");
-    obs->trace.BeginSpan("acq predict");
-  }
-  std::vector<Prediction> predictions = model.PredictBatch(encoded);
-  if (obs != nullptr) obs->trace.EndSpan("acq predict");
-
-  double best_acq = -std::numeric_limits<double>::infinity();
   const Configuration* best = nullptr;
-  for (size_t e = 0; e < eligible.size(); ++e) {
-    double acq =
-        AcquisitionValue(predictions[e], best_objective, options.acquisition);
-    if (acq > best_acq) {
-      best_acq = acq;
-      best = &candidates[eligible[e]];
+  if (!eligible.empty()) {
+    if (obs != nullptr) obs->trace.BeginSpan("acq encode");
+    Matrix encoded(eligible.size(), space.size());
+    for (size_t e = 0; e < eligible.size(); ++e) {
+      space.EncodeInto(candidates[eligible[e]], encoded.row(e));
+    }
+    if (obs != nullptr) {
+      obs->trace.EndSpan("acq encode");
+      obs->trace.BeginSpan("acq predict");
+    }
+    std::vector<Prediction> predictions = model.PredictBatch(encoded);
+    if (obs != nullptr) obs->trace.EndSpan("acq predict");
+
+    double best_acq = -std::numeric_limits<double>::infinity();
+    for (size_t e = 0; e < eligible.size(); ++e) {
+      double acq = AcquisitionValue(predictions[e], best_objective,
+                                    options.acquisition);
+      if (acq > best_acq) {
+        best_acq = acq;
+        best = &candidates[eligible[e]];
+      }
     }
   }
-  if (best == nullptr) return std::nullopt;
-  return *best;
-}
-
-}  // namespace
-
-std::optional<Configuration> MaximizeAcquisition(
-    const ConfigurationSpace& space, const MeasurementStore& store,
-    const Surrogate& model, double best_objective, int seed_level,
-    const BoSamplerOptions& options, Observability* obs, Rng* rng) {
-  const double start = obs != nullptr ? obs->trace.Now() : 0.0;
-  if (obs != nullptr) obs->trace.BeginSpan("acquisition");
-  std::optional<Configuration> best = SearchCandidates(
-      space, store, model, best_objective, seed_level, options, obs, rng);
   if (obs != nullptr) {
     obs->trace.EndSpan("acquisition");
     obs->metrics.Increment("sampler.acquisition_calls");
     obs->metrics.Observe("sampler.acquisition_seconds",
                          obs->trace.Now() - start);
   }
-  return best;
+  if (best == nullptr) return std::nullopt;
+  return *best;
 }
 
 std::unique_ptr<Surrogate> FitTraced(SurrogateKind kind,

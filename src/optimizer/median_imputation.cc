@@ -1,49 +1,39 @@
 #include "src/optimizer/median_imputation.h"
 
 namespace hypertune {
-namespace {
 
-/// Group `level` of `store` followed by `pending`, each pending
-/// configuration imputed at `pending_objective`.
-SurrogateData Build(const ConfigurationSpace& space,
-                    const MeasurementStore& store, int level,
-                    const std::vector<Configuration>& pending,
-                    double pending_objective) {
+SurrogateData BuildSurrogateData(const ConfigurationSpace& space,
+                                 const MeasurementStore& store, int level) {
   SurrogateData data;
   const auto& group = store.group(level);
-  data.num_real = group.size();
-  data.num_imputed = pending.size();
-  data.x = Matrix(data.num_real + data.num_imputed, space.size());
-  data.y.reserve(data.x.rows());
+  data.x = Matrix(group.size(), space.size());
+  data.y.reserve(group.size());
   for (const Measurement& m : group) {
     space.EncodeInto(m.config, data.x.row(data.y.size()));
     data.y.push_back(m.objective);
   }
-  for (const Configuration& config : pending) {
-    space.EncodeInto(config, data.x.row(data.y.size()));
-    data.y.push_back(pending_objective);
-  }
+  data.num_real = group.size();
   return data;
-}
-
-}  // namespace
-
-SurrogateData BuildSurrogateData(const ConfigurationSpace& space,
-                                 const MeasurementStore& store, int level) {
-  return Build(space, store, level, {}, 0.0);
 }
 
 SurrogateData BuildSurrogateDataWithPendingMedian(
     const ConfigurationSpace& space, const MeasurementStore& store,
     int level) {
-  // No median to impute with in an empty group.
-  if (store.group(level).empty()) return Build(space, store, level, {}, 0.0);
+  SurrogateData data = BuildSurrogateData(space, store, level);
+  if (data.num_real == 0) return data;  // no median to impute with
+  double median = store.MedianObjective(level);
   // Only this level's pending configs: trials running at other fidelities
   // belong to other measurement groups, and imputing them here would
   // pollute the level-specific fit (§3.2 imputes within the bracket being
   // fit).
-  return Build(space, store, level, store.PendingConfigs(level),
-               store.MedianObjective(level));
+  const std::vector<Configuration> pending = store.PendingConfigs(level);
+  data.x.Resize(data.num_real + pending.size(), space.size());
+  for (const Configuration& config : pending) {
+    space.EncodeInto(config, data.x.row(data.y.size()));
+    data.y.push_back(median);
+    ++data.num_imputed;
+  }
+  return data;
 }
 
 }  // namespace hypertune

@@ -53,13 +53,7 @@ Status GaussianProcess::Fit(const Matrix& x, const std::vector<double>& y) {
     y_raw_[j] = y[keep[j]];
   }
 
-  y_mean_ = Mean(y_raw_);
-  double sd = StdDev(y_raw_);
-  y_scale_ = (sd > 1e-12) ? sd : 1.0;
-  y_std_.resize(y_raw_.size());
-  for (size_t i = 0; i < y_raw_.size(); ++i) {
-    y_std_[i] = (y_raw_[i] - y_mean_) / y_scale_;
-  }
+  Standardize();
 
   // Default hyper-parameters: moderate lengthscales on the unit cube.
   lengthscales_.assign(dim, 0.5);
@@ -160,7 +154,7 @@ bool GaussianProcess::Refactor(const KernelDiffBlocks& blocks) {
   return true;
 }
 
-void GaussianProcess::RecomputePosterior() {
+void GaussianProcess::Standardize() {
   y_mean_ = Mean(y_raw_);
   double sd = StdDev(y_raw_);
   y_scale_ = (sd > 1e-12) ? sd : 1.0;
@@ -168,6 +162,10 @@ void GaussianProcess::RecomputePosterior() {
   for (size_t i = 0; i < y_raw_.size(); ++i) {
     y_std_[i] = (y_raw_[i] - y_mean_) / y_scale_;
   }
+}
+
+void GaussianProcess::RecomputePosterior() {
+  Standardize();
   alpha_ = chol_.Solve(y_std_);
   double n = static_cast<double>(y_std_.size());
   lml_ = -0.5 * Dot(y_std_, alpha_) - 0.5 * chol_.LogDeterminant() -

@@ -94,6 +94,9 @@ class GaussianProcess : public Surrogate {
   /// training set. Returns false when factorization fails.
   bool Refactor(const KernelDiffBlocks& blocks);
 
+  /// Standardizes y_raw_ into y_std_ (mean y_mean_, scale y_scale_).
+  void Standardize();
+
   /// Recomputes standardization, alpha, and the LML from y_raw_ and the
   /// current factor (shared by Fit's Refactor and Append).
   void RecomputePosterior();

@@ -159,9 +159,7 @@ double Matern52Kernel::Eval(const double* a, const double* b) const {
     double d = (a[i] - b[i]) / lengthscales_[i];
     r2 += d * d;
   }
-  double r = std::sqrt(r2);
-  return signal_variance_ * (1.0 + kSqrt5 * r + 5.0 * r2 / 3.0) *
-         std::exp(-kSqrt5 * r);
+  return FromSquaredDistance(r2);
 }
 
 double Matern52Kernel::FromDiffs(const double* diffs) const {
@@ -172,6 +170,10 @@ double Matern52Kernel::FromDiffs(const double* diffs) const {
     double d = diffs[i] / lengthscales_[i];
     r2 += d * d;
   }
+  return FromSquaredDistance(r2);
+}
+
+double Matern52Kernel::FromSquaredDistance(double r2) const {
   double r = std::sqrt(r2);
   return signal_variance_ * (1.0 + kSqrt5 * r + 5.0 * r2 / 3.0) *
          std::exp(-kSqrt5 * r);

@@ -73,6 +73,9 @@ class Matern52Kernel {
   /// The scalar kernel on two points of dim() doubles each.
   double Eval(const double* a, const double* b) const;
 
+  /// s^2 (1 + sqrt(5) r + 5 r^2 / 3) exp(-sqrt(5) r) from r^2.
+  double FromSquaredDistance(double r2) const;
+
   std::vector<double> lengthscales_;
   double signal_variance_;
 };
