@@ -102,14 +102,6 @@ std::vector<double> CrossValidationPredictions(
   for (size_t i = 0; i < n; ++i) order[i] = i;
   rng.Shuffle(&order);
 
-  // A fold's rows, copied out of `x` in the order given.
-  auto select = [&](const std::vector<size_t>& rows) {
-    Matrix out(rows.size(), x.cols());
-    for (size_t r = 0; r < rows.size(); ++r) {
-      std::copy_n(x.row(rows[r]), x.cols(), out.row(r));
-    }
-    return out;
-  };
   std::vector<double> predictions(n, 0.0);
   for (int fold = 0; fold < folds; ++fold) {
     std::vector<size_t> train;
@@ -125,9 +117,10 @@ std::vector<double> CrossValidationPredictions(
       }
     }
     std::unique_ptr<Surrogate> model =
-        FitSurrogate(select(train), train_y, categorical, seed);
+        FitSurrogate(x.SelectRows(train), train_y, categorical, seed);
     if (model == nullptr) return {};
-    const std::vector<double> means = PredictMeans(*model, select(held_out));
+    const std::vector<double> means =
+        PredictMeans(*model, x.SelectRows(held_out));
     for (size_t h = 0; h < held_out.size(); ++h) {
       predictions[held_out[h]] = means[h];
     }

@@ -1,5 +1,6 @@
 #include "src/linalg/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace hypertune {
@@ -62,6 +63,14 @@ Matrix Matrix::Transposed() const {
   Matrix out(cols_, rows_);
   for (size_t r = 0; r < rows_; ++r) {
     for (size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
+  }
+  return out;
+}
+
+Matrix Matrix::SelectRows(const std::vector<size_t>& rows) const {
+  Matrix out(rows.size(), cols_);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    std::copy_n(row(rows[r]), cols_, out.row(r));
   }
   return out;
 }

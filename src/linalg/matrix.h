@@ -66,6 +66,9 @@ class Matrix {
   /// Returns the transpose.
   Matrix Transposed() const;
 
+  /// Returns the rows `rows` of this matrix, in that order.
+  Matrix SelectRows(const std::vector<size_t>& rows) const;
+
   /// Adds `value` to each diagonal element (in place). Requires square.
   void AddDiagonal(double value);
 

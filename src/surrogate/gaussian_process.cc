@@ -46,12 +46,9 @@ Status GaussianProcess::Fit(const Matrix& x, const std::vector<double>& y) {
 
   // Subsample over the cap to bound the O(n^3) cost.
   const std::vector<size_t> keep = KeepBestAndRecent(y, options_.max_points);
-  x_ = Matrix(keep.size(), dim);
+  x_ = x.SelectRows(keep);
   y_raw_.resize(keep.size());
-  for (size_t j = 0; j < keep.size(); ++j) {
-    std::copy_n(x.row(keep[j]), dim, x_.row(j));
-    y_raw_[j] = y[keep[j]];
-  }
+  for (size_t j = 0; j < keep.size(); ++j) y_raw_[j] = y[keep[j]];
 
   Standardize();
 
