@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -158,33 +159,40 @@ uint64_t PredictionDigest(const std::vector<Prediction>& predictions) {
   return hash;
 }
 
-/// Fits a forest on a fixed mixed dataset and digests its batch predictions
-/// on a fixed query set. The data has two categorical columns, continuous
-/// columns quantized to produce duplicate values, one constant column, tied
-/// targets, and more rows than the default max_points, so the digest covers
-/// the training-set cap, equality and threshold splits, and constant-feature
-/// skips.
-uint64_t FitAndDigest(RandomForestOptions options) {
+/// A fixed mixed training set: two categorical columns (0 and 3),
+/// continuous columns quantized to produce duplicate values, one constant
+/// column, tied targets, and more rows than the default max_points.
+void MixedData(std::vector<std::vector<double>>* x, std::vector<double>* y) {
   constexpr size_t kRows = 900;
   static_assert(kRows > RandomForestOptions{}.max_points);
   Rng rng(2024);
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
   for (size_t i = 0; i < kRows; ++i) {
     const double cat_a = 0.25 * static_cast<double>(rng.UniformInt(0, 4));
     const double cat_b = rng.Bernoulli(0.3) ? 0.75 : 0.25;
     const double grid = std::floor(rng.Uniform() * 16.0) / 16.0;
     const double cont = rng.Uniform();
     const double coarse = std::floor(rng.Uniform() * 4.0) / 4.0;
-    x.push_back({cat_a, grid, 0.5, cat_b, cont, coarse});
+    x->push_back({cat_a, grid, 0.5, cat_b, cont, coarse});
     double target = (grid - 0.3) * (grid - 0.3) + (cat_a == 0.5 ? -0.4 : 0.0) +
                     (cat_b > 0.5 ? 0.2 : 0.0) + 0.1 * cont * coarse;
     // Every fifth target is rounded so ties appear among the targets too.
     if (i % 5 == 0) target = std::round(target * 8.0) / 8.0;
-    y.push_back(target);
+    y->push_back(target);
   }
+}
+
+const std::vector<bool> kMixedCategorical = {true, false, false,
+                                             true, false, false};
+
+/// Fits a forest on MixedData and digests its batch predictions on a fixed
+/// query set, so the digest covers the training-set cap, equality and
+/// threshold splits, and constant-feature skips.
+uint64_t FitAndDigest(RandomForestOptions options) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  MixedData(&x, &y);
   RandomForest forest(options);
-  forest.SetCategoricalFeatures({true, false, false, true, false, false});
+  forest.SetCategoricalFeatures(kMixedCategorical);
   EXPECT_TRUE(forest.Fit(DesignMatrix(x), y).ok());
 
   Matrix queries(97, 6);
@@ -239,6 +247,90 @@ TEST(RandomForestTest, ConcurrentFitsMatchPinnedDigests) {
     EXPECT_EQ(FitAndDigest(bootstrap), kBootstrapDigest);
     other.join();
     EXPECT_EQ(other_digest, kNoBootstrapDigest);
+  }
+}
+
+bool SameBits(const Prediction& a, const Prediction& b) {
+  return PredictionDigest({a}) == PredictionDigest({b});
+}
+
+/// PredictBatch on `x` in consecutive batches of `batch` rows (the last one
+/// shorter), joined in row order.
+std::vector<Prediction> PredictInBatches(const RandomForest& forest,
+                                         const Matrix& x, size_t batch) {
+  std::vector<Prediction> joined;
+  for (size_t begin = 0; begin < x.rows(); begin += batch) {
+    std::vector<size_t> rows;
+    for (size_t r = begin; r < std::min(begin + batch, x.rows()); ++r) {
+      rows.push_back(r);
+    }
+    const std::vector<Prediction> part = forest.PredictBatch(x.SelectRows(rows));
+    joined.insert(joined.end(), part.begin(), part.end());
+  }
+  return joined;
+}
+
+// Pins the walk itself, not the fit: queries at the edges of the split
+// comparisons, predicted in batches of several sizes around the width of a
+// walk block and one row at a time, must give the same bits everywhere.
+TEST(RandomForestTest, WalkDigestIsPinned) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  MixedData(&x, &y);
+  RandomForestOptions options;
+  options.seed = 34;
+  RandomForest forest(options);
+  forest.SetCategoricalFeatures(kMixedCategorical);
+  ASSERT_TRUE(forest.Fit(DesignMatrix(x), y).ok());
+
+  // Each cell is either a special value or an exact training value of its
+  // column, which lands on both sides of equality splits (columns 0 and 3)
+  // and on `<=` thresholds' grids (columns 1 and 5).
+  const double inf = std::numeric_limits<double>::infinity();
+  const double special[] = {std::numeric_limits<double>::quiet_NaN(),
+                            0.0, -0.0, inf, -inf, -0.5, 1.5, 1e300};
+  constexpr size_t kNumSpecial = sizeof(special) / sizeof(special[0]);
+  Matrix queries(97, 6);
+  Rng rng(11);
+  for (size_t r = 0; r < queries.rows(); ++r) {
+    for (size_t c = 0; c < queries.cols(); ++c) {
+      queries(r, c) =
+          rng.Bernoulli(0.3)
+              ? special[rng.UniformInt(0, kNumSpecial - 1)]
+              : x[static_cast<size_t>(rng.UniformInt(0, x.size() - 1))][c];
+    }
+  }
+
+  std::vector<Prediction> alone;
+  for (size_t r = 0; r < queries.rows(); ++r) {
+    alone.push_back(forest.Predict(
+        std::vector<double>(queries.row(r), queries.row(r) + queries.cols())));
+  }
+  constexpr uint64_t kWalkDigest = 7060824793363585794ULL;
+  EXPECT_EQ(PredictionDigest(alone), kWalkDigest);
+  for (size_t batch : {1, 7, 8, 9, 97}) {
+    const std::vector<Prediction> joined =
+        PredictInBatches(forest, queries, batch);
+    EXPECT_EQ(PredictionDigest(joined), kWalkDigest) << "batch " << batch;
+    ASSERT_EQ(joined.size(), alone.size());
+    for (size_t r = 0; r < alone.size(); ++r) {
+      EXPECT_TRUE(SameBits(joined[r], alone[r]))
+          << "batch " << batch << " row " << r;
+    }
+  }
+
+  // Rows with no columns: every tree is one leaf holding its bootstrap
+  // sample's mean, and a walk must read no element of the (empty) query.
+  RandomForest no_columns(options);
+  ASSERT_TRUE(no_columns.Fit(Matrix(3, 0), {1.0, 2.0, 4.0}).ok());
+  const Prediction mean = no_columns.Predict({});
+  EXPECT_EQ(PredictionDigest({mean}), 4830677152220295010ULL);
+  EXPECT_GT(mean.mean, 1.0);
+  EXPECT_LT(mean.mean, 4.0);
+  for (size_t batch : {1, 7, 8, 9, 97}) {
+    for (const Prediction& p : no_columns.PredictBatch(Matrix(batch, 0))) {
+      EXPECT_TRUE(SameBits(p, mean)) << "batch " << batch;
+    }
   }
 }
 

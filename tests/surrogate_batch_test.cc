@@ -83,7 +83,7 @@ TEST(PredictBatchTest, RandomForestBitIdenticalToPredict) {
     options.seed = seed;
     RandomForest rf(options);
     ASSERT_TRUE(rf.Fit(DesignMatrix(data.x), data.y).ok());
-    ExpectBatchMatchesPerCandidate(rf, MakeQueries(64, seed + 100));
+    ExpectBatchMatchesPerCandidate(rf, MakeQueries(67, seed + 100));
   }
 }
 
