@@ -115,6 +115,7 @@ Status RandomForest::Fit(const Matrix& x, const std::vector<double>& y) {
   fitted_ = false;
   trees_.clear();
   num_observations_ = x.rows();
+  dim_ = dim;
   trees_.resize(static_cast<size_t>(std::max(1, options_.num_trees)));
 
   // Transpose the kept rows once; row j of the data is x row keep[j].
@@ -371,11 +372,15 @@ Prediction RandomForest::PredictPoint(const double* x) const {
 
 Prediction RandomForest::Predict(const std::vector<double>& x) const {
   HT_CHECK(fitted_) << "RF::Predict before Fit";
+  HT_CHECK(x.size() == dim_) << "RF::Predict: query has " << x.size()
+                             << " columns, fitted on " << dim_;
   return PredictPoint(x.data());
 }
 
 std::vector<Prediction> RandomForest::PredictBatch(const Matrix& x) const {
   HT_CHECK(fitted_) << "RF::PredictBatch before Fit";
+  HT_CHECK(x.cols() == dim_) << "RF::PredictBatch: query has " << x.cols()
+                             << " columns, fitted on " << dim_;
   // Traversal order per candidate (trees ascending) matches Predict, so the
   // batch path is trivially bit-identical; the win here is skipping the
   // per-candidate vector round-trip and keeping the tree nodes hot across

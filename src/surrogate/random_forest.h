@@ -99,6 +99,8 @@ class RandomForest : public Surrogate {
   std::vector<Tree> trees_;
   bool fitted_ = false;
   size_t num_observations_ = 0;
+  /// Columns of the fitted design matrix; every query must have as many.
+  size_t dim_ = 0;
 };
 
 }  // namespace hypertune

@@ -334,6 +334,21 @@ TEST(RandomForestTest, WalkDigestIsPinned) {
   }
 }
 
+TEST(RandomForestDeathTest, RejectsQueriesOfAnotherWidth) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  Rng rng(12);
+  for (int i = 0; i < 60; ++i) {
+    x.push_back({rng.Uniform(), rng.Uniform(), rng.Uniform(), rng.Uniform()});
+    y.push_back(Smooth2d(x.back()[0], x.back()[3]));
+  }
+  RandomForest rf;
+  ASSERT_TRUE(rf.Fit(DesignMatrix(x), y).ok());
+  EXPECT_DEATH(rf.Predict({0.5}), "query has 1 columns, fitted on 4");
+  EXPECT_DEATH(rf.PredictBatch(Matrix(3, 5, 0.5)),
+               "query has 5 columns, fitted on 4");
+}
+
 TEST(RandomForestTest, PredictiveVarianceIsPositive) {
   std::vector<std::vector<double>> x;
   std::vector<double> y;
