@@ -54,6 +54,13 @@ constexpr int kHalves = kLanes / 2;
 typedef double V2 __attribute__((vector_size(16)));
 typedef int64_t M2 __attribute__((vector_size(16)));
 
+/// Marks an equality split in Node::feature.
+constexpr uint32_t kEqualitySplit = 1u << 31;
+
+/// Rows PredictBatch walks through one tree in lockstep: their node loads
+/// are independent, so a block keeps several in flight.
+constexpr size_t kBlock = 8;
+
 /// Left- and right-side sums of kLanes candidate splits.
 struct SplitSums {
   V2 sum_left[kHalves] = {};
@@ -194,10 +201,12 @@ int RandomForest::BuildNode(const FitData& data, FitScratch* scratch,
 
   auto make_leaf = [&]() {
     Node leaf;
-    leaf.leaf_mean = node_mean;
-    leaf.leaf_variance = node_var;
+    leaf.threshold = std::numeric_limits<double>::quiet_NaN();
+    leaf.right = static_cast<uint32_t>(scratch->nodes.size());
+    leaf.mean = node_mean;
+    leaf.second = node_var + node_mean * node_mean;
     scratch->nodes.push_back(leaf);
-    return static_cast<int>(scratch->nodes.size() - 1);
+    return static_cast<int>(leaf.right);
   };
 
   if (n < 2 * options_.min_samples_leaf || depth >= options_.max_depth ||
@@ -327,66 +336,74 @@ int RandomForest::BuildNode(const FitData& data, FitScratch* scratch,
       first);
   if (mid == begin || mid == end) return make_leaf();  // defensive
 
-  // Reserve this node's slot before recursing so children land after it.
+  // Reserve this node's slot, then grow its left subtree right after it,
+  // where the walk looks for a left child.
   scratch->nodes.emplace_back();
-  const int self = static_cast<int>(scratch->nodes.size() - 1);
-  const int left = BuildNode(data, scratch, begin, mid, depth + 1, rng);
+  const size_t self = scratch->nodes.size() - 1;
+  BuildNode(data, scratch, begin, mid, depth + 1, rng);
   const int right = BuildNode(data, scratch, mid, end, depth + 1, rng);
-  Node& node = scratch->nodes[static_cast<size_t>(self)];
-  node.feature = best_feature;
+  Node& node = scratch->nodes[self];
   node.threshold = best_threshold;
-  node.equality_split = best_equality;
-  node.left = left;
-  node.right = right;
-  return self;
-}
-
-const RandomForest::Node& RandomForest::FindLeaf(const Tree& tree,
-                                                 const double* x) const {
-  int idx = 0;
-  // Trees are built root-first, so node 0 is the root.
-  while (!tree.nodes[static_cast<size_t>(idx)].IsLeaf()) {
-    const Node& node = tree.nodes[static_cast<size_t>(idx)];
-    double v = x[static_cast<size_t>(node.feature)];
-    bool go_left =
-        node.equality_split ? (v == node.threshold) : (v <= node.threshold);
-    idx = go_left ? node.left : node.right;
-  }
-  return tree.nodes[static_cast<size_t>(idx)];
-}
-
-Prediction RandomForest::PredictPoint(const double* x) const {
-  double sum_mean = 0.0;
-  double sum_second_moment = 0.0;
-  for (const Tree& tree : trees_) {
-    const Node& leaf = FindLeaf(tree, x);
-    sum_mean += leaf.leaf_mean;
-    sum_second_moment += leaf.leaf_variance + leaf.leaf_mean * leaf.leaf_mean;
-  }
-  double inv = 1.0 / static_cast<double>(trees_.size());
-  Prediction p;
-  p.mean = sum_mean * inv;
-  p.variance = std::max(sum_second_moment * inv - p.mean * p.mean, 1e-12);
-  return p;
+  node.feature = static_cast<uint32_t>(best_feature) |
+                 (best_equality ? kEqualitySplit : 0u);
+  node.right = static_cast<uint32_t>(right);
+  return static_cast<int>(self);
 }
 
 Prediction RandomForest::Predict(const std::vector<double>& x) const {
-  HT_CHECK(fitted_) << "RF::Predict before Fit";
-  HT_CHECK(x.size() == dim_) << "RF::Predict: query has " << x.size()
-                             << " columns, fitted on " << dim_;
-  return PredictPoint(x.data());
+  Matrix row(1, x.size());
+  std::copy(x.begin(), x.end(), row.row(0));
+  return PredictBatch(row)[0];
 }
 
 std::vector<Prediction> RandomForest::PredictBatch(const Matrix& x) const {
   HT_CHECK(fitted_) << "RF::PredictBatch before Fit";
   HT_CHECK(x.cols() == dim_) << "RF::PredictBatch: query has " << x.cols()
                              << " columns, fitted on " << dim_;
-  // Traversal order per candidate (trees ascending) matches Predict, so the
-  // batch path is trivially bit-identical; the win here is skipping the
-  // per-candidate vector round-trip and keeping the tree nodes hot across
-  // consecutive rows.
-  std::vector<Prediction> out(x.rows());
-  for (size_t r = 0; r < x.rows(); ++r) out[r] = PredictPoint(x.row(r));
+  const size_t m = x.rows();
+  std::vector<Prediction> out(m);
+  const double inv = 1.0 / static_cast<double>(trees_.size());
+  for (size_t begin = 0; begin < m; begin += kBlock) {
+    // A short last block walks copies of its last row and drops their sums.
+    const double* row[kBlock];
+    for (size_t r = 0; r < kBlock; ++r) {
+      row[r] = x.row(std::min(begin + r, m - 1));
+    }
+    double sum_mean[kBlock] = {};
+    double sum_second[kBlock] = {};
+    for (const Tree& tree : trees_) {
+      const Node* nodes = tree.nodes.data();
+      uint32_t at[kBlock] = {};
+      // A one-leaf tree has no split to take; it is every tree of a forest
+      // fitted on no columns, whose rows have no element to read.
+      bool moved = tree.nodes.size() > 1;
+      while (moved) {
+        moved = false;
+        for (size_t r = 0; r < kBlock; ++r) {
+          const Node& node = nodes[at[r]];
+          const double v = row[r][node.feature & ~kEqualitySplit];
+          // x == t is x <= t and x >= t, for NaN and signed zeros too.
+          const uint32_t left = (v <= node.threshold) &
+                                (!(node.feature & kEqualitySplit) |
+                                 (v >= node.threshold));
+          // A mask select: a branch here mispredicts on half the steps.
+          const uint32_t next =
+              node.right ^ ((node.right ^ (at[r] + 1)) & (0u - left));
+          moved |= next != at[r];
+          at[r] = next;
+        }
+      }
+      for (size_t r = 0; r < kBlock; ++r) {
+        sum_mean[r] += nodes[at[r]].mean;
+        sum_second[r] += nodes[at[r]].second;
+      }
+    }
+    for (size_t r = 0; r < kBlock && begin + r < m; ++r) {
+      Prediction& p = out[begin + r];
+      p.mean = sum_mean[r] * inv;
+      p.variance = std::max(sum_second[r] * inv - p.mean * p.mean, 1e-12);
+    }
+  }
   return out;
 }
 

@@ -37,6 +37,12 @@ struct RandomForestOptions {
 /// mean = avg_t m_t(x), var = avg_t (v_t(x) + m_t(x)^2) - mean^2, where
 /// m_t/v_t are the mean/variance of the training targets in the leaf of
 /// tree t containing x.
+///
+/// PredictBatch walks blocks of rows through one tree at a time in
+/// lockstep, one branch-free compare-and-select step per row and level,
+/// and each row adds its trees' leaves in ascending tree order; Predict is
+/// a one-row PredictBatch. Both abort on a query whose width differs from
+/// the fitted design matrix's.
 class RandomForest : public Surrogate {
  public:
   explicit RandomForest(RandomForestOptions options = {});
@@ -55,18 +61,21 @@ class RandomForest : public Surrogate {
   int num_trees() const { return static_cast<int>(trees_.size()); }
 
  private:
-  /// 40 bytes: the doubles first, so the padding is only the flag's tail.
+  /// One tree node in 32 bytes, stored in the order BuildNode creates
+  /// them. A node's left child is the next node, because BuildNode grows
+  /// the left subtree right after reserving the node, so only `right` is
+  /// stored. A leaf has a NaN threshold, which fails every comparison, and
+  /// `right` equal to its own index, so a walk that reaches it stays put.
   struct Node {
-    double threshold = 0.0;    // numeric: x[f] <= t goes left;
-                               // categorical: x[f] == t goes left
-    double leaf_mean = 0.0;
-    double leaf_variance = 0.0;
-    int feature = -1;          // -1 for leaves
-    int left = -1;
-    int right = -1;
-    bool equality_split = false;
-    bool IsLeaf() const { return feature < 0; }
+    double threshold = 0.0;  // numeric: x[f] <= t goes left;
+                             // categorical: x[f] == t goes left
+    uint32_t feature = 0;    // f; kEqualitySplit (the .cc file) marks
+                             // a categorical split
+    uint32_t right = 0;
+    double mean = 0.0;    // leaf: mean of its training targets
+    double second = 0.0;  // leaf: their variance + mean², the walk's sum
   };
+  static_assert(sizeof(Node) == 32);
 
   struct Tree {
     std::vector<Node> nodes;
@@ -87,12 +96,6 @@ class RandomForest : public Surrogate {
   /// created node.
   int BuildNode(const FitData& data, FitScratch* scratch, size_t begin,
                 size_t end, int depth, class Rng* rng) const;
-
-  /// Index of the leaf of `tree` containing `x` (dim() doubles).
-  const Node& FindLeaf(const Tree& tree, const double* x) const;
-
-  /// Tree-averaged prediction for one point (dim() doubles).
-  Prediction PredictPoint(const double* x) const;
 
   RandomForestOptions options_;
   std::vector<bool> categorical_;
