@@ -237,18 +237,44 @@ void BM_RfFit(benchmark::State& state) {
 }
 BENCHMARK(BM_RfFit)->Arg(50)->Arg(200)->Arg(800);
 
-void BM_RfPredict(benchmark::State& state) {
-  Matrix x;
+/// One acquisition sweep's forest prediction (300 candidates plus 5 seeds'
+/// 6 neighbours) on the flagship's counting-ones space, 8 categorical and 8
+/// continuous columns, with the forest fitted on `range(0)` rows. Each
+/// iteration scores the next of 64 pre-built batches, so the branch
+/// predictor cannot learn one query's path.
+void BM_RfPredictBatch(benchmark::State& state) {
+  constexpr size_t kBatchRows = 330;
+  constexpr size_t kNumBatches = 64;
+  CountingOnes problem;
+  const ConfigurationSpace& space = problem.space();
+  Rng rng(6);
+  auto encoded = [&](size_t rows, std::vector<double>* y) {
+    Matrix x(rows, space.size());
+    for (size_t i = 0; i < rows; ++i) {
+      Configuration c = space.Sample(&rng);
+      space.EncodeInto(c, x.row(i));
+      if (y != nullptr) y->push_back(problem.ExactValue(c));
+    }
+    return x;
+  };
   std::vector<double> y;
-  FillData(400, 9, &x, &y);
+  const Matrix x = encoded(static_cast<size_t>(state.range(0)), &y);
   RandomForest rf;
+  rf.SetCategoricalFeatures(space.CategoricalMask());
   rf.Fit(x, y).IgnoreError();
-  std::vector<double> query(9, 0.4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rf.Predict(query));
+  std::vector<Matrix> batches;
+  for (size_t b = 0; b < kNumBatches; ++b) {
+    batches.push_back(encoded(kBatchRows, nullptr));
   }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rf.PredictBatch(batches[next]));
+    next = (next + 1) % kNumBatches;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kBatchRows));
 }
-BENCHMARK(BM_RfPredict);
+BENCHMARK(BM_RfPredictBatch)->Arg(50)->Arg(400);
 
 void BM_RankingLoss(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
@@ -778,14 +804,14 @@ BENCHMARK(BM_ContractChecker);
 /// Benchmarks `--quick` keeps: the allocation-bounded data-structure kernels,
 /// the journal appends that do not wait on the disk, the Rng draws every
 /// layer makes, the async scheduler's checkpoint, the contract checker, the
-/// GP kernels, and the flagship's forest fit, θ and MFES sample, which the
-/// ratchet requires.
+/// GP kernels, and the flagship's forest fit and prediction, θ and MFES
+/// sample, which the ratchet requires.
 constexpr char kQuickFilter[] =
     "BM_(CalendarQueue|BinaryHeap|RankTree|StoreIndexedAdd|StorePendingChurn|"
     "TrialHistoryRecord|JournalAppend/|JournalAppendFsync/[01]/|RngUniform|"
     "RngUniformInt|RngFreshDraws|AsyncCheckpoint|ContractChecker|"
-    "GpPredictBatch|CholUpdateAppend|AcqSweep|RfFit|FidelityWeights|"
-    "MfesSample)";
+    "GpPredictBatch|CholUpdateAppend|AcqSweep|RfFit|RfPredictBatch|"
+    "FidelityWeights|MfesSample)";
 
 /// Console output as usual, plus BENCH_micro.json: schema_version 1, one
 /// entry per benchmark run with name / iterations / ns_per_op and, for

@@ -448,6 +448,7 @@ REQUIRED_RATCHET_KERNELS = (
     "BM_CholUpdateAppend",
     "BM_AcqSweep",
     "BM_RfFit",
+    "BM_RfPredictBatch",
     "BM_FidelityWeights",
     "BM_MfesSample",
     "BM_RngFreshDraws",
