@@ -66,7 +66,7 @@ std::vector<Prediction> MfesEnsemble::PredictBatch(const Matrix& x) const {
   HT_CHECK(fitted()) << "MfesEnsemble::PredictBatch without fitted members";
   // One batched pass per member, accumulated per candidate in member order
   // with the same expressions as Predict — bit-identical, and each member's
-  // own batch path (GP multi-RHS solve, RF row sweep) does the heavy
+  // own batch path (GP multi-RHS solve, RF lockstep walk) does the heavy
   // lifting once instead of per candidate.
   std::vector<Prediction> out(x.rows());
   std::vector<double> second_moment(x.rows(), 0.0);
